@@ -5,16 +5,53 @@ importance on open-domain calibration data, blend it with domain-specific
 gradients into dual importance scores, select unstructured masks, and
 evaluate the pruned model.
 
-The numeric core is single-threaded by design (results must be reproducible
-bit-for-bit), so BLAS pools are pinned to one thread on import.
+The numeric core is single-threaded by design: a multi-threaded GEMM sums in
+an order that depends on the thread count, and results must be reproducible
+bit-for-bit.  So on import the OpenBLAS that numpy loaded is pinned to one
+thread, and a RuntimeWarning says so when no OpenBLAS thread setter is found.
 """
 
-try:
-    import threadpoolctl as _threadpoolctl
+import ctypes as _ctypes
+import os as _os
+import warnings as _warnings
 
-    _threadpoolctl.threadpool_limits(1, "blas")
-except Exception:  # pragma: no cover - best effort; numpy still works
-    pass
+# openblas_set_num_threads under the symbol names of the builds numpy ships with.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process."""
+    paths: list[str] = []
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                path = line.split()[-1]
+                if "openblas" in _os.path.basename(path).lower() and path not in paths:
+                    paths.append(path)
+    except OSError:
+        pass
+    return paths
+
+
+def _pin_blas_threads() -> None:
+    for path in _loaded_openblas():
+        lib = _ctypes.CDLL(path)
+        for symbol in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [_ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+    _warnings.warn("dualprune: found no OpenBLAS thread setter, so BLAS is not pinned to one "
+                   "thread and results may differ between thread counts", RuntimeWarning,
+                   stacklevel=2)
+
 
 from .corpus import CalibrationSpec, Corpus, build_calibration, detokenize, tokenize
 from .errors import (
@@ -39,7 +76,6 @@ from .importance import (
     ImportanceMatrixG,
     brute_force_importance,
     dual_importance_scores,
-    dual_loss_gradient,
     estimate_fisher_diagonal,
     general_importance,
     next_token_gradients,
@@ -69,7 +105,8 @@ from .tensor import (
     Tensor,
     backward,
     finite_difference_gradient,
-    forward_primitive,
 )
 
 __version__ = "0.1.0"
+
+_pin_blas_threads()  # after the imports above have loaded numpy and its BLAS

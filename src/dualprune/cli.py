@@ -17,19 +17,13 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import evaluation, importance, pruning
-from .container import file_fingerprint
 from .corpus import CalibrationSpec, build_calibration, load_corpus_cache, save_corpus_cache
 from .errors import ArtifactError, DualPruneError, NumericError, ValidationError
-from .model import (
-    ModelConfig,
-    init_model,
-    load_checkpoint,
-    prunable_matrices,
-    pretrain,
-    save_checkpoint,
-)
+from .model import ModelConfig, init_model, load_checkpoint, pretrain, save_checkpoint
+from .pruning import PruneConfig
 
 ENV_OUTPUT_DIR = "DUALPRUNE_OUTPUT_DIR"
 
@@ -41,14 +35,14 @@ EXIT_NUMERIC = 4
 
 @dataclass
 class RunConfig:
-    # model
-    vocab_size: int = 256
-    context_length: int = 64
-    num_layers: int = 2
-    d_model: int = 64
-    num_heads: int = 4
-    d_ff: int = 128
-    seed: int = 0
+    # model (ModelConfig's fields and defaults)
+    vocab_size: int = ModelConfig.vocab_size
+    context_length: int = ModelConfig.context_length
+    num_layers: int = ModelConfig.num_layers
+    d_model: int = ModelConfig.d_model
+    num_heads: int = ModelConfig.num_heads
+    d_ff: int = ModelConfig.d_ff
+    seed: int = ModelConfig.seed
     # corpora (comma-separated paths; regions are "lo:hi" fractions)
     train_corpus: str = ""
     open_corpus: str = ""
@@ -74,47 +68,35 @@ class RunConfig:
     damping: float = importance.DEFAULT_DAMPING
     fisher_source: str = "domain"  # domain | general
     normalize_general: int = 0
-    # pruning
-    sparsity: float = 0.5
-    mode: str = pruning.MODE_PER_MATRIX
-    block_size: int = 16
-    method: str = "dual"
+    # pruning (PruneConfig's fields and defaults)
+    sparsity: float = PruneConfig.sparsity
+    mode: str = PruneConfig.mode
+    block_size: int = PruneConfig.block_size
+    method: str = PruneConfig.method
     # io
     output_dir: str = "runs/default"
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=self.vocab_size,
-            context_length=self.context_length,
-            num_layers=self.num_layers,
-            d_model=self.d_model,
-            num_heads=self.num_heads,
-            d_ff=self.d_ff,
-            seed=self.seed,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
-    def prune_config(self) -> pruning.PruneConfig:
-        return pruning.PruneConfig(
-            sparsity=self.sparsity, mode=self.mode,
-            block_size=self.block_size, method=self.method,
-        )
+    def prune_config(self) -> PruneConfig:
+        return PruneConfig(**{f.name: getattr(self, f.name) for f in fields(PruneConfig)})
 
     def validate(self) -> None:
         self.model_config().validate()
         self.prune_config().validate()
-        if self.lam < 0:
-            raise ValidationError(f"lambda must be >= 0, got {self.lam}")
-        if self.alpha <= 0:
-            raise ValidationError(f"alpha must be > 0, got {self.alpha}")
+        importance.validate_lambda_alpha(self.lam, self.alpha)
         if self.damping <= 0:
             raise ValidationError(f"damping must be > 0, got {self.damping}")
         if self.fisher_source not in ("domain", "general"):
             raise ValidationError(f"fisher_source must be domain or general, got {self.fisher_source!r}")
 
 
+_FIELD_TYPES = get_type_hints(RunConfig)
+
 # config file keys use "lambda"; the dataclass field is `lam`
 _KEY_ALIASES = {"lambda": "lam"}
-_FIELD_TO_KEY = {"lam": "lambda"}
+_FIELD_TO_KEY = {field: key for key, field in _KEY_ALIASES.items()}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -146,14 +128,11 @@ def _coerce(field_name: str, field_type, raw: str):
 
 def make_run_config(file_values: dict[str, str], overrides: dict[str, object]) -> RunConfig:
     config = RunConfig()
-    typed = {f.name: f.type for f in fields(RunConfig)}
-    type_map = {"int": int, "float": float, "str": str}
     for key, raw in file_values.items():
         name = _KEY_ALIASES.get(key, key)
-        if name not in typed:
+        if name not in _FIELD_TYPES:
             raise ValidationError(f"unknown config key {key!r}")
-        ftype = type_map.get(typed[name], typed[name])
-        setattr(config, name, _coerce(key, ftype, raw))
+        setattr(config, name, _coerce(key, _FIELD_TYPES[name], raw))
     env_out = os.environ.get(ENV_OUTPUT_DIR)
     if env_out:
         config.output_dir = env_out
@@ -257,17 +236,11 @@ def cmd_prune(config: RunConfig, args) -> int:
     out = _out_dir(config)
     prune_cfg = config.prune_config()
     model = load_checkpoint(args.checkpoint)
-    model_fp = model.fingerprint()
 
     if prune_cfg.method == "dual":
         if not args.general_scores:
             raise ValidationError("--general-scores is required for method=dual")
         G = importance.load_general_scores(args.general_scores)
-        if G.model_fingerprint != model_fp:
-            raise ValidationError(
-                "general scores were computed for a different checkpoint "
-                f"(scores: {G.model_fingerprint[:12]}..., checkpoint: {model_fp[:12]}...)"
-            )
         domain = _build_corpus(config, "domain")
         fisher = None
         if config.fisher_source == "general":
@@ -288,7 +261,7 @@ def cmd_prune(config: RunConfig, args) -> int:
             mask = pruning.select_mask_per_matrix(scores, prune_cfg.sparsity)
     else:
         mask = pruning.magnitude_mask(model, prune_cfg.sparsity)
-    mask.model_fingerprint = model_fp
+    mask.model_fingerprint = model.fingerprint()
 
     mask_path = out / "mask.bin"
     pruning.save_mask(mask, mask_path)
@@ -370,9 +343,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     for f in fields(RunConfig):
         key = _FIELD_TO_KEY.get(f.name, f.name)
-        type_map = {"int": int, "float": float, "str": str}
-        ftype = type_map.get(f.type, f.type) if isinstance(f.type, str) else f.type
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=f.name, type=ftype, default=None)
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=f.name, type=_FIELD_TYPES[f.name],
+                            default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

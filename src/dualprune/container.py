@@ -14,7 +14,7 @@ emit meta keys sorted, so identical content yields identical bytes.
 
 from __future__ import annotations
 
-import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,7 +62,11 @@ def _block_nbytes(arr: np.ndarray, codec: str) -> int:
 def write_container(path, kind: str, meta: dict[str, str],
                     blocks: list[tuple[str, np.ndarray]],
                     bitpack: set[str] | frozenset[str] = frozenset()) -> None:
-    """Write `blocks` (name, array) in order; names listed in `bitpack` use codec b1."""
+    """Write `blocks` (name, array) in order; names listed in `bitpack` use codec b1.
+
+    The bytes go to a temporary file beside `path` that then replaces it, so
+    an interrupted write leaves any previous file at `path` as it was.
+    """
     lines = [f"kind={kind}"]
     for key in sorted(meta):
         value = str(meta[key])
@@ -89,7 +93,14 @@ def write_container(path, kind: str, meta: dict[str, str],
     out += len(header).to_bytes(4, "little")
     out += header
     out += payload
-    Path(path).write_bytes(bytes(out))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(out)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path, expect_kind: str | None = None) -> Container:
@@ -147,8 +158,3 @@ def read_container(path, expect_kind: str | None = None) -> Container:
     if expect_kind is not None and kind != expect_kind:
         raise ArtifactError(f"{path}: expected kind {expect_kind!r}, found {kind!r}")
     return Container(kind=kind, meta=meta, blocks=blocks)
-
-
-def file_fingerprint(path) -> str:
-    """sha256 of the file bytes; artifacts link to each other through these."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -95,7 +95,7 @@ def _read_tokens(paths: list[str]) -> tuple[np.ndarray, list[dict]]:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64), sources
 
 
-def build_calibration(spec: CalibrationSpec, files: list[str] | None = None) -> Corpus:
+def build_calibration(spec: CalibrationSpec) -> Corpus:
     """Sample `sample_count` disjoint windows of `sequence_length` tokens.
 
     Windows are aligned to a fixed grid inside the spec's region and picked by
@@ -103,8 +103,7 @@ def build_calibration(spec: CalibrationSpec, files: list[str] | None = None) -> 
     a window, and the same spec always rebuilds the same corpus.
     """
     spec.validate()
-    paths = [str(p) for p in (files if files is not None else spec.sources)]
-    tokens, sources = _read_tokens(paths)
+    tokens, sources = _read_tokens([str(p) for p in spec.sources])
 
     lo = int(len(tokens) * spec.region[0])
     hi = int(len(tokens) * spec.region[1])

@@ -203,6 +203,14 @@ def _check_same_shapes(op: str, *dicts: dict[str, np.ndarray]) -> None:
                 )
 
 
+def validate_lambda_alpha(lam: float, alpha: float) -> None:
+    """The regularizer's contract: lambda >= 0 weighs the penalty, alpha > 0 scales it."""
+    if lam < 0:
+        raise ValidationError(f"lambda must be >= 0, got {lam}")
+    if alpha <= 0:
+        raise ValidationError(f"alpha must be > 0, got {alpha}")
+
+
 def regularizer_gradient(G: ImportanceMatrixG, g_next: dict[str, np.ndarray],
                          H: FisherDiagonal, lam: float, alpha: float) -> dict[str, np.ndarray]:
     """Closed-form gradient of the importance-weighted penalty term.
@@ -210,49 +218,10 @@ def regularizer_gradient(G: ImportanceMatrixG, g_next: dict[str, np.ndarray],
     Elementwise 2*lam*alpha^2 * G * g_next * H_mm, computed directly rather
     than through a second differentiation pass.
     """
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
+    validate_lambda_alpha(lam, alpha)
     _check_same_shapes("regularizer_gradient", G.scores, g_next, H.values)
     factor = 2.0 * lam * alpha * alpha
     return {k: factor * G.scores[k] * g_next[k] * H.values[k] for k in G.scores}
-
-
-def _dual_gradient_parts(model: TransformerModel, domain_corpus, G: ImportanceMatrixG,
-                         lam: float, alpha: float, fisher: FisherDiagonal | None
-                         ) -> tuple[GradientStats, FisherDiagonal, dict[str, np.ndarray]]:
-    stats = next_token_gradients(model, domain_corpus)
-    if fisher is None:
-        fisher = FisherDiagonal(
-            values=stats.mean_square,
-            sample_count=stats.sample_count,
-            corpus_fingerprint=stats.corpus_fingerprint,
-        )
-    if lam == 0.0:
-        # Degenerate regularizer: keep the plain gradient bit-identical.
-        total = dict(stats.mean)
-    else:
-        reg = regularizer_gradient(G, stats.mean, fisher, lam, alpha)
-        total = {k: stats.mean[k] + reg[k] for k in stats.mean}
-    return stats, fisher, total
-
-
-def dual_loss_gradient(model: TransformerModel, domain_corpus, G: ImportanceMatrixG,
-                       lam: float = DEFAULT_LAMBDA, alpha: float = DEFAULT_ALPHA,
-                       *, fisher: FisherDiagonal | None = None) -> dict[str, np.ndarray]:
-    """Gradient of the regularized loss: next-token gradient over the domain
-    corpus plus the closed-form regularizer gradient.  Weights are not updated.
-
-    By default the Fisher diagonal inside the regularizer is estimated from
-    the same domain pass; pass `fisher` to reuse e.g. the open-domain one.
-    """
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    _, _, total = _dual_gradient_parts(model, domain_corpus, G, lam, alpha, fisher)
-    return total
 
 
 def score_from_first_order(u: np.ndarray) -> np.ndarray:
@@ -263,16 +232,34 @@ def score_from_first_order(u: np.ndarray) -> np.ndarray:
 def dual_importance_scores(model: TransformerModel, domain_corpus, G: ImportanceMatrixG,
                            lam: float = DEFAULT_LAMBDA, alpha: float = DEFAULT_ALPHA,
                            *, fisher: FisherDiagonal | None = None) -> DualScoreS:
-    """Final per-weight pruning scores from the regularized-loss gradient."""
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    stats, used_fisher, total = _dual_gradient_parts(model, domain_corpus, G, lam, alpha, fisher)
-    scores: dict[str, np.ndarray] = {}
-    for name in prunable_names(model.config):
-        u = total[name] * model.params[name].data
-        scores[name] = score_from_first_order(u)
+    """Final per-weight pruning scores from the regularized-loss gradient.
+
+    The gradient is the next-token gradient over the domain corpus plus the
+    closed-form regularizer gradient; weights are not updated.  By default the
+    Fisher diagonal inside the regularizer comes from the same domain pass;
+    pass `fisher` to reuse e.g. the open-domain one.  `G` must have been
+    scored on this model.
+    """
+    validate_lambda_alpha(lam, alpha)
+    model_fingerprint = model.fingerprint()
+    if G.model_fingerprint != model_fingerprint:
+        raise ValidationError(
+            "general scores were computed for a different model "
+            f"(scores: {G.model_fingerprint[:12]}..., model: {model_fingerprint[:12]}...)"
+        )
+    stats = next_token_gradients(model, domain_corpus)
+    if lam == 0.0:
+        # Degenerate regularizer: keep the plain gradient bit-identical.
+        total = stats.mean
+    else:
+        H = fisher if fisher is not None else FisherDiagonal(
+            stats.mean_square, stats.sample_count, stats.corpus_fingerprint)
+        reg = regularizer_gradient(G, stats.mean, H, lam, alpha)
+        total = {k: stats.mean[k] + reg[k] for k in stats.mean}
+    scores = {
+        name: score_from_first_order(total[name] * model.params[name].data)
+        for name in prunable_names(model.config)
+    }
     return DualScoreS(
         scores=scores,
         lam=lam,
@@ -280,7 +267,7 @@ def dual_importance_scores(model: TransformerModel, domain_corpus, G: Importance
         sample_count=stats.sample_count,
         domain_corpus_fingerprint=stats.corpus_fingerprint,
         general_corpus_fingerprint=G.corpus_fingerprint,
-        model_fingerprint=G.model_fingerprint,
+        model_fingerprint=model_fingerprint,
         fisher_source="domain" if fisher is None else "provided",
     )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -47,22 +47,6 @@ class ModelConfig:
         return self.d_model // self.num_heads
 
 
-def projection_shape(config: ModelConfig, name: str) -> tuple[int, int]:
-    d, f = config.d_model, config.d_ff
-    if name in ("q", "k", "v", "o"):
-        return (d, d)
-    if name in ("gate", "up"):
-        return (d, f)
-    if name == "down":
-        return (f, d)
-    raise ValidationError(f"unknown projection {name!r}")
-
-
-def prunable_parameter_count(config: ModelConfig) -> int:
-    d, f = config.d_model, config.d_ff
-    return config.num_layers * (4 * d * d + 3 * d * f)
-
-
 class TransformerModel:
     """Weights plus forward pass; mutated only by `pretrain` and mask application."""
 
@@ -74,9 +58,6 @@ class TransformerModel:
         self.meta = dict(meta or {})
 
     # -- parameter access ---------------------------------------------------
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
 
     def grads_by_name(self, grads_by_tid: dict[int, Tensor]) -> dict[str, np.ndarray]:
         """Re-key a backward() result by parameter name."""
@@ -151,29 +132,35 @@ class TransformerModel:
         return T.matmul(gated, p[f"layers.{i}.down"])
 
 
+def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter layout: every weight's name and shape, in manifest order."""
+    d, f = config.d_model, config.d_ff
+    projections = dict(zip(PROJECTIONS, [(d, d)] * 4 + [(d, f), (d, f), (f, d)]))
+    shapes: dict[str, tuple[int, ...]] = {
+        "embed": (config.vocab_size, d),
+        "pos": (config.context_length, d),
+    }
+    for i in range(config.num_layers):
+        shapes[f"layers.{i}.attn_norm"] = (d,)
+        for name in PROJECTIONS:
+            shapes[f"layers.{i}.{name}"] = projections[name]
+        shapes[f"layers.{i}.mlp_norm"] = (d,)
+    shapes["final_norm"] = (d,)
+    return shapes
+
+
 def init_model(config: ModelConfig) -> TransformerModel:
-    """Seeded scaled-normal init (std 1/sqrt(fan_in)); bit-reproducible from the seed."""
+    """Seeded init in manifest order: norm scales are ones, matrices are drawn
+    from a normal with std 1/sqrt(fan_in); bit-reproducible from the seed."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     params: dict[str, Tensor] = {}
-
-    def normal(name: str, shape: tuple[int, int], fan_in: int) -> None:
-        params[name] = T.param(rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape), name)
-
-    def ones(name: str, n: int) -> None:
-        params[name] = T.param(np.ones(n), name)
-
-    normal("embed", (config.vocab_size, config.d_model), config.vocab_size)
-    normal("pos", (config.context_length, config.d_model), config.context_length)
-    for i in range(config.num_layers):
-        ones(f"layers.{i}.attn_norm", config.d_model)
-        for name in ("q", "k", "v", "o", "gate", "up"):
-            shape = projection_shape(config, name)
-            normal(f"layers.{i}.{name}", shape, shape[0])
-        shape = projection_shape(config, "down")
-        normal(f"layers.{i}.down", shape, shape[0])
-        ones(f"layers.{i}.mlp_norm", config.d_model)
-    ones("final_norm", config.d_model)
+    for name, shape in expected_param_shapes(config).items():
+        if len(shape) == 1:
+            data = np.ones(shape)
+        else:
+            data = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape)
+        params[name] = T.param(data, name)
     return TransformerModel(config, params)
 
 
@@ -316,12 +303,8 @@ def still_improving(history: list[tuple[int, float]]) -> bool:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_CONFIG_FIELDS = ("vocab_size", "context_length", "num_layers", "d_model",
-                  "num_heads", "d_ff", "seed")
-
-
 def save_checkpoint(model: TransformerModel, path, extra_meta: dict[str, str] | None = None) -> None:
-    meta = {f"config.{k}": str(getattr(model.config, k)) for k in _CONFIG_FIELDS}
+    meta = {f"config.{f.name}": str(getattr(model.config, f.name)) for f in fields(ModelConfig)}
     meta["step"] = str(model.step)
     for k, v in model.meta.items():
         meta[f"x.{k}"] = v
@@ -331,25 +314,10 @@ def save_checkpoint(model: TransformerModel, path, extra_meta: dict[str, str] | 
     write_container(path, "checkpoint", meta, blocks)
 
 
-def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    d = config.d_model
-    shapes: dict[str, tuple[int, ...]] = {
-        "embed": (config.vocab_size, d),
-        "pos": (config.context_length, d),
-    }
-    for i in range(config.num_layers):
-        shapes[f"layers.{i}.attn_norm"] = (d,)
-        for name in ("q", "k", "v", "o", "gate", "up", "down"):
-            shapes[f"layers.{i}.{name}"] = projection_shape(config, name)
-        shapes[f"layers.{i}.mlp_norm"] = (d,)
-    shapes["final_norm"] = (d,)
-    return shapes
-
-
 def load_checkpoint(path) -> TransformerModel:
     c = read_container(path, expect_kind="checkpoint")
     try:
-        config = ModelConfig(**{k: int(c.meta[f"config.{k}"]) for k in _CONFIG_FIELDS})
+        config = ModelConfig(**{f.name: int(c.meta[f"config.{f.name}"]) for f in fields(ModelConfig)})
         step = int(c.meta["step"])
     except (KeyError, ValueError) as e:
         raise ArtifactError(f"checkpoint {path}: bad or missing config metadata ({e})") from None

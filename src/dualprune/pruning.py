@@ -1,8 +1,8 @@
 """Mask selection and application.
 
 Selection always zeroes exactly floor(sparsity * pool_size) weights per pool,
-where a pool is one prunable matrix (default), one column block of width B_s
-(blocked mode), or all seven matrices of a layer (optional comparison mode).
+where a pool is one prunable matrix (default) or one column block of width
+B_s (blocked mode).
 Ties are broken toward the lowest flat index, so masks are reproducible.
 """
 
@@ -91,36 +91,20 @@ def _prune_lowest(scores: np.ndarray, n_prune: int) -> np.ndarray:
     return mask.reshape(scores.shape)
 
 
-def select_mask_per_matrix(scores, sparsity: float, *, pool_layers: bool = False) -> Mask:
-    """Zero the floor(sparsity * M) lowest-scored weights within each matrix.
-
-    With `pool_layers`, the seven matrices of a layer compete in one pool
-    instead (kept for comparison runs; the per-matrix rule is the default).
-    """
+def select_mask_per_matrix(scores, sparsity: float) -> Mask:
+    """Zero the floor(sparsity * M) lowest-scored weights within each matrix."""
     _check_sparsity(sparsity)
     per_matrix = _score_dict(scores)
-    masks: dict[str, np.ndarray] = {}
-    if not pool_layers:
-        for name, s in per_matrix.items():
-            masks[name] = _prune_lowest(s, int(math.floor(sparsity * s.size)))
-    else:
-        by_layer: dict[str, list[str]] = {}
-        for name in per_matrix:
-            by_layer.setdefault(name.rsplit(".", 1)[0], []).append(name)
-        for names in by_layer.values():
-            pooled = np.concatenate([per_matrix[n].reshape(-1) for n in names])
-            flat = _prune_lowest(pooled, int(math.floor(sparsity * pooled.size)))
-            start = 0
-            for n in names:
-                size = per_matrix[n].size
-                masks[n] = flat[start : start + size].reshape(per_matrix[n].shape)
-                start += size
+    masks = {
+        name: _prune_lowest(s, int(math.floor(sparsity * s.size)))
+        for name, s in per_matrix.items()
+    }
     return Mask(
         masks=masks,
         sparsity=sparsity,
-        mode=MODE_PER_MATRIX if not pool_layers else "per-layer",
+        mode=MODE_PER_MATRIX,
         method="dual",
-        score_fingerprint=_maybe_fingerprint(scores),
+        score_fingerprint=score_content_fingerprint(per_matrix),
     )
 
 
@@ -156,7 +140,7 @@ def select_mask_blocked(scores, sparsity: float, block_size) -> Mask:
         mode=MODE_BLOCKED,
         block_size=base,
         method="dual",
-        score_fingerprint=_maybe_fingerprint(scores),
+        score_fingerprint=score_content_fingerprint(per_matrix),
     )
 
 
@@ -169,10 +153,6 @@ def scaled_block_sizes(shapes: Mapping[str, tuple[int, ...]], base: int) -> dict
         name: base * max(1, round(shape[1] / min_cols))
         for name, shape in shapes.items()
     }
-
-
-def _maybe_fingerprint(scores) -> str:
-    return score_content_fingerprint(_score_dict(scores))
 
 
 def score_content_fingerprint(arrays: dict[str, np.ndarray]) -> str:

@@ -53,10 +53,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tag})"
 
 
-def tensor(data) -> Tensor:
-    return Tensor(data)
-
-
 def param(data, name: str) -> Tensor:
     return Tensor(data, is_param=True, name=name)
 
@@ -289,7 +285,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# structural ops (taped, but not part of the primitive dispatch table)
+# structural ops
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape)) != x.data.size:
@@ -320,30 +316,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full_like(x.data, float(g)),)
 
     return _record(out, (x,), backward_fn)
-
-
-_PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "elementwise-multiply": mul,
-    "SiLU-activation": silu,
-    "softmax-over-last-axis": softmax_last,
-    "RMS-normalize": rms_norm,
-    "embedding-lookup": embedding_lookup,
-    "causal-mask-add": causal_mask_add,
-    "cross-entropy": cross_entropy,
-}
-
-
-def forward_primitive(op_kind: str, *inputs) -> Tensor:
-    """Apply one named primitive, recording it on the active tape."""
-    try:
-        fn = _PRIMITIVES[op_kind]
-    except KeyError:
-        raise ValidationError(
-            f"unknown primitive {op_kind!r}; expected one of {sorted(_PRIMITIVES)}"
-        ) from None
-    return fn(*inputs)
 
 
 # ---------------------------------------------------------------------------

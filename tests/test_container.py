@@ -1,12 +1,13 @@
 """Binary container: round trips, manifest integrity, corruption handling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dualprune.container import (
     FORMAT_VERSION,
     MAGIC,
-    file_fingerprint,
     read_container,
     write_container,
 )
@@ -52,7 +53,23 @@ def test_deterministic_bytes(tmp_path, sample_blocks):
     write_container(a, "scores.general", meta, sample_blocks)
     write_container(b, "scores.general", dict(reversed(meta.items())), sample_blocks)
     assert a.read_bytes() == b.read_bytes()
-    assert file_fingerprint(a) == file_fingerprint(b)
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path, sample_blocks, monkeypatch):
+    path = tmp_path / "x.bin"
+    write_container(path, "checkpoint", {"step": "1"}, sample_blocks)
+    before = path.read_bytes()
+
+    def fail_halfway(self, data):  # e.g. the disk fills up mid-write
+        with open(self, "wb") as fh:
+            fh.write(bytes(data)[: len(data) // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", fail_halfway)
+    with pytest.raises(OSError, match="No space"):
+        write_container(path, "checkpoint", {"step": "2"}, sample_blocks)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_bad_magic_rejected(tmp_path, sample_blocks):

@@ -14,7 +14,6 @@ from dualprune.importance import (
     ImportanceMatrixG,
     brute_force_importance,
     dual_importance_scores,
-    dual_loss_gradient,
     estimate_fisher_diagonal,
     general_importance,
     load_dual_scores,
@@ -224,34 +223,41 @@ class TestRegularizerGradient:
 
 
 class TestDualLossGradient:
+    """The regularized-loss gradient, observed through the scores it yields."""
+
+    @staticmethod
+    def scores_of(model, total):
+        return {k: score_from_first_order(total[k] * model.params[k].data) for k in total}
+
     def test_lambda_zero_bit_identical(self, tiny_model, two_sample_corpus):
         G = general_importance(tiny_model, two_sample_corpus)
-        total = dual_loss_gradient(tiny_model, two_sample_corpus, G, lam=0.0)
-        plain = next_token_gradients(tiny_model, two_sample_corpus)
+        S = dual_importance_scores(tiny_model, two_sample_corpus, G, lam=0.0)
+        plain = self.scores_of(tiny_model, next_token_gradients(tiny_model, two_sample_corpus).mean)
         for name in prunable_names(TINY):
-            assert np.array_equal(total[name], plain.mean[name]), name
+            assert np.array_equal(S.scores[name], plain[name]), name
 
     def test_lambda_positive_differs(self, tiny_model, two_sample_corpus):
         G = general_importance(tiny_model, two_sample_corpus)
-        with_reg = dual_loss_gradient(tiny_model, two_sample_corpus, G, lam=10.0)
-        without = dual_loss_gradient(tiny_model, two_sample_corpus, G, lam=0.0)
+        with_reg = dual_importance_scores(tiny_model, two_sample_corpus, G, lam=10.0).scores
+        without = dual_importance_scores(tiny_model, two_sample_corpus, G, lam=0.0).scores
         assert any(not np.array_equal(with_reg[n], without[n]) for n in with_reg)
 
     def test_equals_sum_of_parts(self, tiny_model, two_sample_corpus):
         G = general_importance(tiny_model, two_sample_corpus)
         lam, alpha = 0.1, 0.03
-        total = dual_loss_gradient(tiny_model, two_sample_corpus, G, lam, alpha)
+        S = dual_importance_scores(tiny_model, two_sample_corpus, G, lam, alpha)
         stats = next_token_gradients(tiny_model, two_sample_corpus)
         fisher = FisherDiagonal(stats.mean_square, stats.sample_count, stats.corpus_fingerprint)
         reg = regularizer_gradient(G, stats.mean, fisher, lam, alpha)
-        for name in total:
-            assert np.array_equal(total[name], stats.mean[name] + reg[name]), name
+        parts = self.scores_of(tiny_model, {k: stats.mean[k] + reg[k] for k in stats.mean})
+        for name in S.scores:
+            assert np.array_equal(S.scores[name], parts[name]), name
 
     def test_provided_fisher_used(self, tiny_model, two_sample_corpus):
         G = general_importance(tiny_model, two_sample_corpus)
         ones = FisherDiagonal({n: np.ones_like(G.scores[n]) for n in G.scores}, 1, "x")
-        a = dual_loss_gradient(tiny_model, two_sample_corpus, G, 0.5, 0.03)
-        b = dual_loss_gradient(tiny_model, two_sample_corpus, G, 0.5, 0.03, fisher=ones)
+        a = dual_importance_scores(tiny_model, two_sample_corpus, G, 0.5, 0.03).scores
+        b = dual_importance_scores(tiny_model, two_sample_corpus, G, 0.5, 0.03, fisher=ones).scores
         assert any(not np.array_equal(a[n], b[n]) for n in a)
 
 
@@ -281,7 +287,20 @@ class TestDualScores:
         assert S.sample_count == 2
         assert S.domain_corpus_fingerprint == two_sample_corpus.fingerprint()
         assert S.general_corpus_fingerprint == G.corpus_fingerprint
-        assert S.model_fingerprint == G.model_fingerprint
+        assert S.model_fingerprint == G.model_fingerprint == tiny_model.fingerprint()
+
+    def test_general_scores_of_another_model_rejected(self, tiny_model, two_sample_corpus):
+        G = general_importance(tiny_model, two_sample_corpus)
+        other = tiny_model.copy()
+        other.params["layers.0.q"].data[0, 0] += 1.0
+        with pytest.raises(ValidationError, match="different model"):
+            dual_importance_scores(other, two_sample_corpus, G)
+
+    @pytest.mark.parametrize("lam,alpha,field", [(-0.1, 0.03, "lambda"), (0.1, 0.0, "alpha")])
+    def test_lambda_alpha_contract(self, tiny_model, two_sample_corpus, lam, alpha, field):
+        G = general_importance(tiny_model, two_sample_corpus)
+        with pytest.raises(ValidationError, match=field):
+            dual_importance_scores(tiny_model, two_sample_corpus, G, lam, alpha)
 
     def test_deterministic(self, tiny_model, two_sample_corpus):
         G = general_importance(tiny_model, two_sample_corpus)

@@ -1,11 +1,15 @@
 """Toy transformer: layout, loss, causality, pretraining, checkpoints."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualprune import tensor as T
+import dualprune
 from dualprune.corpus import Corpus
 from dualprune.errors import ArtifactError, NumericError, ValidationError
 from dualprune.model import (
@@ -17,7 +21,6 @@ from dualprune.model import (
     next_token_loss,
     pretrain,
     prunable_matrices,
-    prunable_parameter_count,
     save_checkpoint,
 )
 
@@ -70,6 +73,16 @@ class TestInit:
         a.params["embed"].data[0, 0] += 1.0
         assert a.fingerprint() != fp
 
+    @pytest.mark.parametrize("config,expected", [
+        (ModelConfig(), "3b7ceef311b1d414f233e8b8b277d6e092f308793b9a5fc78741b38e7bbbd585"),
+        (ModelConfig(vocab_size=256, context_length=32, num_layers=1, d_model=32,
+                     num_heads=2, d_ff=48, seed=5),
+         "2dc056fbe8137939b382b833792fe8f92590d05a10ed8cfbb99f5176d5e7fd08"),
+    ])
+    def test_fingerprint_pinned(self, config, expected):
+        # a change of draw order or layout changes every downstream artifact
+        assert init_model(config).fingerprint() == expected
+
 
 class TestPrunableSet:
     def test_entry_count(self):
@@ -95,8 +108,7 @@ class TestPrunableSet:
         config = ModelConfig()
         model = init_model(config)
         total = sum(t.size for _, _, t in prunable_matrices(model))
-        assert total == prunable_parameter_count(config)
-        assert total == config.num_layers * (4 * 64 * 64 + 3 * 64 * 128)
+        assert total == 81_920 == config.num_layers * (4 * 64 * 64 + 3 * 64 * 128)
 
     def test_excluded_tensors(self):
         model = init_model(ModelConfig())
@@ -218,6 +230,38 @@ class TestPretrain:
         corpus = Corpus("mix", [np.arange(8), np.arange(12)])
         with pytest.raises(ValidationError, match="length"):
             pretrain(model, corpus, steps=1, learning_rate=0.1)
+
+
+PRETRAIN_SCRIPT = """
+import numpy as np
+from dualprune.corpus import Corpus
+from dualprune.model import ModelConfig, init_model, pretrain
+rng = np.random.default_rng(0)
+corpus = Corpus("rand", [rng.integers(0, 256, size=64) for _ in range(32)])
+model, _ = pretrain(init_model(ModelConfig()), corpus, steps=20, learning_rate=0.3)
+print(model.fingerprint())
+"""
+
+
+class TestBlasPin:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores to run BLAS on two threads")
+    def test_checkpoint_independent_of_blas_threads(self):
+        src = str(Path(dualprune.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fingerprints = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                                   PRETRAIN_SCRIPT], env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            fingerprints.append(done.stdout.strip())
+        assert fingerprints[0] == fingerprints[1]
+
+    def test_missing_setter_warns(self, monkeypatch):
+        monkeypatch.setattr(dualprune, "_loaded_openblas", lambda: [])
+        with pytest.warns(RuntimeWarning, match="not pinned"):
+            dualprune._pin_blas_threads()
 
 
 class TestCheckpoint:

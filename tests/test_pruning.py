@@ -84,18 +84,6 @@ class TestPerMatrix:
         m2 = select_mask_per_matrix(scores, 0.37)
         assert m1.fingerprint() == m2.fingerprint()
 
-    def test_layer_pooling_flag(self):
-        scores = {
-            "layers.0.q": np.full((2, 2), 10.0),
-            "layers.0.k": np.full((2, 2), 1.0),
-        }
-        pooled = select_mask_per_matrix(scores, 0.5, pool_layers=True)
-        # the pool prunes all of k before any of q
-        assert pooled.masks["layers.0.k"].sum() == 0
-        assert pooled.masks["layers.0.q"].sum() == 4
-        per_matrix = select_mask_per_matrix(scores, 0.5)
-        assert per_matrix.masks["layers.0.k"].sum() == 2
-
 
 class TestBlocked:
     def test_single_block_degeneracy(self):
