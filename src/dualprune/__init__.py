@@ -53,7 +53,7 @@ def _pin_blas_threads() -> None:
                    stacklevel=2)
 
 
-from .corpus import CalibrationSpec, Corpus, build_calibration, detokenize, tokenize
+from .corpus import CalibrationSpec, Corpus, build_calibration, tokenize
 from .errors import (
     ArtifactError,
     DualPruneError,

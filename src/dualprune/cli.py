@@ -86,8 +86,7 @@ class RunConfig:
         self.model_config().validate()
         self.prune_config().validate()
         importance.validate_lambda_alpha(self.lam, self.alpha)
-        if self.damping <= 0:
-            raise ValidationError(f"damping must be > 0, got {self.damping}")
+        importance.validate_damping(self.damping)
         if self.fisher_source not in ("domain", "general"):
             raise ValidationError(f"fisher_source must be domain or general, got {self.fisher_source!r}")
 
@@ -179,6 +178,11 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
+def _block_widths(scores, base: int) -> dict[str, int]:
+    """Blocked-mode widths for every scored matrix (see `scaled_block_sizes`)."""
+    return pruning.scaled_block_sizes({k: v.shape for k, v in scores.scores.items()}, base)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -252,9 +256,7 @@ def cmd_prune(config: RunConfig, args) -> int:
         importance.save_dual_scores(scores, scores_path)
         print(f"dual scores (lambda={config.lam}, alpha={config.alpha}) -> {scores_path}")
         if prune_cfg.mode == pruning.MODE_BLOCKED:
-            sizes = pruning.scaled_block_sizes(
-                {k: v.shape for k, v in scores.scores.items()}, prune_cfg.block_size,
-            )
+            sizes = _block_widths(scores, prune_cfg.block_size)
             mask = pruning.select_mask_blocked(scores, prune_cfg.sparsity, sizes)
             mask.block_size = prune_cfg.block_size
         else:
@@ -323,9 +325,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
     sparsities = [float(s) for s in args.sparsities.split(",") if s.strip()]
     block = None
     if config.mode == pruning.MODE_BLOCKED:
-        block = pruning.scaled_block_sizes(
-            {k: v.shape for k, v in scores.scores.items()}, config.block_size,
-        )
+        block = _block_widths(scores, config.block_size)
     result = evaluation.sparsity_sweep(model, scores, corpus, sparsities,
                                        mode=config.mode, block_size=block)
     evaluation.write_sweep_csv(result, out / "sweep.csv")
@@ -354,32 +354,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         _add_config_flags(p)
         return p
 
-    command("calibrate", "build calibration/test corpora and write replayable caches")
-    command("pretrain", "train the toy model and write a checkpoint plus loss log")
+    command("calibrate", "build calibration/test corpora and write replayable caches", cmd_calibrate)
+    command("pretrain", "train the toy model and write a checkpoint plus loss log", cmd_pretrain)
 
-    p = command("general-importance", "score general weight importance on open-domain data")
+    p = command("general-importance", "score general weight importance on open-domain data",
+                cmd_general_importance)
     p.add_argument("--checkpoint", required=True)
 
-    p = command("prune", "compute dual scores, select a mask, write the pruned checkpoint")
+    p = command("prune", "compute dual scores, select a mask, write the pruned checkpoint", cmd_prune)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--general-scores", default=None)
 
-    p = command("eval", "perplexity of a checkpoint on a configured corpus")
+    p = command("eval", "perplexity of a checkpoint on a configured corpus", cmd_eval)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", default="test", choices=["train", "open", "domain", "test"])
     p.add_argument("--corpus-cache", default=None, help="corpus cache JSON (overrides --corpus)")
     p.add_argument("--tag", default=None, help="basename for the report files")
 
-    p = command("masksim", "similarity analysis of two mask files")
+    p = command("masksim", "similarity analysis of two mask files", cmd_masksim)
     p.add_argument("mask_a")
     p.add_argument("mask_b")
 
-    p = command("sweep", "mask + evaluate across a list of sparsities")
+    p = command("sweep", "mask + evaluate across a list of sparsities", cmd_sweep)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scores", required=True, help="dual score file")
     p.add_argument("--corpus", default="test", choices=["train", "open", "domain", "test"])
@@ -388,24 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "calibrate": cmd_calibrate,
-    "pretrain": cmd_pretrain,
-    "general-importance": cmd_general_importance,
-    "prune": cmd_prune,
-    "eval": cmd_eval,
-    "masksim": cmd_masksim,
-    "sweep": cmd_sweep,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     config = make_run_config(file_values, overrides)
     config.validate()
-    return _COMMANDS[args.command](config, args)
+    return args.handler(config, args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,13 +10,19 @@ Codec `f8` is raw little-endian float64, row-major.  Codec `b1` is a binary
 mask bit-packed row by row (most significant bit = lowest column index, rows
 padded to a whole byte).  Offsets are relative to the payload start.  Writers
 emit meta keys sorted, so identical content yields identical bytes.
+
+Stage records (score files and masks) are dataclasses whose first field holds
+the blocks; every other field is one meta entry, keyed by the field name or by
+`field(metadata={"key": ...})`.  A value is written as `str(value)`, `""` for
+None and `"1"`/`"0"` for bools, and every field's key is required on reading.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -31,6 +37,47 @@ class Container:
     kind: str
     meta: dict[str, str]
     blocks: dict[str, np.ndarray]  # insertion order == manifest order
+
+
+def record_meta(record) -> dict[str, str]:
+    """Meta entries of a stage record: one per field after the first."""
+    meta = {}
+    for f in fields(record)[1:]:
+        value = getattr(record, f.name)
+        if value is None:
+            text = ""
+        elif isinstance(value, bool):
+            text = "1" if value else "0"
+        else:
+            text = str(value)
+        meta[f.metadata.get("key", f.name)] = text
+    return meta
+
+
+def _parse_meta(hint, text: str):
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        if text == "":
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    if hint is bool:
+        if text not in ("0", "1"):
+            raise ValueError(f"expected 0 or 1, got {text!r}")
+        return text == "1"
+    return hint(text)
+
+
+def record_from_container(cls, c: Container, path):
+    """Rebuild a stage record of class `cls` from its container `c`, read from `path`."""
+    hints = get_type_hints(cls)
+    first, *rest = fields(cls)
+    values = {first.name: dict(c.blocks)}
+    try:
+        for f in rest:
+            values[f.name] = _parse_meta(hints[f.name], c.meta[f.metadata.get("key", f.name)])
+    except (KeyError, ValueError) as e:
+        raise ArtifactError(f"{c.kind} file {path}: bad metadata ({e})") from None
+    return cls(**values)
 
 
 def _encode_block(arr: np.ndarray, codec: str) -> bytes:
@@ -51,12 +98,6 @@ def _decode_block(raw: bytes, codec: str, shape: tuple[int, ...]) -> np.ndarray:
         packed = np.frombuffer(raw, dtype=np.uint8).reshape(rows, -1)
         return np.unpackbits(packed, axis=1)[:, :cols].astype(np.uint8)
     raise ArtifactError(f"unknown block codec {codec!r}")
-
-
-def _block_nbytes(arr: np.ndarray, codec: str) -> int:
-    if codec == "f8":
-        return arr.size * 8
-    return arr.shape[0] * ((arr.shape[1] + 7) // 8)
 
 
 def write_container(path, kind: str, meta: dict[str, str],

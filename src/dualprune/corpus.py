@@ -17,21 +17,11 @@ import numpy as np
 
 from .errors import ArtifactError, ValidationError
 
-VOCAB_SIZE = 256
-
-
 def tokenize(text: str | bytes) -> np.ndarray:
     """Byte-level tokenization: each byte is its own id (vocab 256)."""
     if isinstance(text, str):
         text = text.encode("utf-8")
     return np.frombuffer(bytes(text), dtype=np.uint8).astype(np.int64)
-
-
-def detokenize(ids) -> bytes:
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= VOCAB_SIZE):
-        raise ValidationError(f"token id out of byte range [0, {VOCAB_SIZE})")
-    return ids.astype(np.uint8).tobytes()
 
 
 @dataclass
@@ -47,10 +37,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.sequences)
-
-    @property
-    def token_count(self) -> int:
-        return int(sum(np.asarray(s).size for s in self.sequences))
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import PROJECTIONS, TransformerModel, mean_corpus_loss, prunable_names
+from .model import PROJECTIONS, TransformerModel, check_scored_model, mean_corpus_loss, prunable_names
 from .pruning import MODE_BLOCKED, Mask, apply_mask, select_mask_blocked, select_mask_per_matrix
 
 
@@ -83,11 +83,15 @@ def mask_similarity(mask_a: Mask, mask_b: Mask) -> SimilarityReport:
 
 def sparsity_sweep(model: TransformerModel, scores, corpus, sparsity_list,
                    mode: str = "per-matrix", block_size=None) -> SweepResult:
-    """Select, apply and evaluate a mask per sparsity; flags the perplexity trend."""
+    """Select, apply and evaluate a mask per sparsity; flags the perplexity trend.
+
+    Scores that record the model they were computed for (a `model_fingerprint`)
+    must come from `model`; a plain dict of arrays is taken as it is.
+    """
+    if getattr(scores, "model_fingerprint", None) is not None:
+        check_scored_model(model, scores.model_fingerprint, "scores")
     rows: list[tuple[float, float]] = []
     for sparsity in sparsity_list:
-        if not 0.0 <= sparsity < 1.0:
-            raise ValidationError(f"sparsity must lie in [0, 1), got {sparsity}")
         if mode == MODE_BLOCKED:
             mask = select_mask_blocked(scores, sparsity, block_size)
         else:
@@ -101,8 +105,7 @@ def sparsity_sweep(model: TransformerModel, scores, corpus, sparsity_list,
 # ---------------------------------------------------------------------------
 # report writers
 
-def write_eval_report(report: EvalReport, csv_path, text_path=None,
-                      extra_lines: list[str] | None = None) -> None:
+def write_eval_report(report: EvalReport, csv_path, text_path, extra_lines: list[str]) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model_fingerprint", "corpus", "mean_loss", "perplexity", "token_count"])
@@ -110,18 +113,17 @@ def write_eval_report(report: EvalReport, csv_path, text_path=None,
             report.model_fingerprint, report.corpus_name,
             repr(report.mean_loss), repr(report.perplexity), report.token_count,
         ])
-    if text_path is not None:
-        lines = [
-            f"corpus: {report.corpus_name}",
-            f"tokens scored: {report.token_count}",
-            f"mean next-token loss: {report.mean_loss:.6f}",
-            f"perplexity: {report.perplexity:.4f}",
-        ]
-        lines.extend(extra_lines or [])
-        Path(text_path).write_text("\n".join(lines) + "\n")
+    lines = [
+        f"corpus: {report.corpus_name}",
+        f"tokens scored: {report.token_count}",
+        f"mean next-token loss: {report.mean_loss:.6f}",
+        f"perplexity: {report.perplexity:.4f}",
+    ]
+    lines.extend(extra_lines)
+    Path(text_path).write_text("\n".join(lines) + "\n")
 
 
-def write_similarity_grid(report: SimilarityReport, csv_path, text_path=None) -> None:
+def write_similarity_grid(report: SimilarityReport, csv_path, text_path) -> None:
     """CSV grid of per-matrix similarities: one row per layer, one column per kind."""
     layers = sorted(report.by_layer)
     with open(csv_path, "w", newline="") as fh:
@@ -132,15 +134,14 @@ def write_similarity_grid(report: SimilarityReport, csv_path, text_path=None) ->
             for kind in PROJECTIONS:
                 row.append(repr(report.per_matrix[f"layers.{layer}.{kind}"]))
             writer.writerow(row)
-    if text_path is not None:
-        lines = ["mask similarity (shared kept weights / matrix size)"]
-        lines.append("by projection kind:")
-        for kind in PROJECTIONS:
-            lines.append(f"  {kind:>5s}: {report.by_kind[kind]:.4f}")
-        lines.append("by layer:")
-        for layer in layers:
-            lines.append(f"  layer {layer}: {report.by_layer[layer]:.4f}")
-        Path(text_path).write_text("\n".join(lines) + "\n")
+    lines = ["mask similarity (shared kept weights / matrix size)"]
+    lines.append("by projection kind:")
+    for kind in PROJECTIONS:
+        lines.append(f"  {kind:>5s}: {report.by_kind[kind]:.4f}")
+    lines.append("by layer:")
+    for layer in layers:
+        lines.append(f"  layer {layer}: {report.by_layer[layer]:.4f}")
+    Path(text_path).write_text("\n".join(lines) + "\n")
 
 
 def write_sweep_csv(result: SweepResult, csv_path) -> None:

@@ -18,14 +18,20 @@ Model weights are never updated here; only gradients are read.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .container import read_container, write_container
-from .errors import ArtifactError, NumericError, ShapeError, ValidationError
-from .model import TransformerModel, mean_corpus_loss, next_token_loss, prunable_names
+from .container import read_container, record_from_container, record_meta, write_container
+from .errors import NumericError, ShapeError, ValidationError
+from .model import (
+    TransformerModel,
+    check_scored_model,
+    mean_corpus_loss,
+    next_token_loss,
+    prunable_names,
+)
 
 DEFAULT_DAMPING = 1e-4
 DEFAULT_LAMBDA = 0.1
@@ -55,7 +61,7 @@ class ImportanceMatrixG:
 class DualScoreS:
     """Final dual importance scores combining generality and specificity."""
     scores: dict[str, np.ndarray]
-    lam: float
+    lam: float = field(metadata={"key": "lambda"})
     alpha: float
     sample_count: int
     domain_corpus_fingerprint: str
@@ -151,25 +157,28 @@ def estimate_fisher_diagonal(model: TransformerModel, corpus) -> FisherDiagonal:
     )
 
 
-def general_importance(model: TransformerModel, open_corpus, damping: float = DEFAULT_DAMPING,
-                       *, normalize: bool = False,
-                       fisher: FisherDiagonal | None = None) -> ImportanceMatrixG:
-    """Removal-error scores 0.5 * W^2 * (H_mm + damping) on open-domain data.
-
-    `fisher` may be passed to reuse a precomputed diagonal; by default it is
-    estimated from `open_corpus`.  Assumes a model trained to a loss minimum;
-    an untrained model only triggers a warning since the scores stay defined.
-    """
+def validate_damping(damping: float) -> None:
+    """The inverse-Hessian approximation 1 / (H_mm + damping) needs damping > 0."""
     if damping <= 0:
         raise ValidationError(f"damping must be > 0, got {damping}")
+
+
+def general_importance(model: TransformerModel, open_corpus, damping: float = DEFAULT_DAMPING,
+                       *, normalize: bool = False) -> ImportanceMatrixG:
+    """Removal-error scores 0.5 * W^2 * (H_mm + damping) on open-domain data.
+
+    H_mm is the empirical Fisher diagonal estimated from `open_corpus`.
+    Assumes a model trained to a loss minimum; an untrained model only
+    triggers a warning since the scores stay defined.
+    """
+    validate_damping(damping)
     if model.step == 0 or model.meta.get("pretrained") != "1":
         warnings.warn("general_importance: model does not look pretrained; "
                       "removal-error scores assume a loss minimum", stacklevel=2)
     elif model.meta.get("converged") == "0":
         warnings.warn("general_importance: training loss was still falling; "
                       "removal-error scores assume a loss minimum", stacklevel=2)
-    if fisher is None:
-        fisher = estimate_fisher_diagonal(model, open_corpus)
+    fisher = estimate_fisher_diagonal(model, open_corpus)
     scores: dict[str, np.ndarray] = {}
     for name in prunable_names(model.config):
         w = model.params[name].data
@@ -241,12 +250,7 @@ def dual_importance_scores(model: TransformerModel, domain_corpus, G: Importance
     scored on this model.
     """
     validate_lambda_alpha(lam, alpha)
-    model_fingerprint = model.fingerprint()
-    if G.model_fingerprint != model_fingerprint:
-        raise ValidationError(
-            "general scores were computed for a different model "
-            f"(scores: {G.model_fingerprint[:12]}..., model: {model_fingerprint[:12]}...)"
-        )
+    model_fingerprint = check_scored_model(model, G.model_fingerprint, "general scores")
     stats = next_token_gradients(model, domain_corpus)
     if lam == 0.0:
         # Degenerate regularizer: keep the plain gradient bit-identical.
@@ -309,56 +313,18 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
 # score persistence (same container format as checkpoints)
 
 def save_general_scores(G: ImportanceMatrixG, path) -> None:
-    meta = {
-        "damping": repr(G.damping),
-        "sample_count": str(G.sample_count),
-        "corpus_fingerprint": G.corpus_fingerprint,
-        "model_fingerprint": G.model_fingerprint,
-        "normalized": "1" if G.normalized else "0",
-    }
-    write_container(path, "scores.general", meta, list(G.scores.items()))
+    write_container(path, "scores.general", record_meta(G), list(G.scores.items()))
 
 
 def load_general_scores(path) -> ImportanceMatrixG:
     c = read_container(path, expect_kind="scores.general")
-    try:
-        return ImportanceMatrixG(
-            scores=dict(c.blocks),
-            damping=float(c.meta["damping"]),
-            sample_count=int(c.meta["sample_count"]),
-            corpus_fingerprint=c.meta["corpus_fingerprint"],
-            model_fingerprint=c.meta["model_fingerprint"],
-            normalized=c.meta.get("normalized") == "1",
-        )
-    except (KeyError, ValueError) as e:
-        raise ArtifactError(f"general score file {path}: bad metadata ({e})") from None
+    return record_from_container(ImportanceMatrixG, c, path)
 
 
 def save_dual_scores(S: DualScoreS, path) -> None:
-    meta = {
-        "lambda": repr(S.lam),
-        "alpha": repr(S.alpha),
-        "sample_count": str(S.sample_count),
-        "domain_corpus_fingerprint": S.domain_corpus_fingerprint,
-        "general_corpus_fingerprint": S.general_corpus_fingerprint,
-        "model_fingerprint": S.model_fingerprint,
-        "fisher_source": S.fisher_source,
-    }
-    write_container(path, "scores.dual", meta, list(S.scores.items()))
+    write_container(path, "scores.dual", record_meta(S), list(S.scores.items()))
 
 
 def load_dual_scores(path) -> DualScoreS:
     c = read_container(path, expect_kind="scores.dual")
-    try:
-        return DualScoreS(
-            scores=dict(c.blocks),
-            lam=float(c.meta["lambda"]),
-            alpha=float(c.meta["alpha"]),
-            sample_count=int(c.meta["sample_count"]),
-            domain_corpus_fingerprint=c.meta["domain_corpus_fingerprint"],
-            general_corpus_fingerprint=c.meta["general_corpus_fingerprint"],
-            model_fingerprint=c.meta["model_fingerprint"],
-            fisher_source=c.meta.get("fisher_source", "domain"),
-        )
-    except (KeyError, ValueError) as e:
-        raise ArtifactError(f"dual score file {path}: bad metadata ({e})") from None
+    return record_from_container(DualScoreS, c, path)

@@ -177,6 +177,17 @@ def prunable_names(config: ModelConfig) -> list[str]:
     return [f"layers.{i}.{name}" for i in range(config.num_layers) for name in PROJECTIONS]
 
 
+def check_scored_model(model: TransformerModel, fingerprint: str, what: str) -> str:
+    """Raise unless `what` was scored on `model`; returns the model's fingerprint."""
+    actual = model.fingerprint()
+    if fingerprint != actual:
+        raise ValidationError(
+            f"{what} were computed for a different model "
+            f"(scores: {fingerprint[:12]}..., model: {actual[:12]}...)"
+        )
+    return actual
+
+
 def _validate_sequence(model: TransformerModel, ids: np.ndarray) -> np.ndarray:
     ids = np.asarray(ids)
     if ids.ndim != 1:
@@ -217,8 +228,7 @@ def mean_corpus_loss(model: TransformerModel, corpus, batch_size: int = 32) -> f
     Sequences are batched in corpus order (consecutive equal-length runs), so the
     reduction order is fixed and results are reproducible bit-for-bit.
     """
-    sequences = corpus.sequences if hasattr(corpus, "sequences") else list(corpus)
-    if not sequences:
+    if not corpus.sequences:
         raise ValidationError("mean_corpus_loss: corpus is empty")
     nll_total = 0.0
     token_total = 0
@@ -234,7 +244,7 @@ def mean_corpus_loss(model: TransformerModel, corpus, batch_size: int = 32) -> f
         token_total += n_predicted
         pending.clear()
 
-    for seq in sequences:
+    for seq in corpus.sequences:
         seq = np.asarray(seq)
         if pending and (len(pending) >= batch_size or pending[0].size != seq.size):
             flush()
@@ -256,14 +266,13 @@ def pretrain(model: TransformerModel, corpus, steps: int, learning_rate: float, 
         raise ValidationError(f"pretrain: steps must be >= 1, got {steps}")
     if learning_rate <= 0:
         raise ValidationError(f"pretrain: learning_rate must be > 0, got {learning_rate}")
-    sequences = corpus.sequences if hasattr(corpus, "sequences") else list(corpus)
-    if not sequences:
+    if not corpus.sequences:
         raise ValidationError("pretrain: corpus is empty")
-    lengths = {np.asarray(s).size for s in sequences}
+    lengths = {np.asarray(s).size for s in corpus.sequences}
     if len(lengths) != 1:
         raise ValidationError(f"pretrain: sequences must share one length, got {sorted(lengths)}")
 
-    data = np.stack([np.asarray(s) for s in sequences])
+    data = np.stack([np.asarray(s) for s in corpus.sequences])
     rng = np.random.default_rng([model.config.seed, 0x7261696E])
     history: list[tuple[int, float]] = []
     for step in range(1, steps + 1):
@@ -303,12 +312,10 @@ def still_improving(history: list[tuple[int, float]]) -> bool:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(model: TransformerModel, path, extra_meta: dict[str, str] | None = None) -> None:
+def save_checkpoint(model: TransformerModel, path) -> None:
     meta = {f"config.{f.name}": str(getattr(model.config, f.name)) for f in fields(ModelConfig)}
     meta["step"] = str(model.step)
     for k, v in model.meta.items():
-        meta[f"x.{k}"] = v
-    for k, v in (extra_meta or {}).items():
         meta[f"x.{k}"] = v
     blocks = [(name, t.data) for name, t in model.params.items()]
     write_container(path, "checkpoint", meta, blocks)

@@ -15,8 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .container import read_container, write_container
-from .errors import ArtifactError, ValidationError
+from .container import read_container, record_from_container, record_meta, write_container
+from .errors import ValidationError
 from .model import TransformerModel, prunable_matrices, prunable_names
 
 MODE_PER_MATRIX = "per-matrix"
@@ -36,11 +36,6 @@ class Mask:
 
     def zeros_per_matrix(self) -> dict[str, int]:
         return {k: int(m.size - m.sum()) for k, m in self.masks.items()}
-
-    def kept_fraction(self) -> float:
-        total = sum(m.size for m in self.masks.values())
-        kept = sum(int(m.sum()) for m in self.masks.values())
-        return kept / total
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -202,29 +197,9 @@ def apply_mask(model: TransformerModel, mask: Mask) -> TransformerModel:
 # persistence: bit-packed blocks in the shared container format
 
 def save_mask(mask: Mask, path) -> None:
-    meta = {
-        "sparsity": repr(mask.sparsity),
-        "mode": mask.mode,
-        "block_size": "" if mask.block_size is None else str(mask.block_size),
-        "method": mask.method,
-        "score_fingerprint": mask.score_fingerprint or "",
-        "model_fingerprint": mask.model_fingerprint or "",
-    }
-    blocks = [(name, m) for name, m in mask.masks.items()]
-    write_container(path, "mask", meta, blocks, bitpack=frozenset(mask.masks))
+    write_container(path, "mask", record_meta(mask), list(mask.masks.items()), bitpack=frozenset(mask.masks))
 
 
 def load_mask(path) -> Mask:
     c = read_container(path, expect_kind="mask")
-    try:
-        return Mask(
-            masks={k: v.astype(np.uint8) for k, v in c.blocks.items()},
-            sparsity=float(c.meta["sparsity"]),
-            mode=c.meta["mode"],
-            block_size=int(c.meta["block_size"]) if c.meta.get("block_size") else None,
-            method=c.meta["method"],
-            score_fingerprint=c.meta.get("score_fingerprint") or None,
-            model_fingerprint=c.meta.get("model_fingerprint") or None,
-        )
-    except (KeyError, ValueError) as e:
-        raise ArtifactError(f"mask file {path}: bad metadata ({e})") from None
+    return record_from_container(Mask, c, path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualprune.cli import main
-from dualprune.container import read_container
+from dualprune.container import read_container, write_container
 from dualprune.corpus import load_corpus_cache
 from dualprune.importance import load_dual_scores, load_general_scores
 from dualprune.model import load_checkpoint
@@ -242,6 +242,29 @@ class TestEvalMasksimSweep:
                      "--corpus", "test",
                      "--sparsities", "0.1,0.2,0.3,0.4,0.5,0.6,0.7"]) == 0
         assert path.read_bytes() == first
+
+    def test_sweep_scores_of_another_model_exit_2(self, workspace, tmp_path, capsys):
+        # the pruned checkpoint is a different model from the one the scores were computed for
+        assert main(["sweep", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "pruned.ckpt"),
+                     "--scores", str(workspace["out"] / "dual_scores.bin"),
+                     "--output-dir", str(tmp_path)]) == 2
+        assert "different model" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("key,value", [("sample_count", "abc"), ("fisher_source", None)])
+    def test_sweep_bad_score_metadata_exit_3(self, workspace, tmp_path, key, value):
+        c = read_container(workspace["out"] / "dual_scores.bin")
+        meta = dict(c.meta)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        bad = tmp_path / "bad_scores.bin"
+        write_container(bad, c.kind, meta, list(c.blocks.items()))
+        assert main(["sweep", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--scores", str(bad), "--output-dir", str(tmp_path)]) == 3
 
 
 class TestConfigHandling:

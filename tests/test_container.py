@@ -1,5 +1,6 @@
-"""Binary container: round trips, manifest integrity, corruption handling."""
+"""Binary container: round trips, manifest integrity, corruption handling, stage-record meta."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,19 @@ from dualprune.container import (
     FORMAT_VERSION,
     MAGIC,
     read_container,
+    record_meta,
     write_container,
 )
 from dualprune.errors import ArtifactError, ValidationError
+from dualprune.importance import (
+    DualScoreS,
+    ImportanceMatrixG,
+    load_dual_scores,
+    load_general_scores,
+    save_dual_scores,
+    save_general_scores,
+)
+from dualprune.pruning import Mask, load_mask, save_mask
 
 
 @pytest.fixture
@@ -123,3 +134,88 @@ def test_empty_payload_ok(tmp_path):
     write_container(path, "mask", {"note": "none"}, [])
     c = read_container(path)
     assert c.blocks == {}
+
+
+# -- stage records: meta entries derived from the dataclass fields ------------
+
+def _records():
+    scores = {"layers.0.q": np.arange(6.0).reshape(2, 3)}
+    keep = {"layers.0.q": np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)}
+    return {
+        "general": (ImportanceMatrixG(scores, 1e-4, 2, "c" * 64, "m" * 64, normalized=True),
+                    save_general_scores, load_general_scores),
+        "dual": (DualScoreS(scores, 0.1, 0.03, 2, "d" * 64, "g" * 64, "m" * 64, "provided"),
+                 save_dual_scores, load_dual_scores),
+        "mask": (Mask(keep, 0.5, "blocked", block_size=2, score_fingerprint="s" * 64,
+                      model_fingerprint="m" * 64), save_mask, load_mask),
+        "bare_mask": (Mask(keep, 0.25, "per-matrix"), save_mask, load_mask),  # None fields
+    }
+
+
+def _rewrite_meta(path, key, value=None):
+    """Rewrite the file at `path` with meta `key` set to `value`, or removed if None."""
+    c = read_container(path)
+    meta = dict(c.meta)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    bitpack = set(c.blocks) if c.kind == "mask" else frozenset()
+    write_container(path, c.kind, meta, list(c.blocks.items()), bitpack=bitpack)
+
+
+@pytest.mark.parametrize("kind", ["general", "dual", "mask", "bare_mask"])
+def test_record_round_trip(tmp_path, kind):
+    record, save, load = _records()[kind]
+    path = tmp_path / f"{kind}.bin"
+    save(record, path)
+    loaded = load(path)
+    assert record_meta(loaded) == record_meta(record)
+    first = fields(record)[0].name
+    for name, arr in getattr(record, first).items():
+        assert np.array_equal(getattr(loaded, first)[name], arr)
+
+
+def test_record_meta_values(tmp_path):
+    records = {kind: record for kind, (record, _, _) in _records().items()}
+    assert record_meta(records["general"])["normalized"] == "1"
+    assert record_meta(records["general"])["damping"] == "0.0001"
+    assert record_meta(records["dual"])["lambda"] == "0.1" and "lam" not in record_meta(records["dual"])
+    bare = record_meta(records["bare_mask"])
+    assert bare["block_size"] == bare["score_fingerprint"] == bare["model_fingerprint"] == ""
+    save_mask(records["bare_mask"], tmp_path / "m.bin")
+    loaded = load_mask(tmp_path / "m.bin")
+    assert loaded.block_size is None and loaded.score_fingerprint is None
+    assert loaded.model_fingerprint is None
+
+
+@pytest.mark.parametrize("kind,key", [
+    ("general", "damping"), ("general", "sample_count"), ("general", "corpus_fingerprint"),
+    ("general", "model_fingerprint"), ("general", "normalized"),
+    ("dual", "lambda"), ("dual", "alpha"), ("dual", "sample_count"),
+    ("dual", "domain_corpus_fingerprint"), ("dual", "general_corpus_fingerprint"),
+    ("dual", "model_fingerprint"), ("dual", "fisher_source"),
+    ("mask", "sparsity"), ("mask", "mode"), ("mask", "block_size"), ("mask", "method"),
+    ("mask", "score_fingerprint"), ("mask", "model_fingerprint"),
+])
+def test_record_missing_meta_key_rejected(tmp_path, kind, key):
+    record, save, load = _records()[kind]
+    path = tmp_path / f"{kind}.bin"
+    save(record, path)
+    _rewrite_meta(path, key)
+    with pytest.raises(ArtifactError, match=f"bad metadata.*{key}"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("general", "sample_count", "abc"), ("general", "normalized", "yes"),
+    ("dual", "sample_count", "abc"), ("dual", "lambda", "0.1x"),
+    ("mask", "sparsity", "x"), ("mask", "block_size", "1.5"),
+])
+def test_record_unparsable_meta_rejected(tmp_path, kind, key, value):
+    record, save, load = _records()[kind]
+    path = tmp_path / f"{kind}.bin"
+    save(record, path)
+    _rewrite_meta(path, key, value)
+    with pytest.raises(ArtifactError, match="bad metadata"):
+        load(path)

@@ -9,7 +9,6 @@ from dualprune.corpus import (
     CalibrationSpec,
     Corpus,
     build_calibration,
-    detokenize,
     load_corpus_cache,
     save_corpus_cache,
     tokenize,
@@ -30,11 +29,7 @@ class TestTokenize:
     @given(st.binary(max_size=200))
     @settings(max_examples=100, deadline=None)
     def test_round_trip(self, raw):
-        assert detokenize(tokenize(raw)) == raw
-
-    def test_detokenize_range_check(self):
-        with pytest.raises(ValidationError, match="byte range"):
-            detokenize(np.array([0, 256]))
+        assert tokenize(raw).astype(np.uint8).tobytes() == raw
 
 
 @pytest.fixture
@@ -116,10 +111,6 @@ class TestCorpusType:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValidationError, match="empty sequence"):
             Corpus("bad", [np.array([1, 2]), np.array([], dtype=np.int64)])
-
-    def test_token_count(self):
-        corpus = Corpus("ok", [np.array([1, 2, 3]), np.array([4, 5])])
-        assert corpus.token_count == 5
 
 
 class TestCache:

@@ -171,6 +171,15 @@ class TestSweep:
         b = sparsity_sweep(model, scores, corpus, [0.1, 0.5])
         assert a.rows == b.rows
 
+    def test_scores_of_another_model_rejected(self, trained):
+        model, scores, corpus = trained
+        other = model.copy()
+        other.params["layers.0.q"].data[0, 0] += 1.0
+        with pytest.raises(ValidationError, match="different model"):
+            sparsity_sweep(other, scores, corpus, [0.5])
+        plain = sparsity_sweep(other, dict(scores.scores), corpus, [0.5])  # no provenance to check
+        assert len(plain.rows) == 1
+
     def test_invalid_sparsity_rejected(self, trained):
         model, scores, corpus = trained
         with pytest.raises(ValidationError, match="sparsity"):

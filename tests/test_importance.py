@@ -147,16 +147,6 @@ class TestGeneralImportance:
         h = np.array([[1.0]])
         assert 0.5 * w[0, 0] ** 2 * (h[0, 0] + 0.0) == 2.0  # the identity the op encodes
 
-    def test_quadruples_when_weights_double(self, tiny_model, two_sample_corpus):
-        fisher = estimate_fisher_diagonal(tiny_model, two_sample_corpus)
-        G1 = general_importance(tiny_model, two_sample_corpus, fisher=fisher)
-        doubled = tiny_model.copy()
-        for name in prunable_names(TINY):
-            doubled.params[name].data *= 2.0
-        G2 = general_importance(doubled, two_sample_corpus, fisher=fisher)
-        for name in prunable_names(TINY):
-            assert np.allclose(G2.scores[name], 4.0 * G1.scores[name], rtol=1e-12), name
-
     def test_damping_validation(self, tiny_model, two_sample_corpus):
         with pytest.raises(ValidationError, match="damping"):
             general_importance(tiny_model, two_sample_corpus, 0.0)
