@@ -22,20 +22,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model as model_lib
 from . import tensor as T
 from .container import read_container, record_from_container, record_meta, write_container
 from .errors import NumericError, ShapeError, ValidationError
 from .model import (
     TransformerModel,
     check_scored_model,
+    equal_length_batches,
     mean_corpus_loss,
-    next_token_loss,
     prunable_names,
+    validate_sequence,
 )
+# unused here; kept because the stage benchmark patches importance.next_token_loss
+from .model import next_token_loss  # noqa: F401
 
 DEFAULT_DAMPING = 1e-4
 DEFAULT_LAMBDA = 0.1
 DEFAULT_ALPHA = 0.03
+# Sequences per batched gradient pass: the pretraining batch size.  A pass
+# holds the activations and per-sample gradients of all its sequences at
+# once, so larger chunks raise peak memory.
+GRADIENT_CHUNK = 8
 
 
 @dataclass
@@ -121,24 +129,41 @@ class _PairwiseSum:
 def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
     """Per-sample next-token gradients, reduced to mean and mean-of-squares.
 
-    Samples are processed one sequence at a time in corpus order, so the
-    squared-gradient accumulator is the empirical Fisher diagonal and the
-    whole computation is reproducible bit-for-bit.
+    Each run of up to `GRADIENT_CHUNK` consecutive equal-length sequences
+    goes through one batched tape pass, whose reverse pass returns every
+    sequence's gradient of its own loss for the prunable matrices only.
+    That pass repeats the arithmetic of a batch-1 pass per sequence, and the
+    samples are reduced one at a time in corpus order, so the squared-gradient
+    accumulator is the empirical Fisher diagonal and the results are
+    bit-identical to one pass per sequence.
     """
     if len(corpus.sequences) == 0:
         raise ValidationError("next_token_gradients: corpus is empty")
-    names = set(prunable_names(model.config))
+    names = prunable_names(model.config)
+    weights = [model.params[k] for k in names]
     acc_g = _PairwiseSum()
     acc_g2 = _PairwiseSum()
-    for j, seq in enumerate(corpus.sequences):
-        loss, tape = next_token_loss(model, seq)
-        grads = model.grads_by_name(T.backward(tape, loss))
-        sample = {k: v for k, v in grads.items() if k in names}
-        for k, g in sample.items():
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for {k} on sample {j}")
-        acc_g.add(sample)
-        acc_g2.add({k: g * g for k, g in sample.items()})
+    j = 0
+    sequences = (validate_sequence(model, s) for s in corpus.sequences)
+    for batch in equal_length_batches(sequences, GRADIENT_CHUNK):
+        tape = T.GradientTape()
+        with tape:
+            # looked up at call time, so that a hook installed on
+            # model.batch_next_token_loss sees every chunk
+            loss = model_lib.batch_next_token_loss(model, batch)
+        grads = T.backward(tape, loss, weights, samples=len(batch))
+        per_sample = [grads[w.tid].data for w in weights]
+        # finite[b, m]: sample b's gradient of matrix m is finite
+        finite = np.stack([np.isfinite(g).reshape(len(batch), -1).all(axis=1) for g in per_sample],
+                          axis=1)
+        if not finite.all():
+            b, m = np.argwhere(~finite)[0]
+            raise NumericError(f"non-finite gradient for {names[m]} on sample {j + b}")
+        squares = [g * g for g in per_sample]
+        for b in range(len(batch)):
+            acc_g.add({k: g[b] for k, g in zip(names, per_sample)})
+            acc_g2.add({k: g[b] for k, g in zip(names, squares)})
+        j += len(batch)
     return GradientStats(
         mean=acc_g.mean(),
         mean_square=acc_g2.mean(),

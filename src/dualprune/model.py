@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -112,19 +113,8 @@ class TransformerModel:
 
     def _attention(self, i: int, x: Tensor) -> Tensor:
         p = self.params
-        n_batch, n_tok, d = x.shape
-        heads, hd = self.config.num_heads, self.config.head_dim
-
-        def split(t: Tensor) -> Tensor:
-            return T.transpose(T.reshape(t, (n_batch, n_tok, heads, hd)), 1, 2)
-
-        q = split(T.matmul(x, p[f"layers.{i}.q"]))
-        k = split(T.matmul(x, p[f"layers.{i}.k"]))
-        v = split(T.matmul(x, p[f"layers.{i}.v"]))
-        scores = T.mul(T.matmul(q, T.transpose(k, 2, 3)), Tensor(1.0 / math.sqrt(hd)))
-        attn = T.softmax_last(T.causal_mask_add(scores))
-        ctx = T.reshape(T.transpose(T.matmul(attn, v), 1, 2), (n_batch, n_tok, d))
-        return T.matmul(ctx, p[f"layers.{i}.o"])
+        q, k, v = (T.matmul(x, p[f"layers.{i}.{name}"]) for name in ("q", "k", "v"))
+        return T.matmul(T.causal_attention(q, k, v, self.config.num_heads), p[f"layers.{i}.o"])
 
     def _mlp(self, i: int, x: Tensor) -> Tensor:
         p = self.params
@@ -188,7 +178,7 @@ def check_scored_model(model: TransformerModel, fingerprint: str, what: str) -> 
     return actual
 
 
-def _validate_sequence(model: TransformerModel, ids: np.ndarray) -> np.ndarray:
+def validate_sequence(model: TransformerModel, ids: np.ndarray) -> np.ndarray:
     ids = np.asarray(ids)
     if ids.ndim != 1:
         raise ValidationError(f"token sequence must be 1-D, got shape {ids.shape}")
@@ -205,7 +195,7 @@ def _validate_sequence(model: TransformerModel, ids: np.ndarray) -> np.ndarray:
 
 def next_token_loss(model: TransformerModel, token_sequence) -> tuple[Tensor, GradientTape]:
     """Mean cross-entropy of predicting token t+1 from the prefix up to t."""
-    ids = _validate_sequence(model, token_sequence)
+    ids = validate_sequence(model, token_sequence)
     tape = GradientTape()
     with tape:
         logits = model.forward(ids[None, :-1])
@@ -222,6 +212,19 @@ def batch_next_token_loss(model: TransformerModel, batch: np.ndarray) -> Tensor:
     return T.cross_entropy(logits, batch[:, 1:])
 
 
+def equal_length_batches(sequences, batch_size: int) -> Iterator[np.ndarray]:
+    """Stack consecutive equal-length sequences, at most `batch_size` at a time, in order."""
+    pending: list[np.ndarray] = []
+    for seq in sequences:
+        seq = np.asarray(seq)
+        if pending and (len(pending) >= batch_size or pending[0].size != seq.size):
+            yield np.stack(pending)
+            pending = []
+        pending.append(seq)
+    if pending:
+        yield np.stack(pending)
+
+
 def mean_corpus_loss(model: TransformerModel, corpus, batch_size: int = 32) -> float:
     """Token-count-weighted mean next-token loss over all corpus sequences.
 
@@ -232,24 +235,10 @@ def mean_corpus_loss(model: TransformerModel, corpus, batch_size: int = 32) -> f
         raise ValidationError("mean_corpus_loss: corpus is empty")
     nll_total = 0.0
     token_total = 0
-    pending: list[np.ndarray] = []
-
-    def flush() -> None:
-        nonlocal nll_total, token_total
-        if not pending:
-            return
-        stacked = np.stack(pending)
-        n_predicted = stacked.shape[0] * (stacked.shape[1] - 1)
-        nll_total += float(batch_next_token_loss(model, stacked).data) * n_predicted
+    for batch in equal_length_batches(corpus.sequences, batch_size):
+        n_predicted = batch.shape[0] * (batch.shape[1] - 1)
+        nll_total += float(batch_next_token_loss(model, batch).data) * n_predicted
         token_total += n_predicted
-        pending.clear()
-
-    for seq in corpus.sequences:
-        seq = np.asarray(seq)
-        if pending and (len(pending) >= batch_size or pending[0].size != seq.size):
-            flush()
-        pending.append(seq)
-    flush()
     return nll_total / token_total
 
 

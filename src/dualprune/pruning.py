@@ -143,6 +143,8 @@ def scaled_block_sizes(shapes: Mapping[str, tuple[int, ...]], base: int) -> dict
     """Widen the block for matrices with more columns: base * round(cols/min_cols)."""
     if base < 1:
         raise ValidationError(f"base block size must be >= 1, got {base}")
+    if not shapes:
+        raise ValidationError("blocked mode needs at least one score matrix, got none")
     min_cols = min(shape[1] for shape in shapes.values())
     return {
         name: base * max(1, round(shape[1] / min_cols))

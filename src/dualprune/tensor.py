@@ -1,17 +1,26 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine covers exactly what a small decoder-only transformer needs:
-matmul, add, elementwise multiply, SiLU, softmax over the last axis, RMS
-normalization, embedding lookup, causal mask add and cross-entropy, plus
-the structural reshape/transpose/sum ops the model wiring requires.
-Everything is float64 and single-threaded; leading batch dimensions are
-handled through numpy broadcasting.
+The engine covers what a small decoder-only transformer needs: matmul,
+add, elementwise multiply, SiLU, RMS normalization, embedding lookup,
+fused causal softmax attention and cross-entropy, plus the transpose the
+tied output head requires.  Softmax over the last axis, causal mask add
+and reshape stay primitives of their own although the model no longer
+records them: the stage benchmark's span wrappers (`stagebench/spans.py`)
+look them up by name.  `sum_all` reduces to a scalar.  Everything is
+float64 and single-threaded; leading batch dimensions are handled through
+numpy broadcasting.
+
+The reverse pass computes only the gradients that lead to the requested
+weights, and can return one gradient per sample of a batch (see
+`backward`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Callable
+import math
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -90,6 +99,14 @@ class GradientTape:
         return len(self.records)
 
 
+# What the reverse pass asks of a backward function for each input: no
+# gradient, the gradient, or one gradient per sample along a leading axis.
+# A backward function may return None for a SKIP input, or compute it anyway
+# (the pass drops it); one-input primitives never see SKIP, since their
+# output leads to a requested weight exactly when their input does.
+SKIP, SUMMED, PER_SAMPLE = 0, 1, 2
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     tape = GradientTape._active
     if tape is not None:
@@ -130,15 +147,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}") from None
 
-    def backward_fn(g):
-        if b.data.ndim == 2:
+    def backward_fn(g, need):
+        ga = gb = None
+        if b.data.ndim == 2 and PER_SAMPLE not in need:
             # weight matmul: fold batch dims into one big GEMM
             g2 = g.reshape(-1, g.shape[-1])
-            ga = (g2 @ b.data.T).reshape(a.data.shape)
-            gb = a.data.reshape(-1, a.data.shape[-1]).T @ g2
+            if need[0]:
+                ga = (g2 @ b.data.T).reshape(a.data.shape)
+            if need[1]:
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g2
         else:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            # one GEMM per leading index, each at the shape of a single
+            # sample, so a per-sample pass repeats the batch-1 arithmetic
+            if need[0]:
+                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+            if need[1]:
+                gb = np.swapaxes(a.data, -1, -2) @ g
+                if need[1] != PER_SAMPLE:
+                    gb = _unbroadcast(gb, b.data.shape)
         return ga, gb
 
     return _record(out, (a, b), backward_fn)
@@ -148,8 +174,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
     out = Tensor(a.data + b.data)
 
-    def backward_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+    def backward_fn(g, need):
+        return (_unbroadcast(g, a.data.shape) if need[0] else None,
+                _unbroadcast(g, b.data.shape) if need[1] else None)
 
     return _record(out, (a, b), backward_fn)
 
@@ -158,11 +185,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("elementwise-multiply", a, b)
     out = Tensor(a.data * b.data)
 
-    def backward_fn(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+    def backward_fn(g, need):
+        return (_unbroadcast(g * b.data, a.data.shape) if need[0] else None,
+                _unbroadcast(g * a.data, b.data.shape) if need[1] else None)
 
     return _record(out, (a, b), backward_fn)
 
@@ -171,7 +196,7 @@ def silu(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
     out = Tensor(x.data * s)
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         return (g * (s + x.data * s * (1.0 - s)),)
 
     return _record(out, (x,), backward_fn)
@@ -185,7 +210,7 @@ def softmax_last(x: Tensor) -> Tensor:
     p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p)
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         dot = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - dot),)
 
@@ -203,7 +228,7 @@ def rms_norm(x: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(ms + RMS_EPS)
     out = Tensor(x.data * inv)
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         d = x.data.shape[-1]
         gx = inv * g - (inv * inv * inv / d) * x.data * (g * x.data).sum(axis=-1, keepdims=True)
         return (gx,)
@@ -223,7 +248,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         )
     out = Tensor(table.data[ids])
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
         return (gt,)
@@ -236,19 +261,75 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 CAUSAL_NEG = -1e30
 
 
+@functools.cache
+def _causal_mask(t: int) -> np.ndarray:
+    """Read-only (t, t) additive mask: CAUSAL_NEG above the diagonal, 0 elsewhere."""
+    mask = np.triu(np.full((t, t), CAUSAL_NEG), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def causal_mask_add(scores: Tensor) -> Tensor:
     if scores.data.ndim < 2 or scores.data.shape[-1] != scores.data.shape[-2]:
         raise ShapeError(
             f"causal-mask-add: last two axes must be square, got shape {scores.data.shape}"
         )
-    t = scores.data.shape[-1]
-    mask = np.triu(np.full((t, t), CAUSAL_NEG), k=1)
-    out = Tensor(scores.data + mask)
+    out = Tensor(scores.data + _causal_mask(scores.data.shape[-1]))
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         return (g,)
 
     return _record(out, (scores,), backward_fn)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
+    """Causal softmax attention over (batch, length, num_heads * head_dim) q, k, v.
+
+    One tape record for what would otherwise be a chain of split heads,
+    q @ k^T, scale by 1/sqrt(head_dim), causal mask add, softmax, @ v and
+    merge heads.  The arithmetic is that chain's, in the same order and on
+    operands of the same memory layout, so the output and all three input
+    gradients are bit-identical to it; the softmax runs in place.
+    """
+    shape = q.data.shape
+    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(f"causal-attention: q, k, v must share one (batch, length, width) shape, "
+                         f"got {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    if num_heads < 1 or shape[2] % num_heads:
+        raise ShapeError(f"causal-attention: width {shape[2]} does not split into {num_heads} heads")
+    n_batch, n_tok, width = shape
+    head_dim = width // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+
+    def split(x):  # (batch, length, width) -> contiguous (batch, heads, length, head_dim)
+        return np.ascontiguousarray(x.reshape(n_batch, n_tok, num_heads, head_dim).transpose(0, 2, 1, 3))
+
+    def merge(x):  # the inverse of split
+        return x.transpose(0, 2, 1, 3).reshape(shape)
+
+    qh, vh = split(q.data), split(v.data)
+    kt = np.ascontiguousarray(np.swapaxes(split(k.data), -1, -2))
+    p = qh @ kt
+    p *= scale
+    p += _causal_mask(n_tok)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(merge(p @ vh))
+
+    def backward_fn(g, need):
+        g_ctx = split(g)
+        g_v = np.swapaxes(p, -1, -2) @ g_ctx
+        g_s = g_ctx @ np.swapaxes(vh, -1, -2)
+        dot = (g_s * p).sum(axis=-1, keepdims=True)
+        g_s -= dot
+        g_s *= p
+        g_s *= scale
+        g_q = g_s @ np.swapaxes(kt, -1, -2)
+        g_k = np.swapaxes(np.swapaxes(qh, -1, -2) @ g_s, -1, -2)
+        return merge(g_q), merge(g_k), merge(g_v)
+
+    return _record(out, (q, k, v), backward_fn)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -273,7 +354,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     out = Tensor(nll.mean())
     count = max(targets.size, 1)
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         gl = p.copy()
         np.put_along_axis(
             gl, targets[..., None],
@@ -292,7 +373,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"reshape: cannot reshape {x.data.shape} to {shape}")
     out = Tensor(x.data.reshape(shape).copy())
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         return (g.reshape(x.data.shape),)
 
     return _record(out, (x,), backward_fn)
@@ -303,7 +384,7 @@ def transpose(x: Tensor, axis1: int, axis2: int) -> Tensor:
         raise ShapeError(f"transpose: axes ({axis1}, {axis2}) out of range for shape {x.data.shape}")
     out = Tensor(np.swapaxes(x.data, axis1, axis2))
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         return (np.ascontiguousarray(np.swapaxes(g, axis1, axis2)),)
 
     return _record(out, (x,), backward_fn)
@@ -312,7 +393,7 @@ def transpose(x: Tensor, axis1: int, axis2: int) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
 
-    def backward_fn(g):
+    def backward_fn(g, need):
         return (np.full_like(x.data, float(g)),)
 
     return _record(out, (x,), backward_fn)
@@ -321,11 +402,21 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse pass
 
-def backward(tape: GradientTape, loss: Tensor) -> dict[int, Tensor]:
+def backward(tape: GradientTape, loss: Tensor, wrt: Iterable[Tensor] | None = None, *,
+             samples: int | None = None) -> dict[int, Tensor]:
     """Replay `tape` in reverse from scalar `loss`.
 
-    Returns gradients for every parameter tensor touched by the pass, keyed
-    by tensor id; each gradient has the same shape as its parameter.
+    Returns the gradients of the parameters in `wrt` (default: every
+    parameter the pass touched), keyed by tensor id; each has the shape of
+    its parameter.  Only gradients on a path to one of them are computed.
+
+    With `samples=n`, `loss` must be the mean of n per-sample losses whose
+    samples lie along the leading axis of every activation, and each
+    parameter in `wrt` must be the weight of a 2-D matmul.  Each returned
+    gradient then has shape (n, *weight shape) and holds every sample's
+    gradient of its own loss, computed as swapaxes(x) @ g per sample.  Every
+    GEMM of such a pass runs once per sample at the batch-1 shape, so the
+    result is bit-identical to n batch-1 passes.
     """
     if not tape.records:
         raise ValidationError("backward on an empty tape")
@@ -334,20 +425,34 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[int, Tensor]:
     if loss.tid not in tape._output_ids:
         raise ValidationError("backward: loss was not produced by this tape")
 
-    grads: dict[int, np.ndarray] = {loss.tid: np.ones((), dtype=np.float64)}
-    params: dict[int, Tensor] = {}
+    if wrt is None:
+        wrt = [inp for _, inputs, _ in tape.records for inp in inputs if inp.is_param]
+    targets = {t.tid: t for t in wrt}
+    live = set(targets)  # tensors on a path to a requested parameter
+    for out, inputs, _ in tape.records:
+        if any(inp.tid in live for inp in inputs):
+            live.add(out.tid)
+    ask = SUMMED if samples is None else PER_SAMPLE
+    # d(sum of the n per-sample losses) = n * d(mean); cross-entropy's n / (n * tokens)
+    # rounds to the same float as a single sample's 1 / tokens
+    grads: dict[int, np.ndarray] = {loss.tid: np.full((), 1.0 if samples is None else float(samples))}
     for out, inputs, backward_fn in reversed(tape.records):
-        g_out = grads.get(out.tid)
+        g_out = grads.pop(out.tid, None)
         if g_out is None:
             continue
-        for inp, g in zip(inputs, backward_fn(g_out)):
-            if g is None:
+        need = tuple(ask if inp.tid in live else SKIP for inp in inputs)
+        for inp, g in zip(inputs, backward_fn(g_out, need)):
+            if g is None or inp.tid not in live:
                 continue
             acc = grads.get(inp.tid)
             grads[inp.tid] = g if acc is None else acc + g
-            if inp.is_param:
-                params[inp.tid] = inp
-    return {tid: Tensor(grads[tid]) for tid in params}
+    result = {tid: Tensor(grads[tid]) for tid in targets if tid in grads}
+    if samples is not None:
+        for tid, g in result.items():
+            if g.shape != (samples, *targets[tid].shape):
+                raise ShapeError(f"backward: no per-sample gradient for {targets[tid].name or 'a parameter'}"
+                                 f" of shape {targets[tid].shape}")
+    return result
 
 
 def finite_difference_gradient(model_loss_fn: Callable[[], float], weight: Tensor,

@@ -1,7 +1,6 @@
 """CLI pipeline: stages, artifacts, exit codes, overrides."""
 
 import csv
-import os
 
 import numpy as np
 import pytest
@@ -178,7 +177,7 @@ class TestPrune:
 
         # no-regularization oracle: plain next-token gradients -> |u + u^2/2|
         import dualprune.importance as imp
-        from dualprune.cli import RunConfig, _build_corpus, make_run_config, parse_config_file
+        from dualprune.cli import _build_corpus, make_run_config, parse_config_file
         from dualprune.pruning import select_mask_per_matrix
 
         config = make_run_config(parse_config_file(workspace["config"]), {})
@@ -265,6 +264,16 @@ class TestEvalMasksimSweep:
         assert main(["sweep", "--config", str(workspace["config"]),
                      "--checkpoint", str(workspace["out"] / "model.ckpt"),
                      "--scores", str(bad), "--output-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("mode", ["per-matrix", "blocked"])
+    def test_sweep_scores_without_matrices_exit_2(self, workspace, tmp_path, mode):
+        c = read_container(workspace["out"] / "dual_scores.bin")
+        empty = tmp_path / "empty_scores.bin"
+        write_container(empty, c.kind, dict(c.meta), [])
+        assert main(["sweep", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--scores", str(empty), "--mode", mode, "--output-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestConfigHandling:

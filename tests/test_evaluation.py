@@ -1,7 +1,6 @@
 """Perplexity reports, mask similarity, sparsity sweeps, CSV writers."""
 
 import csv
-import math
 import warnings
 
 import numpy as np

@@ -9,9 +9,9 @@ from dualprune import tensor as T
 from dualprune.corpus import Corpus
 from dualprune.errors import NumericError, ShapeError, ValidationError
 from dualprune.importance import (
-    DualScoreS,
     FisherDiagonal,
     ImportanceMatrixG,
+    _PairwiseSum,
     brute_force_importance,
     dual_importance_scores,
     estimate_fisher_diagonal,
@@ -24,7 +24,14 @@ from dualprune.importance import (
     save_general_scores,
     score_from_first_order,
 )
-from dualprune.model import ModelConfig, init_model, next_token_loss, pretrain, prunable_names
+from dualprune.model import (
+    ModelConfig,
+    batch_next_token_loss,
+    init_model,
+    next_token_loss,
+    pretrain,
+    prunable_names,
+)
 
 TINY = ModelConfig(vocab_size=32, context_length=16, num_layers=1, d_model=16,
                    num_heads=2, d_ff=24, seed=3)
@@ -88,6 +95,56 @@ class TestGradientStats:
                 an = stats.mean[name].reshape(-1)[idx]
                 worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-6))
         assert worst < 1e-4
+
+
+@pytest.fixture
+def chunked_corpus():
+    """13 sequences: 4 of length 10, then 9 of length 16 (one full gradient chunk and one more).
+
+    The longer run comes second, so that a position only it reaches breaks
+    the samples from index 4 on.
+    """
+    rng = np.random.default_rng(7)
+    lengths = [10] * 4 + [16] * 9
+    return Corpus("chunked", [rng.integers(0, TINY.vocab_size, size=n) for n in lengths])
+
+
+class TestBatchedGradients:
+    def test_per_sample_backward_matches_batch_one(self, tiny_model, chunked_corpus):
+        batch = np.stack(chunked_corpus.sequences[4:])
+        names = prunable_names(TINY)
+        weights = [tiny_model.params[k] for k in names]
+        tape = T.GradientTape()
+        with tape:
+            loss = batch_next_token_loss(tiny_model, batch)
+        grads = T.backward(tape, loss, weights, samples=len(batch))
+        assert set(grads) == {w.tid for w in weights}
+        for b, seq in enumerate(batch):
+            direct = sample_gradient(tiny_model, seq)
+            for name, w in zip(names, weights):
+                assert np.array_equal(grads[w.tid].data[b], direct[name]), (b, name)
+
+    def test_matches_per_sequence_passes(self, tiny_model, chunked_corpus):
+        stats = next_token_gradients(tiny_model, chunked_corpus)
+        acc_g, acc_g2 = _PairwiseSum(), _PairwiseSum()
+        for seq in chunked_corpus.sequences:
+            g = {k: v for k, v in sample_gradient(tiny_model, seq).items() if k in stats.mean}
+            acc_g.add(g)
+            acc_g2.add({k: v * v for k, v in g.items()})
+        mean, mean_square = acc_g.mean(), acc_g2.mean()
+        assert stats.sample_count == 13
+        assert list(stats.mean) == prunable_names(TINY)
+        for name in prunable_names(TINY):
+            assert np.array_equal(stats.mean[name], mean[name]), name
+            assert np.array_equal(stats.mean_square[name], mean_square[name]), name
+
+    def test_non_finite_gradient_names_sample(self, tiny_model, chunked_corpus):
+        # position 12 exists only in the length-16 sequences, samples 4 to 12
+        broken = tiny_model.copy()
+        broken.params["pos"].data[12] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericError, match=r"non-finite gradient for layers\.0\.q on sample 4$"):
+                next_token_gradients(broken, chunked_corpus)
 
 
 class TestFisher:

@@ -232,14 +232,25 @@ class TestPretrain:
             pretrain(model, corpus, steps=1, learning_rate=0.1)
 
 
+# Pretrains, then scores general importance on 12 full-length and 3 shorter
+# sequences (batched per-sample gradient passes of 8, 4 and 3); prints the
+# checkpoint's and the scores' fingerprints.
 PRETRAIN_SCRIPT = """
+import warnings
 import numpy as np
 from dualprune.corpus import Corpus
+from dualprune.importance import general_importance
 from dualprune.model import ModelConfig, init_model, pretrain
+from dualprune.pruning import score_content_fingerprint
 rng = np.random.default_rng(0)
 corpus = Corpus("rand", [rng.integers(0, 256, size=64) for _ in range(32)])
 model, _ = pretrain(init_model(ModelConfig()), corpus, steps=20, learning_rate=0.3)
 print(model.fingerprint())
+calibration = Corpus("cal", [rng.integers(0, 256, size=n) for n in [64] * 12 + [40] * 3])
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", UserWarning)  # not converged after 20 steps
+    G = general_importance(model, calibration)
+print(score_content_fingerprint(G.scores))
 """
 
 
@@ -255,7 +266,8 @@ class TestBlasPin:
                                    PRETRAIN_SCRIPT], env=env, capture_output=True, text=True,
                                   timeout=300)
             assert done.returncode == 0, done.stderr
-            fingerprints.append(done.stdout.strip())
+            fingerprints.append(done.stdout.split())
+        assert len(fingerprints[0]) == 2
         assert fingerprints[0] == fingerprints[1]
 
     def test_missing_setter_warns(self, monkeypatch):

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualprune.corpus import Corpus
 from dualprune.errors import ValidationError
 from dualprune.model import ModelConfig, init_model, next_token_loss, prunable_names
 from dualprune.pruning import (
-    Mask,
     PruneConfig,
     apply_mask,
     load_mask,
@@ -130,6 +128,8 @@ class TestBlocked:
         shapes = {"q": (64, 64), "up": (64, 128), "down": (128, 64)}
         sizes = scaled_block_sizes(shapes, 16)
         assert sizes == {"q": 16, "up": 32, "down": 16}
+        with pytest.raises(ValidationError, match="no|none"):
+            scaled_block_sizes({}, 16)
 
 
 class TestMagnitude:

@@ -7,6 +7,7 @@ import pytest
 
 from dualprune import tensor as T
 from dualprune.errors import NumericError, ShapeError, ValidationError
+from dualprune.model import ModelConfig
 
 
 def run_backward(loss, tape):
@@ -172,6 +173,81 @@ class TestTape:
 
         assert np.array_equal(once(), once())
 
+    def test_per_sample_gradient_only_for_matmul_weights(self):
+        rng = np.random.default_rng(5)
+        scale = T.param(np.ones(4), "scale")
+        tape = T.GradientTape()
+        with tape:
+            loss = T.cross_entropy(T.mul(T.Tensor(rng.normal(size=(2, 3, 4))), scale),
+                                   rng.integers(0, 4, size=(2, 3)))
+        with pytest.raises(ShapeError, match="no per-sample gradient for scale"):
+            T.backward(tape, loss, [scale], samples=2)
+
+
+def composed_attention(q, k, v, num_heads):
+    """Causal attention as the chain of primitives that `causal_attention` fuses."""
+    n_batch, n_tok, width = q.shape
+    head_dim = width // num_heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (n_batch, n_tok, num_heads, head_dim)), 1, 2)
+
+    scores = T.mul(T.matmul(split(q), T.transpose(split(k), 2, 3)),
+                   T.Tensor(1.0 / math.sqrt(head_dim)))
+    attn = T.softmax_last(T.causal_mask_add(scores))
+    return T.reshape(T.transpose(T.matmul(attn, split(v)), 1, 2), (n_batch, n_tok, width))
+
+
+TINY = ModelConfig(vocab_size=32, context_length=16, num_layers=1, d_model=16,
+                   num_heads=2, d_ff=24, seed=3)
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("config", [TINY, ModelConfig()], ids=["tiny", "default"])
+    def test_bit_identical_to_composed_chain(self, config):
+        rng = np.random.default_rng(config.d_model)
+        for n_batch, n_tok in [(1, 2), (1, config.context_length - 1), (3, 5),
+                               (8, config.context_length // 2 + 3), (8, config.context_length - 1)]:
+            shape = (n_batch, n_tok, config.d_model)
+            weighting = T.Tensor(rng.normal(size=shape))
+            data = [rng.normal(size=shape) for _ in range(3)]
+            results = []
+            for attention in (T.causal_attention, composed_attention):
+                qkv = [T.param(d, name) for d, name in zip(data, "qkv")]
+                tape = T.GradientTape()
+                with tape:
+                    out = attention(*qkv, config.num_heads)
+                    loss = T.sum_all(T.mul(out, weighting))
+                grads = T.backward(tape, loss)
+                results.append([out.data] + [grads[t.tid].data for t in qkv])
+            for name, fused, chain in zip(["out", "q", "k", "v"], *results):
+                assert np.array_equal(fused, chain), (n_batch, n_tok, name)
+
+    def test_one_tape_record(self):
+        x = T.Tensor(np.zeros((2, 3, 4)))
+        tape = T.GradientTape()
+        with tape:
+            T.causal_attention(x, x, x, 2)
+        assert len(tape) == 1
+
+    def test_future_positions_do_not_matter(self):
+        rng = np.random.default_rng(6)
+        q, k, v = (rng.normal(size=(2, 6, 8)) for _ in range(3))
+        base = T.causal_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2).data
+        k[:, 4:], v[:, 4:] = 1e3, -1e3
+        moved = T.causal_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2).data
+        assert np.array_equal(base[:, :4], moved[:, :4])
+
+    @pytest.mark.parametrize("shapes,heads", [
+        (((2, 3, 4), (2, 3, 4), (2, 3, 5)), 2),
+        (((3, 4), (3, 4), (3, 4)), 2),
+        (((2, 3, 6), (2, 3, 6), (2, 3, 6)), 4),
+    ])
+    def test_shape_errors(self, shapes, heads):
+        q, k, v = (T.Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(ShapeError, match="causal-attention"):
+            T.causal_attention(q, k, v, heads)
+
 
 def _numeric_grad(loss_fn, w, step=1e-5):
     flat = np.empty(w.data.size)
@@ -192,7 +268,8 @@ class TestGradientsAgainstFiniteDifferences:
 
     @pytest.mark.parametrize("case", ["matmul_a", "matmul_b", "add", "mul", "silu",
                                       "softmax", "rms_norm", "embedding", "causal",
-                                      "cross_entropy", "reshape", "transpose"])
+                                      "cross_entropy", "reshape", "transpose",
+                                      "attention_q", "attention_k", "attention_v"])
     def test_primitive_gradients(self, case):
         rng = np.random.default_rng(np.frombuffer(case.encode()[:8].ljust(8, b"_"), dtype=np.uint32))
         worst = 0.0
@@ -231,6 +308,10 @@ class TestGradientsAgainstFiniteDifferences:
                     return T.sum_all(T.silu(T.reshape(w, (2, 6))))
                 if case == "transpose":
                     return T.sum_all(T.silu(T.matmul(T.transpose(w, 0, 1), second)))
+                if case.startswith("attention"):
+                    x, y = T.reshape(w, (1, 3, 4)), T.reshape(second, (1, 3, 4))
+                    qkv = [x if c == case[-1] else y for c in "qkv"]
+                    return T.sum_all(T.mul(T.causal_attention(*qkv, 2), weighting))
                 raise AssertionError(case)
 
             tape = T.GradientTape()
