@@ -100,12 +100,7 @@ from .pruning import (
     select_mask_blocked,
     select_mask_per_matrix,
 )
-from .tensor import (
-    GradientTape,
-    Tensor,
-    backward,
-    finite_difference_gradient,
-)
+from .tensor import GradientTape, Tensor, backward
 
 __version__ = "0.1.0"
 

@@ -114,7 +114,7 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _coerce(field_name: str, field_type, raw: str):
+def _coerce(what: str, field_type, raw: str):
     try:
         if field_type is int:
             return int(raw)
@@ -122,7 +122,7 @@ def _coerce(field_name: str, field_type, raw: str):
             return float(raw)
         return raw
     except ValueError:
-        raise ValidationError(f"config key {field_name}: cannot parse {raw!r}") from None
+        raise ValidationError(f"{what}: cannot parse {raw!r}") from None
 
 
 def make_run_config(file_values: dict[str, str], overrides: dict[str, object]) -> RunConfig:
@@ -131,7 +131,7 @@ def make_run_config(file_values: dict[str, str], overrides: dict[str, object]) -
         name = _KEY_ALIASES.get(key, key)
         if name not in _FIELD_TYPES:
             raise ValidationError(f"unknown config key {key!r}")
-        setattr(config, name, _coerce(key, _FIELD_TYPES[name], raw))
+        setattr(config, name, _coerce(f"config key {key}", _FIELD_TYPES[name], raw))
     env_out = os.environ.get(ENV_OUTPUT_DIR)
     if env_out:
         config.output_dir = env_out
@@ -322,7 +322,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
     model = load_checkpoint(args.checkpoint)
     scores = importance.load_dual_scores(args.scores)
     corpus = _load_eval_corpus(config, args)
-    sparsities = [float(s) for s in args.sparsities.split(",") if s.strip()]
+    sparsities = [_coerce("--sparsities", float, s) for s in args.sparsities.split(",") if s.strip()]
     block = None
     if config.mode == pruning.MODE_BLOCKED:
         block = _block_widths(scores, config.block_size)

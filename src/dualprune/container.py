@@ -144,7 +144,7 @@ def write_container(path, kind: str, meta: dict[str, str],
         raise
 
 
-def read_container(path, expect_kind: str | None = None) -> Container:
+def read_container(path, expect_kind: str) -> Container:
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -196,6 +196,6 @@ def read_container(path, expect_kind: str | None = None) -> Container:
         raise ArtifactError(f"{path}: missing kind")
     if expected_offset != len(payload):
         raise ArtifactError(f"{path}: payload has {len(payload)} bytes, manifest covers {expected_offset}")
-    if expect_kind is not None and kind != expect_kind:
+    if kind != expect_kind:
         raise ArtifactError(f"{path}: expected kind {expect_kind!r}, found {kind!r}")
     return Container(kind=kind, meta=meta, blocks=blocks)

@@ -17,11 +17,9 @@ import numpy as np
 
 from .errors import ArtifactError, ValidationError
 
-def tokenize(text: str | bytes) -> np.ndarray:
+def tokenize(raw: bytes) -> np.ndarray:
     """Byte-level tokenization: each byte is its own id (vocab 256)."""
-    if isinstance(text, str):
-        text = text.encode("utf-8")
-    return np.frombuffer(bytes(text), dtype=np.uint8).astype(np.int64)
+    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
 @dataclass

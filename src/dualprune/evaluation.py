@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import PROJECTIONS, TransformerModel, check_scored_model, mean_corpus_loss, prunable_names
-from .pruning import MODE_BLOCKED, Mask, apply_mask, select_mask_blocked, select_mask_per_matrix
+from .pruning import (MODE_BLOCKED, Mask, apply_mask, check_mode, select_mask_blocked,
+                      select_mask_per_matrix)
 
 
 @dataclass
@@ -38,8 +39,6 @@ class SweepResult:
 
 def perplexity(model: TransformerModel, corpus) -> EvalReport:
     """exp of the token-count-weighted mean next-token cross-entropy."""
-    if len(corpus.sequences) == 0:
-        raise ValidationError("perplexity: corpus is empty")
     mean_loss = mean_corpus_loss(model, corpus)
     return EvalReport(
         model_fingerprint=model.fingerprint(),
@@ -88,6 +87,7 @@ def sparsity_sweep(model: TransformerModel, scores, corpus, sparsity_list,
     Scores that record the model they were computed for (a `model_fingerprint`)
     must come from `model`; a plain dict of arrays is taken as it is.
     """
+    check_mode(mode)
     if getattr(scores, "model_fingerprint", None) is not None:
         check_scored_model(model, scores.model_fingerprint, "scores")
     rows: list[tuple[float, float]] = []

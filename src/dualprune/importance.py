@@ -311,8 +311,6 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     """
     layer, proj = matrix_id
     key = f"layers.{layer}.{proj}"
-    if key not in model.params:
-        raise ValidationError(f"no prunable matrix {matrix_id!r}")
     if key not in prunable_names(model.config):
         raise ValidationError(f"{matrix_id!r} is not a prunable matrix")
     work = model.copy()

@@ -43,10 +43,6 @@ class ModelConfig:
                 f"d_model ({self.d_model}) must be divisible by num_heads ({self.num_heads})"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.num_heads
-
 
 class TransformerModel:
     """Weights plus forward pass; mutated only by `pretrain` and mask application."""
@@ -172,8 +168,8 @@ def check_scored_model(model: TransformerModel, fingerprint: str, what: str) -> 
     actual = model.fingerprint()
     if fingerprint != actual:
         raise ValidationError(
-            f"{what} were computed for a different model "
-            f"(scores: {fingerprint[:12]}..., model: {actual[:12]}...)"
+            f"{what}: computed for a different model "
+            f"(recorded: {fingerprint[:12]}..., model: {actual[:12]}...)"
         )
     return actual
 
@@ -225,17 +221,22 @@ def equal_length_batches(sequences, batch_size: int) -> Iterator[np.ndarray]:
         yield np.stack(pending)
 
 
-def mean_corpus_loss(model: TransformerModel, corpus, batch_size: int = 32) -> float:
+# Sequences per forward pass of `mean_corpus_loss`.
+EVAL_BATCH = 32
+
+
+def mean_corpus_loss(model: TransformerModel, corpus) -> float:
     """Token-count-weighted mean next-token loss over all corpus sequences.
 
-    Sequences are batched in corpus order (consecutive equal-length runs), so the
-    reduction order is fixed and results are reproducible bit-for-bit.
+    Sequences are batched in corpus order (consecutive equal-length runs of at
+    most `EVAL_BATCH`), so the reduction order is fixed and results are
+    reproducible bit-for-bit.
     """
     if not corpus.sequences:
         raise ValidationError("mean_corpus_loss: corpus is empty")
     nll_total = 0.0
     token_total = 0
-    for batch in equal_length_batches(corpus.sequences, batch_size):
+    for batch in equal_length_batches(corpus.sequences, EVAL_BATCH):
         n_predicted = batch.shape[0] * (batch.shape[1] - 1)
         nll_total += float(batch_next_token_loss(model, batch).data) * n_predicted
         token_total += n_predicted

@@ -17,7 +17,7 @@ import numpy as np
 
 from .container import read_container, record_from_container, record_meta, write_container
 from .errors import ValidationError
-from .model import TransformerModel, prunable_matrices, prunable_names
+from .model import TransformerModel, check_scored_model, prunable_matrices, prunable_names
 
 MODE_PER_MATRIX = "per-matrix"
 MODE_BLOCKED = "blocked"
@@ -25,7 +25,12 @@ MODE_BLOCKED = "blocked"
 
 @dataclass
 class Mask:
-    """Binary keep(1)/prune(0) indicators for every prunable matrix."""
+    """Binary keep(1)/prune(0) indicators for every prunable matrix.
+
+    `block_size` is a blocked mask's base width; wider matrices may use scaled
+    widths (`scaled_block_sizes`) that it does not record.  A set
+    `model_fingerprint` names the only model the mask may be applied to.
+    """
     masks: dict[str, np.ndarray]
     sparsity: float
     mode: str
@@ -57,8 +62,7 @@ class PruneConfig:
 
     def validate(self) -> None:
         _check_sparsity(self.sparsity)
-        if self.mode not in (MODE_PER_MATRIX, MODE_BLOCKED):
-            raise ValidationError(f"unknown mask mode {self.mode!r}")
+        check_mode(self.mode)
         if self.block_size < 1:
             raise ValidationError(f"block_size must be >= 1, got {self.block_size}")
         if self.method not in ("dual", "magnitude"):
@@ -68,6 +72,11 @@ class PruneConfig:
 def _check_sparsity(sparsity: float) -> None:
     if not 0.0 <= sparsity < 1.0:
         raise ValidationError(f"sparsity must lie in [0, 1), got {sparsity}")
+
+
+def check_mode(mode: str) -> None:
+    if mode not in (MODE_PER_MATRIX, MODE_BLOCKED):
+        raise ValidationError(f"unknown mask mode {mode!r}")
 
 
 def _score_dict(scores) -> dict[str, np.ndarray]:
@@ -111,29 +120,22 @@ def select_mask_blocked(scores, sparsity: float, block_size) -> Mask:
     """
     _check_sparsity(sparsity)
     per_matrix = _score_dict(scores)
-    sizes: Mapping[str, int]
-    if isinstance(block_size, Mapping):
-        sizes = block_size
-    else:
-        if int(block_size) < 1:
-            raise ValidationError(f"block size must be >= 1, got {block_size}")
-        sizes = {name: int(block_size) for name in per_matrix}
+    per_name = isinstance(block_size, Mapping)
     masks: dict[str, np.ndarray] = {}
     for name, s in per_matrix.items():
-        width = sizes.get(name)
-        if width is None or width < 1:
-            raise ValidationError(f"missing or invalid block size for {name}")
+        width = block_size.get(name) if per_name else block_size
+        if not isinstance(width, (int, np.integer)) or width < 1:
+            raise ValidationError(f"block size for {name} must be an int >= 1, got {width!r}")
         mask = np.empty_like(s, dtype=np.uint8)
         for j0 in range(0, s.shape[1], width):
             block = s[:, j0 : j0 + width]
             mask[:, j0 : j0 + width] = _prune_lowest(block, int(math.floor(sparsity * block.size)))
         masks[name] = mask
-    base = None if isinstance(block_size, Mapping) else int(block_size)
     return Mask(
         masks=masks,
         sparsity=sparsity,
         mode=MODE_BLOCKED,
-        block_size=base,
+        block_size=None if per_name else int(block_size),
         method="dual",
         score_fingerprint=score_content_fingerprint(per_matrix),
     )
@@ -162,7 +164,6 @@ def score_content_fingerprint(arrays: dict[str, np.ndarray]) -> str:
 
 def magnitude_mask(model: TransformerModel, sparsity: float) -> Mask:
     """Layer-wise magnitude baseline: per-matrix rule with |W| as the score."""
-    _check_sparsity(sparsity)
     scores = {f"layers.{i}.{name}": np.abs(t.data) for i, name, t in prunable_matrices(model)}
     mask = select_mask_per_matrix(scores, sparsity)
     mask.method = "magnitude"
@@ -175,8 +176,11 @@ def apply_mask(model: TransformerModel, mask: Mask) -> TransformerModel:
     """Return a copy of the model with masked weights set to zero.
 
     Only the seven prunable projections per layer are touched; the mask's
-    fingerprint is recorded on the copy for provenance.
+    fingerprint is recorded on the copy for provenance.  A mask that records
+    a model fingerprint must come from `model`.
     """
+    if mask.model_fingerprint is not None:
+        check_scored_model(model, mask.model_fingerprint, "mask")
     expected = prunable_names(model.config)
     if set(mask.masks) != set(expected):
         raise ValidationError("mask does not cover exactly the model's prunable matrices")

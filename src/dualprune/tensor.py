@@ -6,9 +6,9 @@ fused causal softmax attention and cross-entropy, plus the transpose the
 tied output head requires.  Softmax over the last axis, causal mask add
 and reshape stay primitives of their own although the model no longer
 records them: the stage benchmark's span wrappers (`stagebench/spans.py`)
-look them up by name.  `sum_all` reduces to a scalar.  Everything is
-float64 and single-threaded; leading batch dimensions are handled through
-numpy broadcasting.
+look them up by name.  Cross-entropy is the only scalar loss.  Everything
+is float64 and single-threaded; leading batch dimensions are handled
+through numpy broadcasting.
 
 The reverse pass computes only the gradients that lead to the requested
 weights, and can return one gradient per sample of a batch (see
@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 _ids = itertools.count(1)
 
@@ -50,9 +50,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), is_param=self.is_param, name=self.name)
@@ -94,9 +91,6 @@ class GradientTape:
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
         self.records.append((out, inputs, backward_fn))
         self._output_ids.add(out.tid)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 # What the reverse pass asks of a backward function for each input: no
@@ -390,15 +384,6 @@ def transpose(x: Tensor, axis1: int, axis2: int) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
-
-    def backward_fn(g, need):
-        return (np.full_like(x.data, float(g)),)
-
-    return _record(out, (x,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # reverse pass
 
@@ -454,31 +439,3 @@ def backward(tape: GradientTape, loss: Tensor, wrt: Iterable[Tensor] | None = No
                                  f" of shape {targets[tid].shape}")
     return result
 
-
-def finite_difference_gradient(model_loss_fn: Callable[[], float], weight: Tensor,
-                               index, step: float) -> float:
-    """Central-difference d(loss)/d(weight[index]); the loss fn must be deterministic."""
-    if step <= 0:
-        raise ValidationError("finite_difference_gradient: step must be > 0")
-    if isinstance(index, (int, np.integer)):
-        view = weight.data.reshape(-1)
-        if not 0 <= index < view.size:
-            raise ValidationError(f"finite_difference_gradient: flat index {index} out of range")
-        ix: tuple | int = int(index)
-    else:
-        view = weight.data
-        ix = tuple(int(i) for i in index)
-        if len(ix) != view.ndim or any(not 0 <= i < n for i, n in zip(ix, view.shape)):
-            raise ValidationError(f"finite_difference_gradient: index {index} out of range for shape {view.shape}")
-    original = view[ix]
-    try:
-        view[ix] = original + step
-        loss_plus = float(model_loss_fn())
-        view[ix] = original - step
-        loss_minus = float(model_loss_fn())
-    finally:
-        view[ix] = original
-    result = (loss_plus - loss_minus) / (2.0 * step)
-    if not np.isfinite(result):
-        raise NumericError("finite_difference_gradient: non-finite loss difference")
-    return result

@@ -242,6 +242,14 @@ class TestEvalMasksimSweep:
                      "--sparsities", "0.1,0.2,0.3,0.4,0.5,0.6,0.7"]) == 0
         assert path.read_bytes() == first
 
+    def test_sweep_unparsable_sparsity_exit_2(self, workspace, tmp_path, capsys):
+        assert main(["sweep", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--scores", str(workspace["out"] / "dual_scores.bin"),
+                     "--sparsities", "0.1,abc", "--output-dir", str(tmp_path)]) == 2
+        assert "--sparsities: cannot parse 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_sweep_scores_of_another_model_exit_2(self, workspace, tmp_path, capsys):
         # the pruned checkpoint is a different model from the one the scores were computed for
         assert main(["sweep", "--config", str(workspace["config"]),
@@ -253,7 +261,7 @@ class TestEvalMasksimSweep:
 
     @pytest.mark.parametrize("key,value", [("sample_count", "abc"), ("fisher_source", None)])
     def test_sweep_bad_score_metadata_exit_3(self, workspace, tmp_path, key, value):
-        c = read_container(workspace["out"] / "dual_scores.bin")
+        c = read_container(workspace["out"] / "dual_scores.bin", expect_kind="scores.dual")
         meta = dict(c.meta)
         if value is None:
             del meta[key]
@@ -267,7 +275,7 @@ class TestEvalMasksimSweep:
 
     @pytest.mark.parametrize("mode", ["per-matrix", "blocked"])
     def test_sweep_scores_without_matrices_exit_2(self, workspace, tmp_path, mode):
-        c = read_container(workspace["out"] / "dual_scores.bin")
+        c = read_container(workspace["out"] / "dual_scores.bin", expect_kind="scores.dual")
         empty = tmp_path / "empty_scores.bin"
         write_container(empty, c.kind, dict(c.meta), [])
         assert main(["sweep", "--config", str(workspace["config"]),

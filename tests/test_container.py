@@ -38,7 +38,7 @@ def sample_blocks():
 def test_float_round_trip(tmp_path, sample_blocks):
     path = tmp_path / "x.bin"
     write_container(path, "checkpoint", {"step": "12"}, sample_blocks)
-    c = read_container(path)
+    c = read_container(path, expect_kind="checkpoint")
     assert c.kind == "checkpoint"
     assert c.meta["step"] == "12"
     assert list(c.blocks) == ["alpha", "beta", "gamma"]
@@ -90,7 +90,7 @@ def test_bad_magic_rejected(tmp_path, sample_blocks):
     raw[:4] = b"JUNK"
     path.write_bytes(bytes(raw))
     with pytest.raises(ArtifactError, match="magic"):
-        read_container(path)
+        read_container(path, expect_kind="checkpoint")
 
 
 def test_unknown_version_rejected(tmp_path, sample_blocks):
@@ -100,7 +100,7 @@ def test_unknown_version_rejected(tmp_path, sample_blocks):
     raw[len(MAGIC)] = FORMAT_VERSION + 1
     path.write_bytes(bytes(raw))
     with pytest.raises(ArtifactError, match="version"):
-        read_container(path)
+        read_container(path, expect_kind="checkpoint")
 
 
 def test_truncated_payload_rejected(tmp_path, sample_blocks):
@@ -109,7 +109,7 @@ def test_truncated_payload_rejected(tmp_path, sample_blocks):
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(ArtifactError):
-        read_container(path)
+        read_container(path, expect_kind="checkpoint")
 
 
 def test_wrong_kind_rejected(tmp_path, sample_blocks):
@@ -121,7 +121,7 @@ def test_wrong_kind_rejected(tmp_path, sample_blocks):
 
 def test_missing_file():
     with pytest.raises(ValidationError, match="cannot read"):
-        read_container("/nonexistent/file.bin")
+        read_container("/nonexistent/file.bin", expect_kind="checkpoint")
 
 
 def test_meta_newline_rejected(tmp_path):
@@ -132,7 +132,7 @@ def test_meta_newline_rejected(tmp_path):
 def test_empty_payload_ok(tmp_path):
     path = tmp_path / "empty.bin"
     write_container(path, "mask", {"note": "none"}, [])
-    c = read_container(path)
+    c = read_container(path, expect_kind="mask")
     assert c.blocks == {}
 
 
@@ -152,15 +152,19 @@ def _records():
     }
 
 
-def _rewrite_meta(path, key, value=None):
-    """Rewrite the file at `path` with meta `key` set to `value`, or removed if None."""
-    c = read_container(path)
+# container kind of each record's file
+_FILE_KINDS = {"general": "scores.general", "dual": "scores.dual", "mask": "mask"}
+
+
+def _rewrite_meta(path, kind, key, value=None):
+    """Rewrite the `kind` record file at `path` with meta `key` set to `value`, or removed if None."""
+    c = read_container(path, expect_kind=_FILE_KINDS[kind])
     meta = dict(c.meta)
     if value is None:
         del meta[key]
     else:
         meta[key] = value
-    bitpack = set(c.blocks) if c.kind == "mask" else frozenset()
+    bitpack = set(c.blocks) if kind == "mask" else frozenset()
     write_container(path, c.kind, meta, list(c.blocks.items()), bitpack=bitpack)
 
 
@@ -202,7 +206,7 @@ def test_record_missing_meta_key_rejected(tmp_path, kind, key):
     record, save, load = _records()[kind]
     path = tmp_path / f"{kind}.bin"
     save(record, path)
-    _rewrite_meta(path, key)
+    _rewrite_meta(path, kind, key)
     with pytest.raises(ArtifactError, match=f"bad metadata.*{key}"):
         load(path)
 
@@ -216,6 +220,6 @@ def test_record_unparsable_meta_rejected(tmp_path, kind, key, value):
     record, save, load = _records()[kind]
     path = tmp_path / f"{kind}.bin"
     save(record, path)
-    _rewrite_meta(path, key, value)
+    _rewrite_meta(path, kind, key, value)
     with pytest.raises(ArtifactError, match="bad metadata"):
         load(path)

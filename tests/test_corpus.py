@@ -18,10 +18,10 @@ from dualprune.errors import ArtifactError, ValidationError
 
 class TestTokenize:
     def test_ascii(self):
-        assert tokenize("AB").tolist() == [65, 66]
+        assert tokenize(b"AB").tolist() == [65, 66]
 
     def test_empty(self):
-        assert tokenize("").tolist() == []
+        assert tokenize(b"").tolist() == []
 
     def test_bytes_input(self):
         assert tokenize(b"\x00\xff").tolist() == [0, 255]

@@ -190,6 +190,16 @@ class TestSweep:
         expected = all(b >= a for (_, a), (_, b) in zip(result.rows, result.rows[1:]))
         assert result.monotone == expected
 
+    def test_unknown_mode_rejected(self, trained):
+        model, scores, corpus = trained
+        with pytest.raises(ValidationError, match="unknown mask mode 'blockd'"):
+            sparsity_sweep(model, scores, corpus, [0.5], mode="blockd")
+
+    def test_blocked_mode_without_block_size_rejected(self, trained):
+        model, scores, corpus = trained
+        with pytest.raises(ValidationError, match="block size"):
+            sparsity_sweep(model, scores, corpus, [0.5], mode="blocked")
+
     def test_blocked_mode(self, trained):
         model, scores, corpus = trained
         result = sparsity_sweep(model, scores, corpus, [0.4], mode="blocked", block_size=8)

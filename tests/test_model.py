@@ -34,9 +34,6 @@ def random_corpus(config, n, rng):
 
 
 class TestConfig:
-    def test_head_dim(self):
-        assert ModelConfig(d_model=64, num_heads=4).head_dim == 16
-
     def test_divisibility_rejected(self):
         with pytest.raises(ValidationError, match="divisible"):
             ModelConfig(d_model=64, num_heads=3).validate()
@@ -122,7 +119,7 @@ class TestLoss:
     def test_untrained_loss_near_uniform(self):
         model = init_model(ModelConfig())
         rng = np.random.default_rng(0)
-        losses = [next_token_loss(model, rng.integers(0, 256, size=64))[0].item()
+        losses = [float(next_token_loss(model, rng.integers(0, 256, size=64))[0].data)
                   for _ in range(8)]
         assert abs(np.mean(losses) - math.log(256)) < 0.5
 
@@ -145,8 +142,8 @@ class TestLoss:
         model = init_model(TINY)
         rng = np.random.default_rng(1)
         seqs = rng.integers(0, TINY.vocab_size, size=(3, TINY.context_length))
-        batched = batch_next_token_loss(model, seqs).item()
-        singles = [next_token_loss(model, s)[0].item() for s in seqs]
+        batched = float(batch_next_token_loss(model, seqs).data)
+        singles = [float(next_token_loss(model, s)[0].data) for s in seqs]
         assert batched == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_causality(self):
@@ -176,8 +173,8 @@ class TestLoss:
         short = rng.integers(0, TINY.vocab_size, size=8)
         long = rng.integers(0, TINY.vocab_size, size=16)
         mixed = mean_corpus_loss(model, Corpus("m", [short, long]))
-        l_short = next_token_loss(model, short)[0].item()
-        l_long = next_token_loss(model, long)[0].item()
+        l_short = float(next_token_loss(model, short)[0].data)
+        l_long = float(next_token_loss(model, long)[0].data)
         expected = (l_short * 7 + l_long * 15) / 22
         assert mixed == pytest.approx(expected, rel=1e-12)
 
@@ -205,7 +202,7 @@ class TestPretrain:
         assert len(history) == 120
         assert model.step == 120
         assert model.meta["pretrained"] == "1"
-        final_loss = next_token_loss(model, pattern)[0].item()
+        final_loss = float(next_token_loss(model, pattern)[0].data)
         assert final_loss < math.log(config.vocab_size)
 
     def test_reproducible(self):

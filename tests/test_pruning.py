@@ -1,5 +1,6 @@
 """Mask selection: exact counts, ties, blocking, magnitude baseline, application."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -121,8 +122,9 @@ class TestBlocked:
                 assert block.size - block.sum() == math.floor(sparsity * block.size), trial
 
     def test_block_size_validation(self):
-        with pytest.raises(ValidationError, match="block size"):
-            select_mask_blocked({"m": np.ones((2, 2))}, 0.5, 0)
+        for bad in (0, None, 2.0, {"other": 2}, {"m": 0}):
+            with pytest.raises(ValidationError, match="block size for m"):
+                select_mask_blocked({"m": np.ones((2, 2))}, 0.5, bad)
 
     def test_scaled_block_sizes(self):
         shapes = {"q": (64, 64), "up": (64, 128), "down": (128, 64)}
@@ -171,7 +173,7 @@ class TestApply:
         for name, m in mask.masks.items():
             mask.masks[name] = np.zeros_like(m)  # drive to the sparsity->1 limit
         pruned = apply_mask(model, mask)
-        loss = next_token_loss(pruned, np.arange(10) % TINY.vocab_size)[0].item()
+        loss = float(next_token_loss(pruned, np.arange(10) % TINY.vocab_size)[0].data)
         assert abs(loss - math.log(TINY.vocab_size)) < 0.5
 
     def test_zero_count_at_least_mask_zeros(self):
@@ -196,6 +198,15 @@ class TestApply:
         del mask.masks["layers.0.down"]
         with pytest.raises(ValidationError, match="prunable"):
             apply_mask(model, mask)
+
+    def test_mask_of_another_model_rejected(self):
+        model = init_model(TINY)
+        other = init_model(dataclasses.replace(TINY, seed=TINY.seed + 1))
+        mask = magnitude_mask(model, 0.5)
+        with pytest.raises(ValidationError, match="different model"):
+            apply_mask(other, mask)
+        mask.model_fingerprint = None  # a mask without provenance is taken as it is
+        assert apply_mask(other, mask).meta["mask_fingerprint"] == mask.fingerprint()
 
     def test_provenance_recorded(self):
         model = init_model(TINY)

@@ -1,0 +1,78 @@
+"""Source hygiene, checked on the syntax tree since no linter is installed.
+
+* Every module-level function and class of the package, and every
+  non-dunder method or property, is referenced from the program: from
+  `src/` or from the stage benchmark.  A reference is an attribute or an
+  exact string constant (the benchmark wraps functions by name), and for a
+  module-level definition also a bare name; so an API that only tests reach
+  fails here.
+* No module in `src/` or `tests/` imports a name it does not use.  Relative
+  re-exports in `__init__.py` and lines marked `# noqa: F401` are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dualprune"
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(path, tree):
+    """(qualified name, bare name, is a method) of each module-level def/class and each method."""
+    module = path.stem
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
+
+
+def test_every_definition_is_reached_by_the_program():
+    names, members = set(), set()  # bare names; attributes and string constants
+    for _, tree in _trees(ROOT / "src", ROOT / "stagebench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                members.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                members.add(node.value)
+    unreferenced = [qualified for path, tree in _trees(PACKAGE)
+                    for qualified, name, is_method in _definitions(path, tree)
+                    if name not in members and (is_method or name not in names)]
+    assert unreferenced == [], f"defined but never referenced by src/ or stagebench/: {unreferenced}"
+
+
+def _unused_imports(path, tree):
+    lines = path.read_text().splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "__future__" or (path.name == "__init__.py" and node.level)):
+            continue
+        if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                yield f"{path.relative_to(ROOT)}:{node.lineno}: {bound}"
+
+
+def test_no_unused_imports():
+    unused = [entry for path, tree in _trees(ROOT / "src", ROOT / "tests")
+              for entry in _unused_imports(path, tree)]
+    assert unused == [], f"unused imports: {unused}"

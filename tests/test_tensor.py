@@ -6,12 +6,26 @@ import numpy as np
 import pytest
 
 from dualprune import tensor as T
-from dualprune.errors import NumericError, ShapeError, ValidationError
+from dualprune.errors import ShapeError, ValidationError
 from dualprune.model import ModelConfig
 
 
 def run_backward(loss, tape):
     return T.backward(tape, loss)
+
+
+def scalar_loss(x):
+    """Cross-entropy of `x`'s last-axis rows against fixed targets 0, 1, 2, ... (mod classes)."""
+    rows = x.shape[:-1]
+    return T.cross_entropy(x, np.arange(math.prod(rows)).reshape(rows) % x.shape[-1])
+
+
+def cross_entropy_grad(logits, targets):
+    """Closed form d(mean cross-entropy)/d(logits): (softmax - onehot) / N."""
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    p[np.arange(len(targets)), targets] -= 1.0
+    return p / len(targets)
 
 
 class TestForwardPrimitives:
@@ -26,7 +40,7 @@ class TestForwardPrimitives:
     def test_cross_entropy_uniform(self):
         out = T.cross_entropy(T.Tensor([0.0, 0.0, 0.0, 0.0]), np.asarray(2))
         assert out.data.shape == ()
-        assert out.item() == pytest.approx(math.log(4.0), rel=1e-12)
+        assert float(out.data) == pytest.approx(math.log(4.0), rel=1e-12)
 
     @pytest.mark.parametrize(
         "op,a_shape,b_shape",
@@ -81,7 +95,7 @@ class TestForwardPrimitives:
         for scale in (1.0, 5.0, 30.0):
             logits = np.zeros(8)
             logits[3] = scale
-            losses.append(T.cross_entropy(T.Tensor(logits), np.asarray(3)).item())
+            losses.append(float(T.cross_entropy(T.Tensor(logits), np.asarray(3)).data))
         assert losses[0] > losses[1] > losses[2]
         assert losses[-1] < 1e-12
 
@@ -91,18 +105,20 @@ class TestTape:
         w = T.param(np.array([[1.0, -2.0]]), "w")
         tape = T.GradientTape()
         with tape:
-            loss = T.sum_all(T.mul(w, w))
+            loss = T.cross_entropy(T.mul(w, w), np.array([0]))
         grads = run_backward(loss, tape)
-        assert np.allclose(grads[w.tid].data, [[2.0, -4.0]], atol=1e-12)
+        expected = cross_entropy_grad(np.array([[1.0, 4.0]]), np.array([0])) * 2.0 * w.data
+        assert np.allclose(grads[w.tid].data, expected, atol=1e-12)
 
     def test_linear_matmul_gradient(self):
-        w = T.param(np.array([[3.0], [5.0]]), "w")
+        w = T.param(np.array([[3.0, 1.0], [5.0, 2.0]]), "w")
         x = T.Tensor(np.array([[1.0, 1.0]]))
         tape = T.GradientTape()
         with tape:
-            loss = T.sum_all(T.matmul(x, w))
+            loss = T.cross_entropy(T.matmul(x, w), np.array([1]))
         grads = run_backward(loss, tape)
-        assert np.array_equal(grads[w.tid].data, [[1.0], [1.0]])
+        expected = x.data.T @ cross_entropy_grad(np.array([[8.0, 3.0]]), np.array([1]))
+        assert np.allclose(grads[w.tid].data, expected, atol=1e-12)
 
     def test_empty_tape_rejected(self):
         with pytest.raises(ValidationError, match="empty tape"):
@@ -136,7 +152,7 @@ class TestTape:
         x = T.Tensor(rng.normal(size=(2, 3)))
         tape = T.GradientTape()
         with tape:
-            loss = T.sum_all(T.silu(T.matmul(x, w)))
+            loss = scalar_loss(T.silu(T.matmul(x, w)))
         grads = run_backward(loss, tape)
         assert grads[w.tid].data.shape == (3, 4)
 
@@ -149,13 +165,13 @@ class TestTape:
         def loss_of(x):
             tape = T.GradientTape()
             with tape:
-                loss = T.sum_all(T.silu(T.matmul(x, w)))
+                loss = scalar_loss(T.silu(T.matmul(x, w)))
             return run_backward(loss, tape)[w.tid].data
 
         tape = T.GradientTape()
         with tape:
-            combined = T.add(T.sum_all(T.silu(T.matmul(x1, w))),
-                             T.sum_all(T.silu(T.matmul(x2, w))))
+            combined = T.add(scalar_loss(T.silu(T.matmul(x1, w))),
+                             scalar_loss(T.silu(T.matmul(x2, w))))
         joint = run_backward(combined, tape)[w.tid].data
         assert np.allclose(joint, loss_of(x1) + loss_of(x2), atol=1e-10)
 
@@ -168,7 +184,7 @@ class TestTape:
             w = T.param(data.copy(), "w")
             tape = T.GradientTape()
             with tape:
-                loss = T.sum_all(T.softmax_last(T.matmul(T.Tensor(x), w)))
+                loss = scalar_loss(T.softmax_last(T.matmul(T.Tensor(x), w)))
             return run_backward(loss, tape)[w.tid].data
 
         assert np.array_equal(once(), once())
@@ -217,7 +233,7 @@ class TestCausalAttention:
                 tape = T.GradientTape()
                 with tape:
                     out = attention(*qkv, config.num_heads)
-                    loss = T.sum_all(T.mul(out, weighting))
+                    loss = scalar_loss(T.mul(out, weighting))
                 grads = T.backward(tape, loss)
                 results.append([out.data] + [grads[t.tid].data for t in qkv])
             for name, fused, chain in zip(["out", "q", "k", "v"], *results):
@@ -228,7 +244,7 @@ class TestCausalAttention:
         tape = T.GradientTape()
         with tape:
             T.causal_attention(x, x, x, 2)
-        assert len(tape) == 1
+        assert len(tape.records) == 1
 
     def test_future_positions_do_not_matter(self):
         rng = np.random.default_rng(6)
@@ -250,10 +266,18 @@ class TestCausalAttention:
 
 
 def _numeric_grad(loss_fn, w, step=1e-5):
-    flat = np.empty(w.data.size)
-    for i in range(w.data.size):
-        flat[i] = T.finite_difference_gradient(loss_fn, w, i, step)
-    return flat.reshape(w.data.shape)
+    """Central differences of `loss_fn()` in every entry of `w`."""
+    flat = w.data.reshape(-1)
+    grad = np.empty(flat.size)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + step
+        plus = loss_fn()
+        flat[i] = original - step
+        minus = loss_fn()
+        flat[i] = original
+        grad[i] = (plus - minus) / (2.0 * step)
+    return grad.reshape(w.data.shape)
 
 
 def _worst_rel_error(analytic, numeric):
@@ -283,35 +307,35 @@ class TestGradientsAgainstFiniteDifferences:
 
             def build():
                 if case == "matmul_a":
-                    return T.sum_all(T.silu(T.matmul(w, other)))
+                    return scalar_loss(T.silu(T.matmul(w, other)))
                 if case == "matmul_b":
-                    return T.sum_all(T.silu(T.matmul(other, w)))
+                    return scalar_loss(T.silu(T.matmul(other, w)))
                 if case == "add":
-                    return T.sum_all(T.silu(T.add(w, second)))
+                    return scalar_loss(T.silu(T.add(w, second)))
                 if case == "mul":
-                    return T.sum_all(T.silu(T.mul(w, weighting)))
+                    return scalar_loss(T.silu(T.mul(w, weighting)))
                 if case == "silu":
-                    return T.sum_all(T.silu(w))
+                    return scalar_loss(T.silu(w))
                 if case == "softmax":
-                    return T.sum_all(T.mul(T.softmax_last(w), weighting))
+                    return scalar_loss(T.mul(T.softmax_last(w), weighting))
                 if case == "rms_norm":
-                    return T.sum_all(T.mul(T.rms_norm(w), weighting))
+                    return scalar_loss(T.mul(T.rms_norm(w), weighting))
                 if case == "embedding":
-                    return T.sum_all(T.silu(T.embedding_lookup(w, ids)))
+                    return scalar_loss(T.silu(T.embedding_lookup(w, ids)))
                 if case == "causal":
                     sq = T.matmul(w, T.transpose(w, 0, 1))
                     probs = T.softmax_last(T.causal_mask_add(sq))
-                    return T.sum_all(T.mul(probs, T.Tensor(np.arange(9.0).reshape(3, 3))))
+                    return scalar_loss(T.mul(probs, T.Tensor(np.arange(9.0).reshape(3, 3))))
                 if case == "cross_entropy":
                     return T.cross_entropy(w, targets)
                 if case == "reshape":
-                    return T.sum_all(T.silu(T.reshape(w, (2, 6))))
+                    return scalar_loss(T.silu(T.reshape(w, (2, 6))))
                 if case == "transpose":
-                    return T.sum_all(T.silu(T.matmul(T.transpose(w, 0, 1), second)))
+                    return scalar_loss(T.silu(T.matmul(T.transpose(w, 0, 1), second)))
                 if case.startswith("attention"):
                     x, y = T.reshape(w, (1, 3, 4)), T.reshape(second, (1, 3, 4))
                     qkv = [x if c == case[-1] else y for c in "qkv"]
-                    return T.sum_all(T.mul(T.causal_attention(*qkv, 2), weighting))
+                    return scalar_loss(T.mul(T.causal_attention(*qkv, 2), weighting))
                 raise AssertionError(case)
 
             tape = T.GradientTape()
@@ -320,38 +344,8 @@ class TestGradientsAgainstFiniteDifferences:
             analytic = run_backward(loss, tape)[w.tid].data
 
             def loss_value():
-                return build().item()
+                return float(build().data)
 
             worst = max(worst, _worst_rel_error(analytic, _numeric_grad(loss_value, w)))
         assert worst < 1e-4, f"{case}: worst rel error {worst}"
 
-
-class TestFiniteDifferenceOracle:
-    def test_square(self):
-        w = T.param(np.array([3.0]), "w")
-        grad = T.finite_difference_gradient(lambda: float(w.data[0] ** 2), w, 0, 1e-5)
-        assert grad == pytest.approx(6.0, abs=1e-6)
-
-    def test_constant(self):
-        w = T.param(np.array([3.0]), "w")
-        assert T.finite_difference_gradient(lambda: 7.0, w, 0, 1e-5) == 0.0
-
-    def test_tuple_index(self):
-        w = T.param(np.arange(6.0).reshape(2, 3), "w")
-        grad = T.finite_difference_gradient(lambda: float((w.data ** 2).sum()), w, (1, 2), 1e-5)
-        assert grad == pytest.approx(10.0, abs=1e-5)
-
-    def test_restores_weight(self):
-        w = T.param(np.array([1.5]), "w")
-        T.finite_difference_gradient(lambda: float(w.data[0]), w, 0, 1e-3)
-        assert w.data[0] == 1.5
-
-    def test_step_validation(self):
-        w = T.param(np.array([1.0]), "w")
-        with pytest.raises(ValidationError, match="step"):
-            T.finite_difference_gradient(lambda: 0.0, w, 0, 0.0)
-
-    def test_non_finite_loss_rejected(self):
-        w = T.param(np.array([1.0]), "w")
-        with pytest.raises(NumericError):
-            T.finite_difference_gradient(lambda: float("nan"), w, 0, 1e-5)
