@@ -122,23 +122,36 @@ def save_corpus_cache(corpus: Corpus, path) -> None:
 
 
 def load_corpus_cache(path) -> Corpus:
+    """Rebuild a cached corpus; any field that does not describe windows of
+    the unchanged source files raises `ArtifactError`."""
     try:
         info = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ArtifactError(f"cannot read corpus cache {path}: {e}") from None
+
+    def bad(what: str) -> ArtifactError:
+        return ArtifactError(f"corpus cache {path}: {what}")
+
+    if not isinstance(info, dict):
+        raise bad("not a JSON object")
     for key in ("name", "sources", "seed", "sequence_length", "offsets"):
         if key not in info:
-            raise ArtifactError(f"corpus cache {path}: missing key {key!r}")
+            raise bad(f"missing key {key!r}")
+    if not isinstance(info["sources"], list) or not all(
+            isinstance(s, dict) and {"path", "sha256"} <= s.keys() for s in info["sources"]):
+        raise bad("every source needs a 'path' and a 'sha256'")
+    length = info["sequence_length"]
+    if type(length) is not int or length < 2:
+        raise bad(f"sequence_length must be an int >= 2, got {length!r}")
+    if not isinstance(info["offsets"], list):
+        raise bad("offsets must be a list")
     tokens, sources = _read_tokens([s["path"] for s in info["sources"]])
     for want, have in zip(info["sources"], sources):
         if want["sha256"] != have["sha256"]:
-            raise ArtifactError(
-                f"corpus cache {path}: source {have['path']} changed since the cache was written"
-            )
-    length = int(info["sequence_length"])
+            raise bad(f"source {have['path']} changed since the cache was written")
     sequences = []
     for o in info["offsets"]:
-        if o + length > len(tokens):
-            raise ArtifactError(f"corpus cache {path}: window at {o} exceeds source size")
+        if type(o) is not int or not 0 <= o <= len(tokens) - length:
+            raise bad(f"window offset {o!r} outside [0, {len(tokens) - length}]")
         sequences.append(tokens[o : o + length].copy())
     return Corpus(name=info["name"], sequences=sequences, provenance=info)

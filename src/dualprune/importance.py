@@ -10,7 +10,10 @@ Three score families:
   2*lambda*alpha^2 * G * g_next * H_mm that penalizes moving weights the
   general scores marked important;
 * brute force: the exact loss change from zeroing one weight at a time, used
-  as the ranking oracle for the approximations above.
+  as the ranking oracle for the approximations above.  Zeroing a weight
+  cannot change anything computed before the sublayer that holds it, so the
+  oracle computes the residual stream entering that sublayer once per
+  matrix and reruns only the rest of the network per weight.
 
 Model weights are never updated here; only gradients are read.
 """
@@ -27,10 +30,12 @@ from . import tensor as T
 from .container import read_container, record_from_container, record_meta, write_container
 from .errors import NumericError, ShapeError, ValidationError
 from .model import (
+    EVAL_BATCH,
     TransformerModel,
     check_scored_model,
     equal_length_batches,
     mean_corpus_loss,
+    next_token_split,
     prunable_names,
     validate_sequence,
 )
@@ -308,6 +313,12 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     `matrix_id` is (layer_index, projection_name); `weight_indices` is a list
     of flat indices into that matrix (default: every weight).  Works on a
     copy, so the input model is untouched.
+
+    The matrix sits in sublayer s = 2*layer (q, k, v, o) or 2*layer + 1
+    (gate, up, down).  For each `mean_corpus_loss` batch, the residual stream
+    entering s is computed once; the base loss and every per-weight loss then
+    resume there.  The resumed passes run the same primitives in the same
+    order as full ones, so every delta is bit-identical to a full rerun.
     """
     layer, proj = matrix_id
     key = f"layers.{layer}.{proj}"
@@ -322,12 +333,20 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
         if not 0 <= i < weights.size:
             raise ValidationError(f"weight index {i} out of range for {key} with {weights.size} entries")
 
-    base = mean_corpus_loss(work, corpus)
+    start = 2 * layer + (proj in ("gate", "up", "down"))
+    states = []
+    for batch in equal_length_batches(corpus.sequences, EVAL_BATCH):
+        h = work.embed(next_token_split(batch)[0])
+        for s in range(start):
+            h = work.sublayer(s, h)
+        states.append(h)
+    resume = (start, states)
+    base = mean_corpus_loss(work, corpus, resume)
     deltas = np.empty(len(indices), dtype=np.float64)
     for n, i in enumerate(indices):
         original = weights[i]
         weights[i] = 0.0
-        deltas[n] = abs(mean_corpus_loss(work, corpus) - base)
+        deltas[n] = abs(mean_corpus_loss(work, corpus, resume) - base)
         weights[i] = original
     return deltas
 

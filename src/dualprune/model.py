@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .container import read_container, write_container
-from .errors import ArtifactError, NumericError, ValidationError
+from .errors import ArtifactError, NumericError, ShapeError, ValidationError
 from .tensor import GradientTape, Tensor
 
 PROJECTIONS = ("q", "k", "v", "o", "gate", "up", "down")
@@ -45,7 +45,14 @@ class ModelConfig:
 
 
 class TransformerModel:
-    """Weights plus forward pass; mutated only by `pretrain` and mask application."""
+    """Weights plus forward pass; mutated only by `pretrain` and mask application.
+
+    The forward pass is `embed`, then the residual sublayers 0 .. 2*num_layers-1,
+    then `head`.  Sublayer 2i is the attention of layer i and sublayer 2i+1
+    its MLP; each adds its block's output to the residual stream.  `forward`
+    can resume at any sublayer s in [0, 2*num_layers] (s = 2*num_layers leaves
+    only the head) from the stream entering it.
+    """
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor], step: int = 0,
                  meta: dict[str, str] | None = None):
@@ -84,8 +91,31 @@ class TransformerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        """Logits for a (batch, length) int array of token ids."""
+    def forward(self, ids: np.ndarray, resume: tuple[int, Tensor] | None = None) -> Tensor:
+        """Logits for a (batch, length) int array of token ids.
+
+        With `resume=(s, h)` the pass skips the embedding and sublayers
+        0 .. s-1 and starts at sublayer `s` from `h`, the (batch, length,
+        d_model) residual stream entering it.  When `h` is what the skipped
+        part computes for the same ids and weights, the logits are
+        bit-identical to the full pass's.
+        """
+        n_sublayers = 2 * self.config.num_layers
+        if resume is None:
+            start, h = 0, self.embed(ids)
+        else:
+            start, h = resume
+            if not 0 <= start <= n_sublayers:
+                raise ValidationError(f"forward: resume sublayer {start} outside [0, {n_sublayers}]")
+            expected = (*np.shape(ids), self.config.d_model)
+            if h.shape != expected:
+                raise ShapeError(f"forward: resume stream has shape {h.shape}, expected {expected}")
+        for s in range(start, n_sublayers):
+            h = self.sublayer(s, h)
+        return self.head(h)
+
+    def embed(self, ids: np.ndarray) -> Tensor:
+        """The residual stream entering sublayer 0: token plus position embeddings."""
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValidationError(f"forward: ids must be 2-D (batch, length), got shape {ids.shape}")
@@ -94,18 +124,23 @@ class TransformerModel:
             raise ValidationError(
                 f"forward: length {n_tok} outside [1, {self.config.context_length}]"
             )
-        p = self.params
-        h = T.add(
-            T.embedding_lookup(p["embed"], ids),
-            T.embedding_lookup(p["pos"], np.arange(n_tok)),
+        return T.add(
+            T.embedding_lookup(self.params["embed"], ids),
+            T.embedding_lookup(self.params["pos"], np.arange(n_tok)),
         )
-        for i in range(self.config.num_layers):
-            pre = T.mul(T.rms_norm(h), p[f"layers.{i}.attn_norm"])
-            h = T.add(h, self._attention(i, pre))
-            pre = T.mul(T.rms_norm(h), p[f"layers.{i}.mlp_norm"])
-            h = T.add(h, self._mlp(i, pre))
-        h = T.mul(T.rms_norm(h), p["final_norm"])
-        return T.matmul(h, T.transpose(p["embed"], 0, 1))  # tied output head
+
+    def sublayer(self, s: int, h: Tensor) -> Tensor:
+        """The residual stream after sublayer `s`: `h` plus the attention (even
+        `s`) or the MLP (odd `s`) of layer s // 2, each on its RMS-normed input."""
+        i, is_mlp = divmod(s, 2)
+        norm, block = ("mlp_norm", self._mlp) if is_mlp else ("attn_norm", self._attention)
+        pre = T.mul(T.rms_norm(h), self.params[f"layers.{i}.{norm}"])
+        return T.add(h, block(i, pre))
+
+    def head(self, h: Tensor) -> Tensor:
+        """Logits from the final residual stream through the tied output head."""
+        h = T.mul(T.rms_norm(h), self.params["final_norm"])
+        return T.matmul(h, T.transpose(self.params["embed"], 0, 1))
 
     def _attention(self, i: int, x: Tensor) -> Tensor:
         p = self.params
@@ -199,13 +234,22 @@ def next_token_loss(model: TransformerModel, token_sequence) -> tuple[Tensor, Gr
     return loss, tape
 
 
-def batch_next_token_loss(model: TransformerModel, batch: np.ndarray) -> Tensor:
-    """Mean cross-entropy over a (batch, length) array of same-length sequences."""
+def next_token_split(batch) -> tuple[np.ndarray, np.ndarray]:
+    """(inputs, targets) of a (batch, length) array: tokens [:-1] predict tokens [1:]."""
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] < 2:
         raise ValidationError(f"batch must be 2-D with length >= 2, got shape {batch.shape}")
-    logits = model.forward(batch[:, :-1])
-    return T.cross_entropy(logits, batch[:, 1:])
+    return batch[:, :-1], batch[:, 1:]
+
+
+def batch_next_token_loss(model: TransformerModel, batch: np.ndarray,
+                          resume: tuple[int, Tensor] | None = None) -> Tensor:
+    """Mean cross-entropy over a (batch, length) array of same-length sequences.
+
+    `resume` is passed to `TransformerModel.forward` for the batch's inputs.
+    """
+    inputs, targets = next_token_split(batch)
+    return T.cross_entropy(model.forward(inputs, resume), targets)
 
 
 def equal_length_batches(sequences, batch_size: int) -> Iterator[np.ndarray]:
@@ -225,20 +269,23 @@ def equal_length_batches(sequences, batch_size: int) -> Iterator[np.ndarray]:
 EVAL_BATCH = 32
 
 
-def mean_corpus_loss(model: TransformerModel, corpus) -> float:
+def mean_corpus_loss(model: TransformerModel, corpus,
+                     resume: tuple[int, list[Tensor]] | None = None) -> float:
     """Token-count-weighted mean next-token loss over all corpus sequences.
 
     Sequences are batched in corpus order (consecutive equal-length runs of at
     most `EVAL_BATCH`), so the reduction order is fixed and results are
-    reproducible bit-for-bit.
+    reproducible bit-for-bit.  With `resume=(s, states)`, the forward pass of
+    the n-th batch resumes at sublayer `s` from `states[n]`.
     """
     if not corpus.sequences:
         raise ValidationError("mean_corpus_loss: corpus is empty")
     nll_total = 0.0
     token_total = 0
-    for batch in equal_length_batches(corpus.sequences, EVAL_BATCH):
+    for n, batch in enumerate(equal_length_batches(corpus.sequences, EVAL_BATCH)):
+        at = None if resume is None else (resume[0], resume[1][n])
         n_predicted = batch.shape[0] * (batch.shape[1] - 1)
-        nll_total += float(batch_next_token_loss(model, batch).data) * n_predicted
+        nll_total += float(batch_next_token_loss(model, batch, at).data) * n_predicted
         token_total += n_predicted
     return nll_total / token_total
 

@@ -342,14 +342,13 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     denom = e.sum(axis=-1, keepdims=True)
-    p = e / denom
     picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
     nll = np.log(denom[..., 0]) - picked
     out = Tensor(nll.mean())
     count = max(targets.size, 1)
 
     def backward_fn(g, need):
-        gl = p.copy()
+        gl = e / denom  # the probabilities, formed only when a gradient is asked for
         np.put_along_axis(
             gl, targets[..., None],
             np.take_along_axis(gl, targets[..., None], axis=-1) - 1.0, axis=-1,

@@ -1,5 +1,7 @@
 """Tokenization and calibration-corpus construction."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,3 +143,19 @@ class TestCache:
         bad.write_text("{not json")
         with pytest.raises(ArtifactError):
             load_corpus_cache(bad)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda info: info["offsets"].__setitem__(0, -100), "offset -100"),
+        (lambda info: info["offsets"].__setitem__(0, "abc"), "offset 'abc'"),
+        (lambda info: info["sources"][0].pop("sha256"), "'sha256'"),
+        (lambda info: info.__setitem__("sequence_length", "x"), "sequence_length"),
+    ], ids=["negative-offset", "string-offset", "source-without-sha256", "string-length"])
+    def test_bad_field_is_an_artifact_error(self, text_file, tmp_path, edit, message):
+        corpus = build_calibration(CalibrationSpec([str(text_file)], 4, 64, seed=9))
+        cache = tmp_path / "c.json"
+        save_corpus_cache(corpus, cache)
+        info = json.loads(cache.read_text())
+        edit(info)
+        cache.write_text(json.dumps(info))
+        with pytest.raises(ArtifactError, match=message):
+            load_corpus_cache(cache)

@@ -1,5 +1,6 @@
 """Fisher estimates, general importance, regularized gradients, dual scores, oracle."""
 
+import re
 import warnings
 
 import numpy as np
@@ -25,9 +26,11 @@ from dualprune.importance import (
     score_from_first_order,
 )
 from dualprune.model import (
+    EVAL_BATCH,
     ModelConfig,
     batch_next_token_loss,
     init_model,
+    mean_corpus_loss,
     next_token_loss,
     pretrain,
     prunable_names,
@@ -388,8 +391,6 @@ class TestBruteForce:
             brute_force_importance(tiny_model, two_sample_corpus, (0, "q"), [10**6])
 
     def test_matches_direct_evaluation(self, tiny_model, two_sample_corpus):
-        from dualprune.model import mean_corpus_loss
-
         idx = 7
         base = mean_corpus_loss(tiny_model, two_sample_corpus)
         clone = tiny_model.copy()
@@ -397,6 +398,49 @@ class TestBruteForce:
         expected = abs(mean_corpus_loss(clone, two_sample_corpus) - base)
         got = brute_force_importance(tiny_model, two_sample_corpus, (0, "k"), [idx])[0]
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+# Two layers, so that the oracle resumes past a whole layer.
+TWO_LAYER = ModelConfig(vocab_size=32, context_length=16, num_layers=2, d_model=16,
+                        num_heads=2, d_ff=24, seed=4)
+
+
+@pytest.fixture(scope="module")
+def three_batch_corpus():
+    """EVAL_BATCH + 2 full-length sequences, then 3 shorter ones: eval batches of 32, 2 and 3."""
+    rng = np.random.default_rng(8)
+    lengths = [TWO_LAYER.context_length] * (EVAL_BATCH + 2) + [9] * 3
+    return Corpus("three", [rng.integers(0, TWO_LAYER.vocab_size, size=n) for n in lengths])
+
+
+class TestOracleIsExact:
+    def test_every_matrix_matches_full_reruns(self, three_batch_corpus):
+        model = init_model(TWO_LAYER)
+        base = mean_corpus_loss(model, three_batch_corpus)
+        rng = np.random.default_rng(9)
+        for name in prunable_names(TWO_LAYER):
+            _, layer, proj = name.split(".")
+            size = model.params[name].size
+            indices = [0, size - 1, *rng.choice(size, 2, replace=False)]
+            expected = []
+            for i in indices:
+                zeroed = model.copy()
+                zeroed.params[name].data.reshape(-1)[i] = 0.0
+                expected.append(abs(mean_corpus_loss(zeroed, three_batch_corpus) - base))
+            got = brute_force_importance(model, three_batch_corpus, (int(layer), proj), indices)
+            assert np.array_equal(got, expected), name
+            assert (got > 0).all(), name
+
+    @pytest.mark.parametrize("lengths", [[], [TWO_LAYER.context_length + 2], [16, 1]],
+                             ids=["empty", "over-long", "one-token"])
+    def test_bad_corpus_raises_what_mean_corpus_loss_raises(self, lengths):
+        model = init_model(TWO_LAYER)
+        corpus = Corpus("bad", [np.arange(n) % TWO_LAYER.vocab_size for n in lengths])
+        with pytest.raises(ValidationError) as expected:
+            mean_corpus_loss(model, corpus)
+        for matrix_id in [(0, "q"), (1, "down")]:
+            with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
+                brute_force_importance(model, corpus, matrix_id, [0])
 
 
 class TestScorePersistence:

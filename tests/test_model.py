@@ -11,7 +11,7 @@ import pytest
 
 import dualprune
 from dualprune.corpus import Corpus
-from dualprune.errors import ArtifactError, NumericError, ValidationError
+from dualprune.errors import ArtifactError, NumericError, ShapeError, ValidationError
 from dualprune.model import (
     ModelConfig,
     batch_next_token_loss,
@@ -23,6 +23,7 @@ from dualprune.model import (
     prunable_matrices,
     save_checkpoint,
 )
+from dualprune.tensor import Tensor
 
 TINY = ModelConfig(vocab_size=32, context_length=16, num_layers=1, d_model=16,
                    num_heads=2, d_ff=24, seed=3)
@@ -182,6 +183,42 @@ class TestLoss:
         model = init_model(TINY)
         with pytest.raises(ValidationError, match="empty"):
             mean_corpus_loss(model, Corpus("e", []))
+
+
+# Two layers, so that a pass can resume past a whole layer.
+TWO_LAYER = ModelConfig(vocab_size=32, context_length=16, num_layers=2, d_model=16,
+                        num_heads=2, d_ff=24, seed=4)
+
+
+def stream_entering(model, ids, stop):
+    """The residual stream entering sublayer `stop`, computed sublayer by sublayer."""
+    h = model.embed(ids)
+    for s in range(stop):
+        h = model.sublayer(s, h)
+    return h
+
+
+class TestResume:
+    def test_every_resume_point_is_bit_identical(self):
+        model = init_model(TWO_LAYER)
+        ids = np.random.default_rng(5).integers(0, TWO_LAYER.vocab_size, size=(3, 11))
+        full = model.forward(ids).data
+        for s in range(2 * TWO_LAYER.num_layers + 1):
+            resumed = model.forward(ids, (s, stream_entering(model, ids, s))).data
+            assert np.array_equal(resumed, full), s
+
+    @pytest.mark.parametrize("s", [-1, 2 * TWO_LAYER.num_layers + 1])
+    def test_sublayer_out_of_range_rejected(self, s):
+        model = init_model(TWO_LAYER)
+        ids = np.zeros((2, 5), dtype=np.int64)
+        with pytest.raises(ValidationError, match=r"resume sublayer .* outside \[0, 4\]"):
+            model.forward(ids, (s, model.embed(ids)))
+
+    @pytest.mark.parametrize("shape", [(2, 4, 16), (3, 5, 16), (2, 5, 8), (10, 16)])
+    def test_stream_of_wrong_shape_rejected(self, shape):
+        model = init_model(TWO_LAYER)
+        with pytest.raises(ShapeError, match=r"resume stream has shape .*, expected \(2, 5, 16\)"):
+            model.forward(np.zeros((2, 5), dtype=np.int64), (1, Tensor(np.zeros(shape))))
 
 
 class TestPretrain:
