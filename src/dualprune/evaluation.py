@@ -88,6 +88,9 @@ def sparsity_sweep(model: TransformerModel, scores, corpus, sparsity_list,
     must come from `model`; a plain dict of arrays is taken as it is.
     """
     check_mode(mode)
+    sparsity_list = list(sparsity_list)
+    if not sparsity_list:
+        raise ValidationError("sparsity_sweep: no sparsities given")
     if getattr(scores, "model_fingerprint", None) is not None:
         check_scored_model(model, scores.model_fingerprint, "scores")
     rows: list[tuple[float, float]] = []

@@ -11,9 +11,11 @@ Three score families:
   general scores marked important;
 * brute force: the exact loss change from zeroing one weight at a time, used
   as the ranking oracle for the approximations above.  Zeroing a weight
-  cannot change anything computed before the sublayer that holds it, so the
-  oracle computes the residual stream entering that sublayer once per
-  matrix and reruns only the rest of the network per weight.
+  cannot change anything computed before its projection, nor the other
+  branches of its block, nor the attention heads that do not own its
+  column, so the oracle computes all of that once per matrix and reruns
+  per weight only the projection, its head (or its column of the gated
+  product), the block's output projection and the network after it.
 
 Model weights are never updated here; only gradients are read.
 """
@@ -30,6 +32,7 @@ from . import tensor as T
 from .container import read_container, record_from_container, record_meta, write_container
 from .errors import NumericError, ShapeError, ValidationError
 from .model import (
+    BLOCK_PROJECTIONS,
     EVAL_BATCH,
     TransformerModel,
     check_scored_model,
@@ -311,42 +314,68 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     """Exact |loss(zeroed) - loss(base)| for single-weight removals.
 
     `matrix_id` is (layer_index, projection_name); `weight_indices` is a list
-    of flat indices into that matrix (default: every weight).  Works on a
-    copy, so the input model is untouched.
+    of integer flat indices into that matrix (default: every weight).  Works
+    on a copy, so the input model is untouched.
 
     The matrix sits in sublayer s = 2*layer (q, k, v, o) or 2*layer + 1
-    (gate, up, down).  For each `mean_corpus_loss` batch, the residual stream
-    entering s is computed once; the base loss and every per-weight loss then
-    resume there.  The resumed passes run the same primitives in the same
-    order as full ones, so every delta is bit-identical to a full rerun.
+    (gate, up, down).  For each `mean_corpus_loss` batch, everything the
+    matrix cannot change is computed once: the residual stream h entering s,
+    the block's normed input, its branch outputs and their mix.  Zeroing a
+    weight in column c of a branch (q, k, v, gate, up) changes only that
+    branch and the columns `mixed_columns(s, c)` of the mix, so per weight
+    the oracle reruns that branch, mixes only those columns (one attention
+    head, or one column of the gated product) into a copy of the cached mix,
+    and applies the output projection; zeroing a weight of `o` or `down`
+    reruns only the output projection.  The loss then resumes at sublayer
+    s + 1 from h plus that block output, as does the base loss.  Every step
+    runs the same primitives on operands of the same values and layout as a
+    full pass, so every delta is bit-identical to a full rerun.
     """
     layer, proj = matrix_id
     key = f"layers.{layer}.{proj}"
     if key not in prunable_names(model.config):
         raise ValidationError(f"{matrix_id!r} is not a prunable matrix")
     work = model.copy()
-    weights = work.params[key].data.reshape(-1)
-    if weight_indices is None:
-        weight_indices = range(weights.size)
-    indices = [int(i) for i in weight_indices]
+    matrix = work.params[key].data
+    weights = matrix.reshape(-1)
+    indices = range(weights.size) if weight_indices is None else list(weight_indices)
     for i in indices:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValidationError(f"weight index {i!r} for {key} is not an integer")
         if not 0 <= i < weights.size:
             raise ValidationError(f"weight index {i} out of range for {key} with {weights.size} entries")
 
-    start = 2 * layer + (proj in ("gate", "up", "down"))
-    states = []
+    s = 2 * layer + (proj in BLOCK_PROJECTIONS[1])
+    *branch_names, _ = BLOCK_PROJECTIONS[s % 2]
+    cached = []  # per eval batch: (h, block input, branch outputs, their mix)
     for batch in equal_length_batches(corpus.sequences, EVAL_BATCH):
         h = work.embed(next_token_split(batch)[0])
-        for s in range(start):
-            h = work.sublayer(s, h)
-        states.append(h)
-    resume = (start, states)
-    base = mean_corpus_loss(work, corpus, resume)
+        for r in range(s):
+            h = work.sublayer(r, h)
+        x = work.block_input(s, h)
+        branches = [work.branch(s, name, x) for name in branch_names]
+        cached.append((h, x, branches, work.mix(s, branches)))
+
+    def loss_from(block_outputs) -> float:
+        return mean_corpus_loss(work, corpus, (s + 1, block_outputs))
+
+    base = loss_from([work.block_output(s, h, mixed) for h, _, _, mixed in cached])
     deltas = np.empty(len(indices), dtype=np.float64)
     for n, i in enumerate(indices):
         original = weights[i]
         weights[i] = 0.0
-        deltas[n] = abs(mean_corpus_loss(work, corpus, resume) - base)
+        if proj in branch_names:
+            b = branch_names.index(proj)
+            cols = work.mixed_columns(s, i % matrix.shape[1])
+            outputs = []
+            for h, x, branches, mixed in cached:
+                changed = [*branches[:b], work.branch(s, proj, x), *branches[b + 1:]]
+                spliced = mixed.data.copy()
+                spliced[..., cols] = work.mix(s, [T.Tensor(y.data[..., cols]) for y in changed]).data
+                outputs.append(work.block_output(s, h, T.Tensor(spliced)))
+        else:
+            outputs = [work.block_output(s, h, mixed) for h, _, _, mixed in cached]
+        deltas[n] = abs(loss_from(outputs) - base)
         weights[i] = original
     return deltas
 

@@ -19,7 +19,11 @@ from .container import read_container, write_container
 from .errors import ArtifactError, NumericError, ShapeError, ValidationError
 from .tensor import GradientTape, Tensor
 
-PROJECTIONS = ("q", "k", "v", "o", "gate", "up", "down")
+# The prunable projections of each block, attention then MLP: the branches
+# applied to the block's normed input, then the output projection applied to
+# their mix (causal attention of q, k, v; the gated product of gate and up).
+BLOCK_PROJECTIONS = (("q", "k", "v", "o"), ("gate", "up", "down"))
+PROJECTIONS = BLOCK_PROJECTIONS[0] + BLOCK_PROJECTIONS[1]
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,10 @@ class ModelConfig:
             raise ValidationError(
                 f"d_model ({self.d_model}) must be divisible by num_heads ({self.num_heads})"
             )
+
+    @property
+    def head_dim(self) -> int:
+        return self.d_model // self.num_heads
 
 
 class TransformerModel:
@@ -131,26 +139,58 @@ class TransformerModel:
 
     def sublayer(self, s: int, h: Tensor) -> Tensor:
         """The residual stream after sublayer `s`: `h` plus the attention (even
-        `s`) or the MLP (odd `s`) of layer s // 2, each on its RMS-normed input."""
-        i, is_mlp = divmod(s, 2)
-        norm, block = ("mlp_norm", self._mlp) if is_mlp else ("attn_norm", self._attention)
-        pre = T.mul(T.rms_norm(h), self.params[f"layers.{i}.{norm}"])
-        return T.add(h, block(i, pre))
+        `s`) or the MLP (odd `s`) of layer s // 2, each on its RMS-normed input.
+
+        The block runs as the steps below, which the exact removal oracle
+        (`importance.brute_force_importance`) also calls one by one.
+        """
+        x = self.block_input(s, h)
+        *branches, _ = BLOCK_PROJECTIONS[s % 2]
+        return self.block_output(s, h, self.mix(s, [self.branch(s, name, x) for name in branches]))
 
     def head(self, h: Tensor) -> Tensor:
         """Logits from the final residual stream through the tied output head."""
         h = T.mul(T.rms_norm(h), self.params["final_norm"])
         return T.matmul(h, T.transpose(self.params["embed"], 0, 1))
 
-    def _attention(self, i: int, x: Tensor) -> Tensor:
-        p = self.params
-        q, k, v = (T.matmul(x, p[f"layers.{i}.{name}"]) for name in ("q", "k", "v"))
-        return T.matmul(T.causal_attention(q, k, v, self.config.num_heads), p[f"layers.{i}.o"])
+    # -- the steps of sublayer s --------------------------------------------
 
-    def _mlp(self, i: int, x: Tensor) -> Tensor:
-        p = self.params
-        gated = T.mul(T.silu(T.matmul(x, p[f"layers.{i}.gate"])), T.matmul(x, p[f"layers.{i}.up"]))
-        return T.matmul(gated, p[f"layers.{i}.down"])
+    def block_input(self, s: int, h: Tensor) -> Tensor:
+        """The block's input: `h` RMS-normed and scaled by the block's norm weights."""
+        i, is_mlp = divmod(s, 2)
+        return T.mul(T.rms_norm(h), self.params[f"layers.{i}.{'mlp_norm' if is_mlp else 'attn_norm'}"])
+
+    def branch(self, s: int, name: str, x: Tensor) -> Tensor:
+        """Branch `name` of the block on its input `x`: x @ W, through SiLU for the gate."""
+        y = T.matmul(x, self.params[f"layers.{s // 2}.{name}"])
+        return T.silu(y) if name == "gate" else y
+
+    def mix(self, s: int, branches: list[Tensor]) -> Tensor:
+        """The block's mix of its branch outputs: causal attention of (q, k, v)
+        with one head per `head_dim` columns, or the product of (gate, up).
+
+        Each column group of `mixed_columns` depends only on the same columns
+        of the branches, so the mix of those columns alone gives those columns
+        of the whole mix, bit for bit.
+        """
+        if s % 2:
+            return T.mul(*branches)
+        return T.causal_attention(*branches, branches[0].shape[-1] // self.config.head_dim)
+
+    def mixed_columns(self, s: int, column: int) -> slice:
+        """The columns of the block's mix that column `column` of a branch
+        reaches: those of the attention head that owns it, or that column of
+        the gated product."""
+        if s % 2:
+            return slice(column, column + 1)
+        first = column // self.config.head_dim * self.config.head_dim
+        return slice(first, first + self.config.head_dim)
+
+    def block_output(self, s: int, h: Tensor, mixed: Tensor) -> Tensor:
+        """The residual stream after sublayer `s`: `h` plus the block's output
+        projection of its mix."""
+        output = BLOCK_PROJECTIONS[s % 2][-1]
+        return T.add(h, T.matmul(mixed, self.params[f"layers.{s // 2}.{output}"]))
 
 
 def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -303,6 +343,10 @@ def pretrain(model: TransformerModel, corpus, steps: int, learning_rate: float, 
         raise ValidationError(f"pretrain: steps must be >= 1, got {steps}")
     if learning_rate <= 0:
         raise ValidationError(f"pretrain: learning_rate must be > 0, got {learning_rate}")
+    if batch_size < 1:
+        raise ValidationError(f"pretrain: batch_size must be >= 1, got {batch_size}")
+    if log_every < 1:
+        raise ValidationError(f"pretrain: log_every must be >= 1, got {log_every}")
     if not corpus.sequences:
         raise ValidationError("pretrain: corpus is empty")
     lengths = {np.asarray(s).size for s in corpus.sequences}

@@ -96,6 +96,14 @@ class TestPretrain:
         assert main(["pretrain", "--config", str(workspace["config"]),
                      "--num-heads", "3", "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--batch-size", "-1"),
+                                            ("--log-every", "0")])
+    def test_batch_size_and_log_every_minimum_exit_2(self, workspace, tmp_path, capsys, flag, value):
+        assert main(["pretrain", "--config", str(workspace["config"]), flag, value,
+                     "--output-dir", str(tmp_path)]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
 
 class TestCalibrate:
     def test_writes_caches(self, workspace):
@@ -248,6 +256,14 @@ class TestEvalMasksimSweep:
                      "--scores", str(workspace["out"] / "dual_scores.bin"),
                      "--sparsities", "0.1,abc", "--output-dir", str(tmp_path)]) == 2
         assert "--sparsities: cannot parse 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_empty_sparsity_list_exit_2(self, workspace, tmp_path, capsys):
+        assert main(["sweep", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--scores", str(workspace["out"] / "dual_scores.bin"),
+                     "--sparsities", ",", "--output-dir", str(tmp_path)]) == 2
+        assert "no sparsities given" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_scores_of_another_model_exit_2(self, workspace, tmp_path, capsys):

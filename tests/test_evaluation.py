@@ -179,6 +179,11 @@ class TestSweep:
         plain = sparsity_sweep(other, dict(scores.scores), corpus, [0.5])  # no provenance to check
         assert len(plain.rows) == 1
 
+    def test_empty_sparsity_list_rejected(self, trained):
+        model, scores, corpus = trained
+        with pytest.raises(ValidationError, match="no sparsities"):
+            sparsity_sweep(model, scores, corpus, [])
+
     def test_invalid_sparsity_rejected(self, trained):
         model, scores, corpus = trained
         with pytest.raises(ValidationError, match="sparsity"):

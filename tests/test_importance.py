@@ -390,6 +390,11 @@ class TestBruteForce:
         with pytest.raises(ValidationError, match="out of range"):
             brute_force_importance(tiny_model, two_sample_corpus, (0, "q"), [10**6])
 
+    @pytest.mark.parametrize("index", [1.7, 2.0, True, np.float64(3.0), "4"])
+    def test_non_integer_index_rejected(self, tiny_model, two_sample_corpus, index):
+        with pytest.raises(ValidationError, match="not an integer"):
+            brute_force_importance(tiny_model, two_sample_corpus, (0, "q"), [0, index])
+
     def test_matches_direct_evaluation(self, tiny_model, two_sample_corpus):
         idx = 7
         base = mean_corpus_loss(tiny_model, two_sample_corpus)
@@ -430,6 +435,23 @@ class TestOracleIsExact:
             got = brute_force_importance(model, three_batch_corpus, (int(layer), proj), indices)
             assert np.array_equal(got, expected), name
             assert (got > 0).all(), name
+
+    @pytest.mark.parametrize("name", ["layers.0.k", "layers.1.gate"])
+    def test_whole_matrix_matches_full_reruns(self, three_batch_corpus, name):
+        """Every weight: for layers.0.k every column of both heads, with layer 1 downstream."""
+        model = init_model(TWO_LAYER)
+        base = mean_corpus_loss(model, three_batch_corpus)
+        _, layer, proj = name.split(".")
+        got = brute_force_importance(model, three_batch_corpus, (int(layer), proj))
+        zeroed = model.copy()
+        weights = zeroed.params[name].data.reshape(-1)
+        expected = []
+        for i in range(weights.size):
+            original = weights[i]
+            weights[i] = 0.0
+            expected.append(abs(mean_corpus_loss(zeroed, three_batch_corpus) - base))
+            weights[i] = original
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("lengths", [[], [TWO_LAYER.context_length + 2], [16, 1]],
                              ids=["empty", "over-long", "one-token"])

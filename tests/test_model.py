@@ -228,6 +228,13 @@ class TestPretrain:
         with pytest.raises(ValidationError, match="steps"):
             pretrain(model, corpus, steps=0, learning_rate=0.1)
 
+    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1), ("log_every", 0)])
+    def test_batch_size_and_log_every_minimum(self, field, value):
+        model = init_model(TINY)
+        corpus = random_corpus(TINY, 4, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=f"{field} must be >= 1, got {value}"):
+            pretrain(model, corpus, steps=2, learning_rate=0.1, **{field: value})
+
     def test_loss_decreases_on_repetitive_corpus(self):
         config = ModelConfig(vocab_size=32, context_length=16, num_layers=1,
                              d_model=16, num_heads=2, d_ff=24, seed=5)
