@@ -402,9 +402,6 @@ def run(argv: list[str] | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ArtifactError as e:
         print(f"artifact error: {e}", file=sys.stderr)
         return EXIT_ARTIFACT

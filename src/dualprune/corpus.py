@@ -1,15 +1,18 @@
 """Byte-level tokenization and calibration-corpus construction.
 
-Calibration corpora are sampled as non-overlapping, grid-aligned windows of
-a fixed token length, shuffled with a seed.  A `region` restricts sampling
-to a fraction of the token stream, which is how calibration and held-out
-test corpora built from the same file are kept disjoint.
+A corpus is one (n, length) array of token ids: n sequences of one length,
+one per row.  Calibration corpora are sampled as non-overlapping,
+grid-aligned windows of that length, shuffled with a seed.  A `region`
+restricts sampling to a fraction of the token stream, which is how
+calibration and held-out test corpora built from the same file are kept
+disjoint.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,24 +27,49 @@ def tokenize(raw: bytes) -> np.ndarray:
 
 @dataclass
 class Corpus:
+    """`sequences` is an (n, length) int64 array, one sequence per row.
+
+    This is the one place a corpus is checked: it must hold at least one
+    sequence, every sequence the same length of at least 2 tokens, and
+    integer ids.  Whether the ids and the length fit a model is checked by
+    the model's forward pass.
+    """
     name: str
-    sequences: list[np.ndarray]
+    sequences: np.ndarray
     provenance: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for seq in self.sequences:
-            if np.asarray(seq).size == 0:
-                raise ValidationError(f"corpus {self.name!r} contains an empty sequence")
+        def bad(what: str) -> ValidationError:
+            return ValidationError(f"corpus {self.name!r} {what}")
+
+        try:
+            seqs = np.asarray(self.sequences)
+        except ValueError:
+            raise bad("has sequences of different lengths") from None
+        if seqs.shape[:1] == (0,):
+            raise bad("is empty")
+        if seqs.ndim != 2:
+            raise bad(f"is not an (n, length) array: shape {seqs.shape}")
+        if not np.issubdtype(seqs.dtype, np.integer):
+            raise bad(f"has non-integer token ids ({seqs.dtype})")
+        if seqs.shape[1] < 2:
+            raise bad(f"has sequence length {seqs.shape[1]}, below 2")
+        self.sequences = np.ascontiguousarray(seqs, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.sequences)
 
+    def batches(self, size: int) -> Iterator[np.ndarray]:
+        """Consecutive blocks of at most `size` sequences, in corpus order."""
+        for start in range(0, len(self.sequences), size):
+            yield self.sequences[start : start + size]
+
     def fingerprint(self) -> str:
         h = hashlib.sha256()
-        for seq in self.sequences:
-            arr = np.ascontiguousarray(np.asarray(seq), dtype="<i8")
-            h.update(str(arr.size).encode())
-            h.update(arr.tobytes())
+        length = str(self.sequences.shape[1]).encode()
+        for seq in self.sequences.astype("<i8", copy=False):
+            h.update(length)
+            h.update(seq.tobytes())
         return h.hexdigest()
 
 
@@ -79,6 +107,11 @@ def _read_tokens(paths: list[str]) -> tuple[np.ndarray, list[dict]]:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64), sources
 
 
+def _windows(tokens: np.ndarray, offsets: list[int], length: int) -> np.ndarray:
+    """The (len(offsets), length) array of the windows starting at `offsets`."""
+    return tokens[np.asarray(offsets, dtype=np.int64)[:, None] + np.arange(length)]
+
+
 def build_calibration(spec: CalibrationSpec) -> Corpus:
     """Sample `sample_count` disjoint windows of `sequence_length` tokens.
 
@@ -102,7 +135,7 @@ def build_calibration(spec: CalibrationSpec) -> Corpus:
     rng = np.random.default_rng(spec.seed)
     picks = rng.permutation(n_windows)[: spec.sample_count]
     offsets = [lo + int(i) * spec.sequence_length for i in picks]
-    sequences = [tokens[o : o + spec.sequence_length].copy() for o in offsets]
+    sequences = _windows(tokens, offsets, spec.sequence_length)
     provenance = {
         "name": spec.name,
         "sources": sources,
@@ -143,15 +176,14 @@ def load_corpus_cache(path) -> Corpus:
     length = info["sequence_length"]
     if type(length) is not int or length < 2:
         raise bad(f"sequence_length must be an int >= 2, got {length!r}")
-    if not isinstance(info["offsets"], list):
-        raise bad("offsets must be a list")
+    offsets = info["offsets"]
+    if not isinstance(offsets, list) or not offsets:
+        raise bad("offsets must be a non-empty list")
     tokens, sources = _read_tokens([s["path"] for s in info["sources"]])
     for want, have in zip(info["sources"], sources):
         if want["sha256"] != have["sha256"]:
             raise bad(f"source {have['path']} changed since the cache was written")
-    sequences = []
-    for o in info["offsets"]:
+    for o in offsets:
         if type(o) is not int or not 0 <= o <= len(tokens) - length:
             raise bad(f"window offset {o!r} outside [0, {len(tokens) - length}]")
-        sequences.append(tokens[o : o + length].copy())
-    return Corpus(name=info["name"], sequences=sequences, provenance=info)
+    return Corpus(name=info["name"], sequences=_windows(tokens, offsets, length), provenance=info)

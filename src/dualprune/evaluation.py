@@ -45,7 +45,7 @@ def perplexity(model: TransformerModel, corpus) -> EvalReport:
         corpus_name=corpus.name,
         mean_loss=mean_loss,
         perplexity=float(np.exp(mean_loss)),
-        token_count=int(sum(np.asarray(s).size - 1 for s in corpus.sequences)),
+        token_count=len(corpus) * (corpus.sequences.shape[1] - 1),
     )
 
 

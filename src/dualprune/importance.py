@@ -36,11 +36,9 @@ from .model import (
     EVAL_BATCH,
     TransformerModel,
     check_scored_model,
-    equal_length_batches,
     mean_corpus_loss,
     next_token_split,
     prunable_names,
-    validate_sequence,
 )
 # unused here; kept because the stage benchmark patches importance.next_token_loss
 from .model import next_token_loss  # noqa: F401
@@ -123,8 +121,6 @@ class _PairwiseSum:
         self.count += 1
 
     def mean(self) -> dict[str, np.ndarray]:
-        if self.count == 0:
-            raise ValidationError("mean of zero samples")
         total: dict[str, np.ndarray] | None = None
         for slot in self._levels:
             if slot is None:
@@ -135,25 +131,23 @@ class _PairwiseSum:
 
 
 def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
-    """Per-sample next-token gradients, reduced to mean and mean-of-squares.
+    """Per-sample next-token gradients over the corpus's (n, length) array,
+    reduced to mean and mean-of-squares.
 
-    Each run of up to `GRADIENT_CHUNK` consecutive equal-length sequences
-    goes through one batched tape pass, whose reverse pass returns every
-    sequence's gradient of its own loss for the prunable matrices only.
+    Each block of up to `GRADIENT_CHUNK` consecutive rows goes through one
+    batched tape pass, whose reverse pass returns every sequence's gradient
+    of its own loss for the prunable matrices only.
     That pass repeats the arithmetic of a batch-1 pass per sequence, and the
     samples are reduced one at a time in corpus order, so the squared-gradient
     accumulator is the empirical Fisher diagonal and the results are
     bit-identical to one pass per sequence.
     """
-    if len(corpus.sequences) == 0:
-        raise ValidationError("next_token_gradients: corpus is empty")
     names = prunable_names(model.config)
     weights = [model.params[k] for k in names]
     acc_g = _PairwiseSum()
     acc_g2 = _PairwiseSum()
     j = 0
-    sequences = (validate_sequence(model, s) for s in corpus.sequences)
-    for batch in equal_length_batches(sequences, GRADIENT_CHUNK):
+    for batch in corpus.batches(GRADIENT_CHUNK):
         tape = T.GradientTape()
         with tape:
             # looked up at call time, so that a hook installed on
@@ -191,9 +185,9 @@ def estimate_fisher_diagonal(model: TransformerModel, corpus) -> FisherDiagonal:
 
 
 def validate_damping(damping: float) -> None:
-    """The inverse-Hessian approximation 1 / (H_mm + damping) needs damping > 0."""
-    if damping <= 0:
-        raise ValidationError(f"damping must be > 0, got {damping}")
+    """The inverse-Hessian approximation 1 / (H_mm + damping) needs a finite damping > 0."""
+    if not 0 < damping < np.inf:
+        raise ValidationError(f"damping must be finite and > 0, got {damping}")
 
 
 def general_importance(model: TransformerModel, open_corpus, damping: float = DEFAULT_DAMPING,
@@ -246,11 +240,12 @@ def _check_same_shapes(op: str, *dicts: dict[str, np.ndarray]) -> None:
 
 
 def validate_lambda_alpha(lam: float, alpha: float) -> None:
-    """The regularizer's contract: lambda >= 0 weighs the penalty, alpha > 0 scales it."""
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
+    """The regularizer's contract: a finite lambda >= 0 weighs the penalty, a
+    finite alpha > 0 scales it."""
+    if not 0 <= lam < np.inf:
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
+    if not 0 < alpha < np.inf:
+        raise ValidationError(f"alpha must be finite and > 0, got {alpha}")
 
 
 def regularizer_gradient(G: ImportanceMatrixG, g_next: dict[str, np.ndarray],
@@ -348,7 +343,7 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     s = 2 * layer + (proj in BLOCK_PROJECTIONS[1])
     *branch_names, _ = BLOCK_PROJECTIONS[s % 2]
     cached = []  # per eval batch: (h, block input, branch outputs, their mix)
-    for batch in equal_length_batches(corpus.sequences, EVAL_BATCH):
+    for batch in corpus.batches(EVAL_BATCH):
         h = work.embed(next_token_split(batch)[0])
         for r in range(s):
             h = work.sublayer(r, h)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -249,28 +248,14 @@ def check_scored_model(model: TransformerModel, fingerprint: str, what: str) -> 
     return actual
 
 
-def validate_sequence(model: TransformerModel, ids: np.ndarray) -> np.ndarray:
-    ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise ValidationError(f"token sequence must be 1-D, got shape {ids.shape}")
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ValidationError("token sequence must contain integer ids")
-    if not 2 <= ids.size <= model.config.context_length:
-        raise ValidationError(
-            f"sequence length {ids.size} outside [2, {model.config.context_length}]"
-        )
-    if ids.min() < 0 or ids.max() >= model.config.vocab_size:
-        raise ValidationError(f"token id out of range for vocab {model.config.vocab_size}")
-    return ids
-
-
 def next_token_loss(model: TransformerModel, token_sequence) -> tuple[Tensor, GradientTape]:
     """Mean cross-entropy of predicting token t+1 from the prefix up to t."""
-    ids = validate_sequence(model, token_sequence)
+    ids = np.asarray(token_sequence)
+    if ids.ndim != 1:
+        raise ValidationError(f"token sequence must be 1-D, got shape {ids.shape}")
     tape = GradientTape()
     with tape:
-        logits = model.forward(ids[None, :-1])
-        loss = T.cross_entropy(logits, ids[None, 1:])
+        loss = batch_next_token_loss(model, ids[None])
     return loss, tape
 
 
@@ -292,37 +277,22 @@ def batch_next_token_loss(model: TransformerModel, batch: np.ndarray,
     return T.cross_entropy(model.forward(inputs, resume), targets)
 
 
-def equal_length_batches(sequences, batch_size: int) -> Iterator[np.ndarray]:
-    """Stack consecutive equal-length sequences, at most `batch_size` at a time, in order."""
-    pending: list[np.ndarray] = []
-    for seq in sequences:
-        seq = np.asarray(seq)
-        if pending and (len(pending) >= batch_size or pending[0].size != seq.size):
-            yield np.stack(pending)
-            pending = []
-        pending.append(seq)
-    if pending:
-        yield np.stack(pending)
-
-
 # Sequences per forward pass of `mean_corpus_loss`.
 EVAL_BATCH = 32
 
 
 def mean_corpus_loss(model: TransformerModel, corpus,
                      resume: tuple[int, list[Tensor]] | None = None) -> float:
-    """Token-count-weighted mean next-token loss over all corpus sequences.
+    """Token-count-weighted mean next-token loss over the corpus's (n, length) array.
 
-    Sequences are batched in corpus order (consecutive equal-length runs of at
-    most `EVAL_BATCH`), so the reduction order is fixed and results are
+    The rows are batched in corpus order, `EVAL_BATCH` at a time (the last
+    batch may be smaller), so the reduction order is fixed and results are
     reproducible bit-for-bit.  With `resume=(s, states)`, the forward pass of
     the n-th batch resumes at sublayer `s` from `states[n]`.
     """
-    if not corpus.sequences:
-        raise ValidationError("mean_corpus_loss: corpus is empty")
     nll_total = 0.0
     token_total = 0
-    for n, batch in enumerate(equal_length_batches(corpus.sequences, EVAL_BATCH)):
+    for n, batch in enumerate(corpus.batches(EVAL_BATCH)):
         at = None if resume is None else (resume[0], resume[1][n])
         n_predicted = batch.shape[0] * (batch.shape[1] - 1)
         nll_total += float(batch_next_token_loss(model, batch, at).data) * n_predicted
@@ -341,23 +311,17 @@ def pretrain(model: TransformerModel, corpus, steps: int, learning_rate: float, 
     """
     if steps < 1:
         raise ValidationError(f"pretrain: steps must be >= 1, got {steps}")
-    if learning_rate <= 0:
-        raise ValidationError(f"pretrain: learning_rate must be > 0, got {learning_rate}")
+    if not 0 < learning_rate < math.inf:
+        raise ValidationError(f"pretrain: learning_rate must be finite and > 0, got {learning_rate}")
     if batch_size < 1:
         raise ValidationError(f"pretrain: batch_size must be >= 1, got {batch_size}")
     if log_every < 1:
         raise ValidationError(f"pretrain: log_every must be >= 1, got {log_every}")
-    if not corpus.sequences:
-        raise ValidationError("pretrain: corpus is empty")
-    lengths = {np.asarray(s).size for s in corpus.sequences}
-    if len(lengths) != 1:
-        raise ValidationError(f"pretrain: sequences must share one length, got {sorted(lengths)}")
 
-    data = np.stack([np.asarray(s) for s in corpus.sequences])
     rng = np.random.default_rng([model.config.seed, 0x7261696E])
     history: list[tuple[int, float]] = []
     for step in range(1, steps + 1):
-        batch = data[rng.integers(0, data.shape[0], size=batch_size)]
+        batch = corpus.sequences[rng.integers(0, len(corpus), size=batch_size)]
         tape = GradientTape()
         with tape:
             loss = batch_next_token_loss(model, batch)

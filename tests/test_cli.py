@@ -1,6 +1,7 @@
 """CLI pipeline: stages, artifacts, exit codes, overrides."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -119,6 +120,38 @@ class TestCalibrate:
         a = load_corpus_cache(cache)
         b = load_corpus_cache(cache)
         assert a.fingerprint() == b.fingerprint()
+
+    def test_cache_without_windows_exit_3(self, workspace, tmp_path, capsys):
+        info = json.loads((workspace["out"] / "domain.corpus.json").read_text())
+        info["offsets"] = []
+        cache = tmp_path / "empty.corpus.json"
+        cache.write_text(json.dumps(info))
+        assert main(["eval", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--corpus-cache", str(cache), "--output-dir", str(tmp_path / "out")]) == 3
+        assert "offsets must be a non-empty list" in capsys.readouterr().err
+
+
+class TestLengthRule:
+    """A sequence of L tokens feeds L - 1 inputs: every stage accepts L - 1 <= context_length."""
+
+    def test_context_length_plus_one_accepted_by_every_stage(self, workspace, tmp_path):
+        flags = ["--config", str(workspace["config"]), "--sequence-length", "33",
+                 "--output-dir", str(tmp_path)]
+        ckpt = ["--checkpoint", str(tmp_path / "model.ckpt")]
+        assert main(["pretrain", *flags, "--steps", "2"]) == 0
+        assert main(["general-importance", *flags, *ckpt]) == 0
+        assert main(["prune", *flags, *ckpt,
+                     "--general-scores", str(tmp_path / "general_scores.bin")]) == 0
+        assert main(["eval", *flags, *ckpt]) == 0
+        rows = list(csv.reader((tmp_path / "eval_test.csv").open()))
+        assert rows[1][4] == str(8 * 32)
+
+    def test_context_length_plus_two_rejected(self, workspace, tmp_path, capsys):
+        assert main(["pretrain", "--config", str(workspace["config"]), "--sequence-length", "34",
+                     "--output-dir", str(tmp_path)]) == 2
+        assert "forward: length 33 outside [1, 32]" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestGeneralImportance:
@@ -326,6 +359,24 @@ class TestConfigHandling:
 
     def test_missing_config_file_exit_2(self):
         assert main(["calibrate", "--config", "/does/not/exist.cfg"]) == 2
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("prune", "--lambda", "nan", "lambda must be finite and >= 0, got nan"),
+        ("prune", "--alpha", "inf", "alpha must be finite and > 0, got inf"),
+        ("general-importance", "--damping", "nan", "damping must be finite and > 0, got nan"),
+        ("pretrain", "--learning-rate", "nan", "learning_rate must be finite and > 0, got nan"),
+        ("pretrain", "--learning-rate", "inf", "learning_rate must be finite and > 0, got inf"),
+    ], ids=["lambda-nan", "alpha-inf", "damping-nan", "learning-rate-nan", "learning-rate-inf"])
+    def test_non_finite_value_exit_2(self, workspace, tmp_path, capsys, command, flag, value,
+                                     message):
+        ckpt = ["--checkpoint", str(workspace["out"] / "model.ckpt")]
+        inputs = {"pretrain": [], "general-importance": ckpt,
+                  "prune": [*ckpt, "--general-scores", str(workspace["out"] / "general_scores.bin")]}
+        assert main([command, "--config", str(workspace["config"]), *inputs[command], flag, value,
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not any(tmp_path.iterdir())
 
     def test_lambda_validation_exit_2(self, workspace, tmp_path):
         assert main(["pretrain", "--config", str(workspace["config"]),

@@ -1,5 +1,6 @@
 """Tokenization and calibration-corpus construction."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -46,14 +47,17 @@ class TestBuildCalibration:
     def test_counts_and_lengths(self, text_file):
         spec = CalibrationSpec([str(text_file)], sample_count=8, sequence_length=64, seed=1)
         corpus = build_calibration(spec)
-        assert len(corpus) == 8
-        assert all(seq.size == 64 for seq in corpus.sequences)
+        assert corpus.sequences.shape == (8, 64)
+        offsets = corpus.provenance["offsets"]
+        tokens = np.frombuffer(text_file.read_bytes(), dtype=np.uint8)
+        for o, seq in zip(offsets, corpus.sequences):
+            assert np.array_equal(seq, tokens[o : o + 64])
 
     def test_deterministic(self, text_file):
         spec = CalibrationSpec([str(text_file)], 8, 64, seed=1)
         a = build_calibration(spec)
         b = build_calibration(spec)
-        assert all(np.array_equal(x, y) for x, y in zip(a.sequences, b.sequences))
+        assert np.array_equal(a.sequences, b.sequences)
         assert a.fingerprint() == b.fingerprint()
 
     def test_different_seeds_differ(self, text_file):
@@ -110,9 +114,45 @@ class TestBuildCalibration:
 
 
 class TestCorpusType:
+    def test_is_one_int64_array(self):
+        corpus = Corpus("c", [np.arange(4, dtype=np.int32), np.arange(4, 8, dtype=np.int32)])
+        assert corpus.sequences.dtype == np.int64
+        assert corpus.sequences.flags.c_contiguous
+        assert corpus.sequences.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert len(corpus) == 2
+
+    def test_batches_are_consecutive_row_blocks(self):
+        rows = np.arange(13 * 3).reshape(13, 3)
+        batches = list(Corpus("c", rows).batches(8))
+        assert [b.shape for b in batches] == [(8, 3), (5, 3)]
+        assert all(b.dtype == np.int64 and b.flags.c_contiguous for b in batches)
+        assert np.array_equal(np.concatenate(batches), rows)
+
+    def test_fingerprint_hashes_each_sequence_with_its_length(self):
+        rows = np.arange(12).reshape(3, 4)
+        h = hashlib.sha256()
+        for row in rows:
+            h.update(b"4" + row.astype("<i8").tobytes())
+        assert Corpus("c", rows).fingerprint() == h.hexdigest()
+
     def test_empty_sequence_rejected(self):
-        with pytest.raises(ValidationError, match="empty sequence"):
-            Corpus("bad", [np.array([1, 2]), np.array([], dtype=np.int64)])
+        with pytest.raises(ValidationError, match="has sequence length 0, below 2"):
+            Corpus("bad", [np.array([], dtype=np.int64)])
+
+    @pytest.mark.parametrize("sequences, message", [
+        ([], "is empty"),
+        (np.zeros((0, 8), dtype=np.int64), "is empty"),
+        ([np.arange(16), np.arange(1)], "has sequences of different lengths"),
+        ([np.arange(8), np.arange(12)], "has sequences of different lengths"),
+        ([np.array([5]), np.array([6])], "has sequence length 1, below 2"),
+        (np.arange(8), r"is not an \(n, length\) array: shape \(8,\)"),
+        (np.zeros((2, 3, 4), dtype=np.int64), r"is not an \(n, length\) array"),
+        ([[0.5, 1.0]], "has non-integer token ids"),
+    ], ids=["empty", "empty-array", "one-token", "mixed-length", "all-one-token", "1-D", "3-D",
+            "float"])
+    def test_bad_sequences_rejected(self, sequences, message):
+        with pytest.raises(ValidationError, match=f"corpus 'bad' {message}"):
+            Corpus("bad", sequences)
 
 
 class TestCache:
@@ -122,7 +162,7 @@ class TestCache:
         save_corpus_cache(corpus, cache)
         loaded = load_corpus_cache(cache)
         assert loaded.name == "cal"
-        assert all(np.array_equal(x, y) for x, y in zip(corpus.sequences, loaded.sequences))
+        assert np.array_equal(loaded.sequences, corpus.sequences)
         assert loaded.fingerprint() == corpus.fingerprint()
 
     def test_tampered_source_rejected(self, text_file, tmp_path):
@@ -149,7 +189,9 @@ class TestCache:
         (lambda info: info["offsets"].__setitem__(0, "abc"), "offset 'abc'"),
         (lambda info: info["sources"][0].pop("sha256"), "'sha256'"),
         (lambda info: info.__setitem__("sequence_length", "x"), "sequence_length"),
-    ], ids=["negative-offset", "string-offset", "source-without-sha256", "string-length"])
+        (lambda info: info.__setitem__("offsets", []), "offsets must be a non-empty list"),
+    ], ids=["negative-offset", "string-offset", "source-without-sha256", "string-length",
+            "no-offsets"])
     def test_bad_field_is_an_artifact_error(self, text_file, tmp_path, edit, message):
         corpus = build_calibration(CalibrationSpec([str(text_file)], 4, 64, seed=9))
         cache = tmp_path / "c.json"

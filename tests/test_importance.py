@@ -106,21 +106,25 @@ class TestGradientStats:
         assert worst < 1e-4
 
 
+# The last token id; of the sequences of `chunked_corpus`, only sample 9 holds it.
+RARE_ID = TINY.vocab_size - 1
+
+
 @pytest.fixture
 def chunked_corpus():
-    """13 sequences: 4 of length 10, then 9 of length 16 (one full gradient chunk and one more).
+    """13 sequences of 16 tokens: one full gradient chunk of 8 and a partial one of 5.
 
-    The longer run comes second, so that a position only it reaches breaks
-    the samples from index 4 on.
+    `RARE_ID` occurs only in sample 9, the second of the partial chunk.
     """
     rng = np.random.default_rng(7)
-    lengths = [10] * 4 + [16] * 9
-    return Corpus("chunked", [rng.integers(0, TINY.vocab_size, size=n) for n in lengths])
+    seqs = rng.integers(0, RARE_ID, size=(13, 16))
+    seqs[9, 5] = RARE_ID
+    return Corpus("chunked", seqs)
 
 
 class TestBatchedGradients:
     def test_per_sample_backward_matches_batch_one(self, tiny_model, chunked_corpus):
-        batch = np.stack(chunked_corpus.sequences[4:])
+        batch = chunked_corpus.sequences[:8]
         names = prunable_names(TINY)
         weights = [tiny_model.params[k] for k in names]
         tape = T.GradientTape()
@@ -148,11 +152,18 @@ class TestBatchedGradients:
             assert np.array_equal(stats.mean_square[name], mean_square[name]), name
 
     def test_non_finite_gradient_names_sample(self, tiny_model, chunked_corpus):
-        # position 12 exists only in the length-16 sequences, samples 4 to 12
+        # the residual stream turns infinite in the sequences that hold RARE_ID: sample 9 alone
         broken = tiny_model.copy()
-        broken.params["pos"].data[12] = np.inf
+        embed = broken.embed
+
+        def embed_breaking_rare(ids):
+            h = embed(ids)
+            h.data[(ids == RARE_ID).any(axis=1)] = np.inf
+            return h
+
+        broken.embed = embed_breaking_rare
         with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(NumericError, match=r"non-finite gradient for layers\.0\.q on sample 4$"):
+            with pytest.raises(NumericError, match=r"non-finite gradient for layers\.0\.q on sample 9$"):
                 next_token_gradients(broken, chunked_corpus)
 
 
@@ -216,6 +227,11 @@ class TestGeneralImportance:
     def test_damping_validation(self, tiny_model, two_sample_corpus):
         with pytest.raises(ValidationError, match="damping"):
             general_importance(tiny_model, two_sample_corpus, 0.0)
+
+    @pytest.mark.parametrize("damping", [float("nan"), float("inf")])
+    def test_non_finite_damping_rejected(self, tiny_model, two_sample_corpus, damping):
+        with pytest.raises(ValidationError, match=f"damping must be finite and > 0, got {damping}"):
+            general_importance(tiny_model, two_sample_corpus, damping)
 
     def test_untrained_model_warns(self, two_sample_corpus):
         fresh = init_model(TINY)
@@ -352,7 +368,11 @@ class TestDualScores:
         with pytest.raises(ValidationError, match="different model"):
             dual_importance_scores(other, two_sample_corpus, G)
 
-    @pytest.mark.parametrize("lam,alpha,field", [(-0.1, 0.03, "lambda"), (0.1, 0.0, "alpha")])
+    @pytest.mark.parametrize("lam,alpha,field", [
+        (-0.1, 0.03, "lambda"), (0.1, 0.0, "alpha"),
+        (float("nan"), 0.03, "lambda must be finite"), (float("inf"), 0.03, "lambda must be finite"),
+        (0.1, float("nan"), "alpha must be finite"), (0.1, float("inf"), "alpha must be finite"),
+    ])
     def test_lambda_alpha_contract(self, tiny_model, two_sample_corpus, lam, alpha, field):
         G = general_importance(tiny_model, two_sample_corpus)
         with pytest.raises(ValidationError, match=field):
@@ -412,10 +432,10 @@ TWO_LAYER = ModelConfig(vocab_size=32, context_length=16, num_layers=2, d_model=
 
 @pytest.fixture(scope="module")
 def three_batch_corpus():
-    """EVAL_BATCH + 2 full-length sequences, then 3 shorter ones: eval batches of 32, 2 and 3."""
+    """EVAL_BATCH + 3 sequences: a full eval batch of 32 and a partial one of 3."""
     rng = np.random.default_rng(8)
-    lengths = [TWO_LAYER.context_length] * (EVAL_BATCH + 2) + [9] * 3
-    return Corpus("three", [rng.integers(0, TWO_LAYER.vocab_size, size=n) for n in lengths])
+    return Corpus("three", rng.integers(0, TWO_LAYER.vocab_size,
+                                        size=(EVAL_BATCH + 3, TWO_LAYER.context_length)))
 
 
 class TestOracleIsExact:
@@ -453,8 +473,7 @@ class TestOracleIsExact:
             weights[i] = original
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("lengths", [[], [TWO_LAYER.context_length + 2], [16, 1]],
-                             ids=["empty", "over-long", "one-token"])
+    @pytest.mark.parametrize("lengths", [[TWO_LAYER.context_length + 2]], ids=["over-long"])
     def test_bad_corpus_raises_what_mean_corpus_loss_raises(self, lengths):
         model = init_model(TWO_LAYER)
         corpus = Corpus("bad", [np.arange(n) % TWO_LAYER.vocab_size for n in lengths])
@@ -463,6 +482,31 @@ class TestOracleIsExact:
         for matrix_id in [(0, "q"), (1, "down")]:
             with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
                 brute_force_importance(model, corpus, matrix_id, [0])
+
+
+# Every stage that runs the model on a corpus, as a call on (model, corpus).
+CORPUS_STAGES = {
+    "pretrain": lambda m, c: pretrain(m.copy(), c, steps=1, learning_rate=0.1),
+    "mean_corpus_loss": mean_corpus_loss,
+    "next_token_gradients": next_token_gradients,
+    "brute_force_importance": lambda m, c: brute_force_importance(m, c, (0, "down"), [0]),
+}
+
+
+class TestLengthRule:
+    """One rule at every stage: a sequence of length L feeds L - 1 inputs, so
+    L - 1 <= context_length."""
+
+    @pytest.mark.parametrize("stage", CORPUS_STAGES)
+    def test_context_length_plus_one_accepted(self, tiny_model, stage):
+        rows = np.arange(2 * (TINY.context_length + 1)).reshape(2, -1) % TINY.vocab_size
+        CORPUS_STAGES[stage](tiny_model, Corpus("fits", rows))
+
+    @pytest.mark.parametrize("stage", CORPUS_STAGES)
+    def test_context_length_plus_two_rejected(self, tiny_model, stage):
+        corpus = Corpus("long", np.zeros((2, TINY.context_length + 2), dtype=np.int64))
+        with pytest.raises(ValidationError, match=r"^forward: length 17 outside \[1, 16\]$"):
+            CORPUS_STAGES[stage](tiny_model, corpus)
 
 
 class TestScorePersistence:

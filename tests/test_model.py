@@ -13,6 +13,7 @@ import dualprune
 from dualprune.corpus import Corpus
 from dualprune.errors import ArtifactError, NumericError, ShapeError, ValidationError
 from dualprune.model import (
+    EVAL_BATCH,
     ModelConfig,
     batch_next_token_loss,
     init_model,
@@ -130,14 +131,22 @@ class TestLoss:
             next_token_loss(model, np.array([1]))
 
     def test_long_sequence_rejected(self):
+        # context_length + 1 tokens give context_length inputs, the longest that fits
         model = init_model(TINY)
-        with pytest.raises(ValidationError, match="length"):
-            next_token_loss(model, np.zeros(TINY.context_length + 1, dtype=np.int64))
+        next_token_loss(model, np.zeros(TINY.context_length + 1, dtype=np.int64))
+        with pytest.raises(ValidationError, match=r"forward: length 17 outside \[1, 16\]"):
+            next_token_loss(model, np.zeros(TINY.context_length + 2, dtype=np.int64))
 
     def test_out_of_vocab_rejected(self):
         model = init_model(TINY)
-        with pytest.raises(ValidationError, match="vocab"):
+        with pytest.raises(ValidationError, match="embedding-lookup: id out of range"):
+            next_token_loss(model, np.array([TINY.vocab_size, 0]))
+        with pytest.raises(ValidationError, match="cross-entropy: target id out of range"):
             next_token_loss(model, np.array([0, TINY.vocab_size]))
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValidationError, match=r"must be 1-D, got shape \(1, 4\)"):
+            next_token_loss(init_model(TINY), np.zeros((1, 4), dtype=np.int64))
 
     def test_loss_matches_batch_path(self):
         model = init_model(TINY)
@@ -169,15 +178,16 @@ class TestLoss:
         assert not np.array_equal(base[t - 1 :], edited[t - 1 :])
 
     def test_mean_corpus_loss_weighted(self):
+        # a full batch of EVAL_BATCH and a partial one of 3, weighted by their token counts
         model = init_model(TINY)
         rng = np.random.default_rng(3)
-        short = rng.integers(0, TINY.vocab_size, size=8)
-        long = rng.integers(0, TINY.vocab_size, size=16)
-        mixed = mean_corpus_loss(model, Corpus("m", [short, long]))
-        l_short = float(next_token_loss(model, short)[0].data)
-        l_long = float(next_token_loss(model, long)[0].data)
-        expected = (l_short * 7 + l_long * 15) / 22
-        assert mixed == pytest.approx(expected, rel=1e-12)
+        seqs = rng.integers(0, TINY.vocab_size, size=(EVAL_BATCH + 3, 9))
+        whole = mean_corpus_loss(model, Corpus("m", seqs))
+        full = float(batch_next_token_loss(model, seqs[:EVAL_BATCH]).data)
+        partial = float(batch_next_token_loss(model, seqs[EVAL_BATCH:]).data)
+        assert whole == (full * (EVAL_BATCH * 8) + partial * (3 * 8)) / ((EVAL_BATCH + 3) * 8)
+        singles = [float(next_token_loss(model, s)[0].data) for s in seqs]
+        assert whole == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_empty_corpus_rejected(self):
         model = init_model(TINY)
@@ -266,16 +276,17 @@ class TestPretrain:
         with pytest.raises(NumericError, match="step 1"):
             pretrain(model, corpus, steps=5, learning_rate=0.1)
 
-    def test_mixed_lengths_rejected(self):
+    @pytest.mark.parametrize("rate", [0.0, -0.1, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
         model = init_model(TINY)
-        corpus = Corpus("mix", [np.arange(8), np.arange(12)])
-        with pytest.raises(ValidationError, match="length"):
-            pretrain(model, corpus, steps=1, learning_rate=0.1)
+        corpus = random_corpus(TINY, 4, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=f"learning_rate must be finite and > 0, got {rate}"):
+            pretrain(model, corpus, steps=2, learning_rate=rate)
 
 
-# Pretrains, then scores general importance on 12 full-length and 3 shorter
-# sequences (batched per-sample gradient passes of 8, 4 and 3); prints the
-# checkpoint's and the scores' fingerprints.
+# Pretrains, then scores general importance on 15 sequences (batched
+# per-sample gradient passes of 8 and 7); prints the checkpoint's and the
+# scores' fingerprints.
 PRETRAIN_SCRIPT = """
 import warnings
 import numpy as np
@@ -287,7 +298,7 @@ rng = np.random.default_rng(0)
 corpus = Corpus("rand", [rng.integers(0, 256, size=64) for _ in range(32)])
 model, _ = pretrain(init_model(ModelConfig()), corpus, steps=20, learning_rate=0.3)
 print(model.fingerprint())
-calibration = Corpus("cal", [rng.integers(0, 256, size=n) for n in [64] * 12 + [40] * 3])
+calibration = Corpus("cal", rng.integers(0, 256, size=(15, 64)))
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", UserWarning)  # not converged after 20 steps
     G = general_importance(model, calibration)

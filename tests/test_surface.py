@@ -8,10 +8,15 @@
   fails here.
 * No module in `src/` or `tests/` imports a name it does not use.  Relative
   re-exports in `__init__.py` and lines marked `# noqa: F401` are exempt.
+* The stage benchmark's hooks install on the package and come off again.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
+
+from dualprune import model, tensor
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dualprune"
@@ -76,3 +81,31 @@ def test_no_unused_imports():
     unused = [entry for path, tree in _trees(ROOT / "src", ROOT / "tests")
               for entry in _unused_imports(path, tree)]
     assert unused == [], f"unused imports: {unused}"
+
+
+def _package_bindings():
+    """Identity of every name bound in a loaded dualprune module, and of the
+    two methods the benchmark's tracer replaces."""
+    bindings = {(name, attr): id(value) for name, mod in sys.modules.items()
+                if name == "dualprune" or name.startswith("dualprune.")
+                for attr, value in vars(mod).items()}
+    bindings["TransformerModel.forward"] = id(model.TransformerModel.forward)
+    bindings["GradientTape.record"] = id(tensor.GradientTape.record)
+    return bindings
+
+
+def test_benchmark_hooks_install_and_restore(monkeypatch):
+    """The stage benchmark wraps package functions by name; a renamed or deleted
+    one makes its installation fail here rather than only in a traced run."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    spans = importlib.import_module("stagebench.spans")
+    workloads = importlib.import_module("stagebench.workloads")
+    refkernel = importlib.import_module("stagebench.refkernel")
+    before = _package_bindings()
+    for hooks in (spans.Tracer(), workloads.Ticker(refkernel.RefClock())):
+        hooks.install()
+        try:
+            assert _package_bindings() != before, type(hooks).__name__
+        finally:
+            hooks.uninstall()
+        assert _package_bindings() == before, type(hooks).__name__
