@@ -178,11 +178,6 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _block_widths(scores, base: int) -> dict[str, int]:
-    """Blocked-mode widths for every scored matrix (see `scaled_block_sizes`)."""
-    return pruning.scaled_block_sizes({k: v.shape for k, v in scores.scores.items()}, base)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -256,9 +251,7 @@ def cmd_prune(config: RunConfig, args) -> int:
         importance.save_dual_scores(scores, scores_path)
         print(f"dual scores (lambda={config.lam}, alpha={config.alpha}) -> {scores_path}")
         if prune_cfg.mode == pruning.MODE_BLOCKED:
-            sizes = _block_widths(scores, prune_cfg.block_size)
-            mask = pruning.select_mask_blocked(scores, prune_cfg.sparsity, sizes)
-            mask.block_size = prune_cfg.block_size
+            mask = pruning.select_mask_blocked(scores, prune_cfg.sparsity, prune_cfg.block_size)
         else:
             mask = pruning.select_mask_per_matrix(scores, prune_cfg.sparsity)
     else:
@@ -323,11 +316,8 @@ def cmd_sweep(config: RunConfig, args) -> int:
     scores = importance.load_dual_scores(args.scores)
     corpus = _load_eval_corpus(config, args)
     sparsities = [_coerce("--sparsities", float, s) for s in args.sparsities.split(",") if s.strip()]
-    block = None
-    if config.mode == pruning.MODE_BLOCKED:
-        block = _block_widths(scores, config.block_size)
     result = evaluation.sparsity_sweep(model, scores, corpus, sparsities,
-                                       mode=config.mode, block_size=block)
+                                       mode=config.mode, block_size=config.block_size)
     evaluation.write_sweep_csv(result, out / "sweep.csv")
     for sparsity, ppl in result.rows:
         print(f"sparsity {sparsity:.2f}: perplexity {ppl:.4f}")

@@ -1,8 +1,8 @@
 """Mask selection and application.
 
 Selection always zeroes exactly floor(sparsity * pool_size) weights per pool,
-where a pool is one prunable matrix (default) or one column block of width
-B_s (blocked mode).
+where a pool is one prunable matrix (default) or, in blocked mode, one group
+of `block_size` consecutive columns; the width is the same in every matrix.
 Ties are broken toward the lowest flat index, so masks are reproducible.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -27,9 +26,9 @@ MODE_BLOCKED = "blocked"
 class Mask:
     """Binary keep(1)/prune(0) indicators for every prunable matrix.
 
-    `block_size` is a blocked mask's base width; wider matrices may use scaled
-    widths (`scaled_block_sizes`) that it does not record.  A set
-    `model_fingerprint` names the only model the mask may be applied to.
+    `block_size` is the column width of a blocked mask's pools, the same in
+    every matrix (None for a per-matrix mask).  A set `model_fingerprint`
+    names the only model the mask may be applied to.
     """
     masks: dict[str, np.ndarray]
     sparsity: float
@@ -85,73 +84,55 @@ def _score_dict(scores) -> dict[str, np.ndarray]:
     return dict(scores)
 
 
-def _prune_lowest(scores: np.ndarray, n_prune: int) -> np.ndarray:
-    """Flat mask zeroing the n_prune lowest scores; ties go to the lowest index."""
-    flat = scores.reshape(-1)
-    mask = np.ones(flat.size, dtype=np.uint8)
-    if n_prune > 0:
-        order = np.argsort(flat, kind="stable")
-        mask[order[:n_prune]] = 0
-    return mask.reshape(scores.shape)
+def _select_mask(scores, sparsity: float, mode: str, block_size: int | None) -> Mask:
+    """Zero the floor(sparsity * pool size) lowest scores in every pool.
 
-
-def select_mask_per_matrix(scores, sparsity: float) -> Mask:
-    """Zero the floor(sparsity * M) lowest-scored weights within each matrix."""
-    _check_sparsity(sparsity)
-    per_matrix = _score_dict(scores)
-    masks = {
-        name: _prune_lowest(s, int(math.floor(sparsity * s.size)))
-        for name, s in per_matrix.items()
-    }
-    return Mask(
-        masks=masks,
-        sparsity=sparsity,
-        mode=MODE_PER_MATRIX,
-        method="dual",
-        score_fingerprint=score_content_fingerprint(per_matrix),
-    )
-
-
-def select_mask_blocked(scores, sparsity: float, block_size) -> Mask:
-    """Independent sub-mask for every group of `block_size` consecutive columns.
-
-    `block_size` may be a single int or a per-matrix mapping (see
-    `scaled_block_sizes`).  The last block of a matrix may be narrower.
+    A pool is a group of `block_size` consecutive columns of one matrix (the
+    last group may be narrower), or the whole matrix when `block_size` is None.
+    Ties go to the lowest flat index within the pool.
     """
     _check_sparsity(sparsity)
+    if mode == MODE_BLOCKED and (not isinstance(block_size, (int, np.integer)) or block_size < 1):
+        raise ValidationError(f"block size must be an int >= 1, got {block_size!r}")
     per_matrix = _score_dict(scores)
-    per_name = isinstance(block_size, Mapping)
     masks: dict[str, np.ndarray] = {}
     for name, s in per_matrix.items():
-        width = block_size.get(name) if per_name else block_size
-        if not isinstance(width, (int, np.integer)) or width < 1:
-            raise ValidationError(f"block size for {name} must be an int >= 1, got {width!r}")
-        mask = np.empty_like(s, dtype=np.uint8)
+        if s.ndim != 2 or s.shape[1] == 0:
+            raise ValidationError(
+                f"score matrix {name} must be 2-D with at least one column, got shape {s.shape}"
+            )
+        width = block_size or s.shape[1]
+        mask = np.empty(s.shape, dtype=np.uint8)
         for j0 in range(0, s.shape[1], width):
-            block = s[:, j0 : j0 + width]
-            mask[:, j0 : j0 + width] = _prune_lowest(block, int(math.floor(sparsity * block.size)))
+            pool = s[:, j0 : j0 + width]
+            keep = np.ones(pool.size, dtype=np.uint8)
+            n_prune = math.floor(sparsity * pool.size)
+            if n_prune > 0:
+                keep[np.argsort(pool.reshape(-1), kind="stable")[:n_prune]] = 0
+            mask[:, j0 : j0 + width] = keep.reshape(pool.shape)
         masks[name] = mask
     return Mask(
         masks=masks,
         sparsity=sparsity,
-        mode=MODE_BLOCKED,
-        block_size=None if per_name else int(block_size),
+        mode=mode,
+        block_size=block_size,
         method="dual",
         score_fingerprint=score_content_fingerprint(per_matrix),
     )
 
 
-def scaled_block_sizes(shapes: Mapping[str, tuple[int, ...]], base: int) -> dict[str, int]:
-    """Widen the block for matrices with more columns: base * round(cols/min_cols)."""
-    if base < 1:
-        raise ValidationError(f"base block size must be >= 1, got {base}")
-    if not shapes:
-        raise ValidationError("blocked mode needs at least one score matrix, got none")
-    min_cols = min(shape[1] for shape in shapes.values())
-    return {
-        name: base * max(1, round(shape[1] / min_cols))
-        for name, shape in shapes.items()
-    }
+def select_mask_per_matrix(scores, sparsity: float) -> Mask:
+    """Zero the floor(sparsity * M) lowest-scored weights within each matrix."""
+    return _select_mask(scores, sparsity, MODE_PER_MATRIX, None)
+
+
+def select_mask_blocked(scores, sparsity: float, block_size: int) -> Mask:
+    """Independent sub-mask for every group of `block_size` consecutive columns.
+
+    The pools are `block_size` columns wide in every matrix (the last group of
+    a matrix may be narrower), and the mask records that width.
+    """
+    return _select_mask(scores, sparsity, MODE_BLOCKED, block_size)
 
 
 def score_content_fingerprint(arrays: dict[str, np.ndarray]) -> str:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dualprune.container import read_container, write_container
 from dualprune.corpus import load_corpus_cache
 from dualprune.importance import load_dual_scores, load_general_scores
 from dualprune.model import load_checkpoint
-from dualprune.pruning import load_mask
+from dualprune.pruning import load_mask, select_mask_blocked
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +209,23 @@ class TestPrune:
                      "--general-scores", str(workspace["out"] / "general_scores.bin"),
                      "--output-dir", str(tmp_path)]) == 2
 
+    def test_blocked_mask_pools_are_block_size_wide(self, workspace, tmp_path):
+        # d_ff 48: gate and up are 48 columns wide, down and q/k/v/o 32; every pool is 16 wide
+        assert main(["prune", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--general-scores", str(workspace["out"] / "general_scores.bin"),
+                     "--mode", "blocked", "--output-dir", str(tmp_path)]) == 0
+        mask = load_mask(tmp_path / "mask.bin")
+        dual = load_dual_scores(tmp_path / "dual_scores.bin")
+        assert mask.mode == "blocked" and mask.block_size == 16
+        for name, m in mask.masks.items():
+            s = dual.scores[name]
+            for j0 in range(0, m.shape[1], 16):
+                pool, pool_scores = m[:, j0 : j0 + 16], s[:, j0 : j0 + 16]
+                assert pool.size - pool.sum() == math.floor(0.5 * pool.size), (name, j0)
+                assert pool_scores[pool == 0].max() <= pool_scores[pool == 1].min(), (name, j0)
+        assert mask.fingerprint() == select_mask_blocked(dual, 0.5, 16).fingerprint()
+
     def test_lambda_zero_matches_manual_no_reg_mask(self, workspace, tmp_path):
         ckpt = workspace["out"] / "model.ckpt"
         scores = workspace["out"] / "general_scores.bin"
@@ -330,6 +348,20 @@ class TestEvalMasksimSweep:
         assert main(["sweep", "--config", str(workspace["config"]),
                      "--checkpoint", str(workspace["out"] / "model.ckpt"),
                      "--scores", str(empty), "--mode", mode, "--output-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["per-matrix", "blocked"])
+    def test_sweep_malformed_score_matrix_exit_2(self, workspace, tmp_path, capsys, mode):
+        c = read_container(workspace["out"] / "dual_scores.bin", expect_kind="scores.dual")
+        blocks = dict(c.blocks)
+        blocks["layers.0.q"] = blocks["layers.0.q"].reshape(-1)
+        bad = tmp_path / "flat_scores.bin"
+        write_container(bad, c.kind, dict(c.meta), list(blocks.items()))
+        assert main(["sweep", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--scores", str(bad), "--mode", mode, "--output-dir", str(tmp_path)]) == 2
+        assert ("score matrix layers.0.q must be 2-D with at least one column, got shape (1024,)"
+                in capsys.readouterr().err)
         assert not (tmp_path / "sweep.csv").exists()
 
 

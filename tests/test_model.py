@@ -189,11 +189,6 @@ class TestLoss:
         singles = [float(next_token_loss(model, s)[0].data) for s in seqs]
         assert whole == pytest.approx(np.mean(singles), rel=1e-12)
 
-    def test_empty_corpus_rejected(self):
-        model = init_model(TINY)
-        with pytest.raises(ValidationError, match="empty"):
-            mean_corpus_loss(model, Corpus("e", []))
-
 
 # Two layers, so that a pass can resume past a whole layer.
 TWO_LAYER = ModelConfig(vocab_size=32, context_length=16, num_layers=2, d_model=16,

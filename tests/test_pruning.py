@@ -16,7 +16,6 @@ from dualprune.pruning import (
     load_mask,
     magnitude_mask,
     save_mask,
-    scaled_block_sizes,
     select_mask_blocked,
     select_mask_per_matrix,
 )
@@ -122,16 +121,20 @@ class TestBlocked:
                 assert block.size - block.sum() == math.floor(sparsity * block.size), trial
 
     def test_block_size_validation(self):
-        for bad in (0, None, 2.0, {"other": 2}, {"m": 0}):
-            with pytest.raises(ValidationError, match="block size for m"):
+        for bad in (0, None, 2.0, {"m": 2}):
+            with pytest.raises(ValidationError, match="block size must be an int >= 1, got"):
                 select_mask_blocked({"m": np.ones((2, 2))}, 0.5, bad)
 
-    def test_scaled_block_sizes(self):
-        shapes = {"q": (64, 64), "up": (64, 128), "down": (128, 64)}
-        sizes = scaled_block_sizes(shapes, 16)
-        assert sizes == {"q": 16, "up": 32, "down": 16}
-        with pytest.raises(ValidationError, match="no|none"):
-            scaled_block_sizes({}, 16)
+
+@pytest.mark.parametrize("shape", [(6,), (4, 0), (2, 3, 4)], ids=["1-D", "no-columns", "3-D"])
+@pytest.mark.parametrize("select", [select_mask_per_matrix,
+                                    lambda s, p: select_mask_blocked(s, p, 2)],
+                         ids=["per-matrix", "blocked"])
+def test_malformed_score_matrix_rejected(select, shape):
+    scores = {"ok": np.ones((2, 2)), "bad": np.ones(shape)}
+    with pytest.raises(ValidationError,
+                       match=r"score matrix bad must be 2-D with at least one column, got shape"):
+        select(scores, 0.5)
 
 
 class TestMagnitude:
