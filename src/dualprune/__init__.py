@@ -71,7 +71,6 @@ from .evaluation import (
 )
 from .importance import (
     DualScoreS,
-    FisherDiagonal,
     GradientStats,
     ImportanceMatrixG,
     brute_force_importance,
@@ -94,7 +93,6 @@ from .model import (
 )
 from .pruning import (
     Mask,
-    PruneConfig,
     apply_mask,
     magnitude_mask,
     select_mask_blocked,

@@ -23,7 +23,6 @@ from . import evaluation, importance, pruning
 from .corpus import CalibrationSpec, build_calibration, load_corpus_cache, save_corpus_cache
 from .errors import ArtifactError, DualPruneError, NumericError, ValidationError
 from .model import ModelConfig, init_model, load_checkpoint, pretrain, save_checkpoint
-from .pruning import PruneConfig
 
 ENV_OUTPUT_DIR = "DUALPRUNE_OUTPUT_DIR"
 
@@ -68,27 +67,30 @@ class RunConfig:
     damping: float = importance.DEFAULT_DAMPING
     fisher_source: str = "domain"  # domain | general
     normalize_general: int = 0
-    # pruning (PruneConfig's fields and defaults)
-    sparsity: float = PruneConfig.sparsity
-    mode: str = PruneConfig.mode
-    block_size: int = PruneConfig.block_size
-    method: str = PruneConfig.method
+    # pruning
+    sparsity: float = 0.5
+    mode: str = pruning.MODE_PER_MATRIX
+    block_size: int = 16
+    method: str = "dual"  # dual | magnitude
     # io
     output_dir: str = "runs/default"
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
-    def prune_config(self) -> PruneConfig:
-        return PruneConfig(**{f.name: getattr(self, f.name) for f in fields(PruneConfig)})
-
     def validate(self) -> None:
         self.model_config().validate()
-        self.prune_config().validate()
+        pruning.check_sparsity(self.sparsity)
+        pruning.check_mode(self.mode)
+        pruning.check_block_size(self.block_size)
+        if self.method not in ("dual", "magnitude"):
+            raise ValidationError(f"unknown pruning method {self.method!r}")
         importance.validate_lambda_alpha(self.lam, self.alpha)
         importance.validate_damping(self.damping)
         if self.fisher_source not in ("domain", "general"):
             raise ValidationError(f"fisher_source must be domain or general, got {self.fisher_source!r}")
+        if self.normalize_general not in (0, 1):
+            raise ValidationError(f"normalize_general must be 0 or 1, got {self.normalize_general}")
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
@@ -233,10 +235,9 @@ def cmd_general_importance(config: RunConfig, args) -> int:
 
 def cmd_prune(config: RunConfig, args) -> int:
     out = _out_dir(config)
-    prune_cfg = config.prune_config()
     model = load_checkpoint(args.checkpoint)
 
-    if prune_cfg.method == "dual":
+    if config.method == "dual":
         if not args.general_scores:
             raise ValidationError("--general-scores is required for method=dual")
         G = importance.load_general_scores(args.general_scores)
@@ -250,13 +251,12 @@ def cmd_prune(config: RunConfig, args) -> int:
         scores_path = out / "dual_scores.bin"
         importance.save_dual_scores(scores, scores_path)
         print(f"dual scores (lambda={config.lam}, alpha={config.alpha}) -> {scores_path}")
-        if prune_cfg.mode == pruning.MODE_BLOCKED:
-            mask = pruning.select_mask_blocked(scores, prune_cfg.sparsity, prune_cfg.block_size)
+        if config.mode == pruning.MODE_BLOCKED:
+            mask = pruning.select_mask_blocked(scores, config.sparsity, config.block_size)
         else:
-            mask = pruning.select_mask_per_matrix(scores, prune_cfg.sparsity)
+            mask = pruning.select_mask_per_matrix(scores, config.sparsity)
     else:
-        mask = pruning.magnitude_mask(model, prune_cfg.sparsity)
-    mask.model_fingerprint = model.fingerprint()
+        mask = pruning.magnitude_mask(model, config.sparsity)
 
     mask_path = out / "mask.bin"
     pruning.save_mask(mask, mask_path)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import PROJECTIONS, TransformerModel, check_scored_model, mean_corpus_loss, prunable_names
+from .model import PROJECTIONS, TransformerModel, mean_corpus_loss, prunable_names
 from .pruning import (MODE_BLOCKED, Mask, apply_mask, check_mode, select_mask_blocked,
                       select_mask_per_matrix)
 
@@ -91,8 +91,6 @@ def sparsity_sweep(model: TransformerModel, scores, corpus, sparsity_list,
     sparsity_list = list(sparsity_list)
     if not sparsity_list:
         raise ValidationError("sparsity_sweep: no sparsities given")
-    if getattr(scores, "model_fingerprint", None) is not None:
-        check_scored_model(model, scores.model_fingerprint, "scores")
     rows: list[tuple[float, float]] = []
     for sparsity in sparsity_list:
         if mode == MODE_BLOCKED:

@@ -53,14 +53,6 @@ GRADIENT_CHUNK = 8
 
 
 @dataclass
-class FisherDiagonal:
-    """Per-weight mean squared gradient; stands in for the Hessian diagonal."""
-    values: dict[str, np.ndarray]
-    sample_count: int
-    corpus_fingerprint: str
-
-
-@dataclass
 class ImportanceMatrixG:
     """General (open-domain) importance scores, one matrix per prunable weight."""
     scores: dict[str, np.ndarray]
@@ -89,8 +81,6 @@ class GradientStats:
     """Mean gradient and mean squared gradient over a corpus, per prunable matrix."""
     mean: dict[str, np.ndarray]
     mean_square: dict[str, np.ndarray]
-    sample_count: int
-    corpus_fingerprint: str
 
 
 class _PairwiseSum:
@@ -166,22 +156,12 @@ def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
             acc_g.add({k: g[b] for k, g in zip(names, per_sample)})
             acc_g2.add({k: g[b] for k, g in zip(names, squares)})
         j += len(batch)
-    return GradientStats(
-        mean=acc_g.mean(),
-        mean_square=acc_g2.mean(),
-        sample_count=len(corpus.sequences),
-        corpus_fingerprint=corpus.fingerprint(),
-    )
+    return GradientStats(mean=acc_g.mean(), mean_square=acc_g2.mean())
 
 
-def estimate_fisher_diagonal(model: TransformerModel, corpus) -> FisherDiagonal:
-    """Empirical Fisher: mean of squared per-sample next-token gradients."""
-    stats = next_token_gradients(model, corpus)
-    return FisherDiagonal(
-        values=stats.mean_square,
-        sample_count=stats.sample_count,
-        corpus_fingerprint=stats.corpus_fingerprint,
-    )
+def estimate_fisher_diagonal(model: TransformerModel, corpus) -> dict[str, np.ndarray]:
+    """Empirical Fisher diagonal: per prunable matrix, the mean squared per-sample gradient."""
+    return next_token_gradients(model, corpus).mean_square
 
 
 def validate_damping(damping: float) -> None:
@@ -211,7 +191,7 @@ def general_importance(model: TransformerModel, open_corpus, damping: float = DE
         w = model.params[name].data
         # [H^-1]_mm ~ 1/(H_mm + damping), so the OBS ratio W^2 / [H^-1]_mm
         # becomes a multiplication and stays defined where H_mm == 0.
-        scores[name] = 0.5 * w * w * (fisher.values[name] + damping)
+        scores[name] = 0.5 * w * w * (fisher[name] + damping)
     if normalize:
         for name, s in scores.items():
             peak = s.max()
@@ -220,8 +200,8 @@ def general_importance(model: TransformerModel, open_corpus, damping: float = DE
     return ImportanceMatrixG(
         scores=scores,
         damping=damping,
-        sample_count=fisher.sample_count,
-        corpus_fingerprint=fisher.corpus_fingerprint,
+        sample_count=len(open_corpus),
+        corpus_fingerprint=open_corpus.fingerprint(),
         model_fingerprint=model.fingerprint(),
         normalized=normalize,
     )
@@ -249,16 +229,16 @@ def validate_lambda_alpha(lam: float, alpha: float) -> None:
 
 
 def regularizer_gradient(G: ImportanceMatrixG, g_next: dict[str, np.ndarray],
-                         H: FisherDiagonal, lam: float, alpha: float) -> dict[str, np.ndarray]:
+                         H: dict[str, np.ndarray], lam: float, alpha: float) -> dict[str, np.ndarray]:
     """Closed-form gradient of the importance-weighted penalty term.
 
-    Elementwise 2*lam*alpha^2 * G * g_next * H_mm, computed directly rather
-    than through a second differentiation pass.
+    Elementwise 2*lam*alpha^2 * G * g_next * H_mm (H: a Fisher diagonal), computed
+    directly rather than through a second differentiation pass.
     """
     validate_lambda_alpha(lam, alpha)
-    _check_same_shapes("regularizer_gradient", G.scores, g_next, H.values)
+    _check_same_shapes("regularizer_gradient", G.scores, g_next, H)
     factor = 2.0 * lam * alpha * alpha
-    return {k: factor * G.scores[k] * g_next[k] * H.values[k] for k in G.scores}
+    return {k: factor * G.scores[k] * g_next[k] * H[k] for k in G.scores}
 
 
 def score_from_first_order(u: np.ndarray) -> np.ndarray:
@@ -268,7 +248,7 @@ def score_from_first_order(u: np.ndarray) -> np.ndarray:
 
 def dual_importance_scores(model: TransformerModel, domain_corpus, G: ImportanceMatrixG,
                            lam: float = DEFAULT_LAMBDA, alpha: float = DEFAULT_ALPHA,
-                           *, fisher: FisherDiagonal | None = None) -> DualScoreS:
+                           *, fisher: dict[str, np.ndarray] | None = None) -> DualScoreS:
     """Final per-weight pruning scores from the regularized-loss gradient.
 
     The gradient is the next-token gradient over the domain corpus plus the
@@ -276,18 +256,16 @@ def dual_importance_scores(model: TransformerModel, domain_corpus, G: Importance
     Fisher diagonal inside the regularizer comes from the same domain pass;
     pass `fisher` to reuse e.g. the open-domain one.  `G` must have been
     scored on this model.
+
+    At lambda = 0 the +-0 regularizer term can flip only the sign of a zero
+    gradient, and |u + u^2/2| maps both signs to +0: the plain gradient's scores.
     """
     validate_lambda_alpha(lam, alpha)
     model_fingerprint = check_scored_model(model, G.model_fingerprint, "general scores")
     stats = next_token_gradients(model, domain_corpus)
-    if lam == 0.0:
-        # Degenerate regularizer: keep the plain gradient bit-identical.
-        total = stats.mean
-    else:
-        H = fisher if fisher is not None else FisherDiagonal(
-            stats.mean_square, stats.sample_count, stats.corpus_fingerprint)
-        reg = regularizer_gradient(G, stats.mean, H, lam, alpha)
-        total = {k: stats.mean[k] + reg[k] for k in stats.mean}
+    H = stats.mean_square if fisher is None else fisher
+    reg = regularizer_gradient(G, stats.mean, H, lam, alpha)
+    total = {k: stats.mean[k] + reg[k] for k in stats.mean}
     scores = {
         name: score_from_first_order(total[name] * model.params[name].data)
         for name in prunable_names(model.config)
@@ -296,8 +274,8 @@ def dual_importance_scores(model: TransformerModel, domain_corpus, G: Importance
         scores=scores,
         lam=lam,
         alpha=alpha,
-        sample_count=stats.sample_count,
-        domain_corpus_fingerprint=stats.corpus_fingerprint,
+        sample_count=len(domain_corpus),
+        domain_corpus_fingerprint=domain_corpus.fingerprint(),
         general_corpus_fingerprint=G.corpus_fingerprint,
         model_fingerprint=model_fingerprint,
         fisher_source="domain" if fisher is None else "provided",

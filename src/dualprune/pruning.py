@@ -3,7 +3,8 @@
 Selection always zeroes exactly floor(sparsity * pool_size) weights per pool,
 where a pool is one prunable matrix (default) or, in blocked mode, one group
 of `block_size` consecutive columns; the width is the same in every matrix.
-Ties are broken toward the lowest flat index, so masks are reproducible.
+Ties are broken toward the lowest flat index, so masks are reproducible.  A
+mask records the model its scores name, if any, and applies to that model only.
 """
 
 from __future__ import annotations
@@ -52,23 +53,7 @@ class Mask:
         return h.hexdigest()
 
 
-@dataclass
-class PruneConfig:
-    sparsity: float = 0.5
-    mode: str = MODE_PER_MATRIX
-    block_size: int = 16
-    method: str = "dual"
-
-    def validate(self) -> None:
-        _check_sparsity(self.sparsity)
-        check_mode(self.mode)
-        if self.block_size < 1:
-            raise ValidationError(f"block_size must be >= 1, got {self.block_size}")
-        if self.method not in ("dual", "magnitude"):
-            raise ValidationError(f"unknown pruning method {self.method!r}")
-
-
-def _check_sparsity(sparsity: float) -> None:
+def check_sparsity(sparsity: float) -> None:
     if not 0.0 <= sparsity < 1.0:
         raise ValidationError(f"sparsity must lie in [0, 1), got {sparsity}")
 
@@ -76,6 +61,11 @@ def _check_sparsity(sparsity: float) -> None:
 def check_mode(mode: str) -> None:
     if mode not in (MODE_PER_MATRIX, MODE_BLOCKED):
         raise ValidationError(f"unknown mask mode {mode!r}")
+
+
+def check_block_size(block_size) -> None:
+    if not isinstance(block_size, (int, np.integer)) or block_size < 1:
+        raise ValidationError(f"block size must be an int >= 1, got {block_size!r}")
 
 
 def _score_dict(scores) -> dict[str, np.ndarray]:
@@ -91,9 +81,9 @@ def _select_mask(scores, sparsity: float, mode: str, block_size: int | None) -> 
     last group may be narrower), or the whole matrix when `block_size` is None.
     Ties go to the lowest flat index within the pool.
     """
-    _check_sparsity(sparsity)
-    if mode == MODE_BLOCKED and (not isinstance(block_size, (int, np.integer)) or block_size < 1):
-        raise ValidationError(f"block size must be an int >= 1, got {block_size!r}")
+    check_sparsity(sparsity)
+    if mode == MODE_BLOCKED:
+        check_block_size(block_size)
     per_matrix = _score_dict(scores)
     masks: dict[str, np.ndarray] = {}
     for name, s in per_matrix.items():
@@ -118,6 +108,7 @@ def _select_mask(scores, sparsity: float, mode: str, block_size: int | None) -> 
         block_size=block_size,
         method="dual",
         score_fingerprint=score_content_fingerprint(per_matrix),
+        model_fingerprint=getattr(scores, "model_fingerprint", None),
     )
 
 

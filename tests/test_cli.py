@@ -1,13 +1,16 @@
 """CLI pipeline: stages, artifacts, exit codes, overrides."""
 
+import argparse
 import csv
 import json
 import math
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from dualprune.cli import main
+from dualprune.cli import RunConfig, build_parser, main
 from dualprune.container import read_container, write_container
 from dualprune.corpus import load_corpus_cache
 from dualprune.importance import load_dual_scores, load_general_scores
@@ -170,6 +173,15 @@ class TestGeneralImportance:
         assert main(["general-importance", "--config", str(workspace["config"]),
                      "--checkpoint", str(workspace["out"] / "model.ckpt")]) == 0
         assert path.read_bytes() == first
+
+    def test_normalize_general_recorded(self, workspace, tmp_path):
+        assert main(["general-importance", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--normalize-general", "1", "--output-dir", str(tmp_path)]) == 0
+        path = tmp_path / "general_scores.bin"
+        assert read_container(path, expect_kind="scores.general").meta["normalized"] == "1"
+        G = load_general_scores(path)
+        assert G.normalized and all(s.max() == 1.0 for s in G.scores.values())
 
     def test_corrupted_checkpoint_exit_3(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -401,6 +413,20 @@ class TestConfigHandling:
     ], ids=["lambda-nan", "alpha-inf", "damping-nan", "learning-rate-nan", "learning-rate-inf"])
     def test_non_finite_value_exit_2(self, workspace, tmp_path, capsys, command, flag, value,
                                      message):
+        self._assert_rejected(workspace, tmp_path, capsys, command, flag, value, message)
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("prune", "--sparsity", "1.0", "sparsity must lie in [0, 1), got 1.0"),
+        ("prune", "--mode", "diagonal", "unknown mask mode 'diagonal'"),
+        ("prune", "--block-size", "0", "block size must be an int >= 1, got 0"),
+        ("prune", "--method", "rand", "unknown pruning method 'rand'"),
+        ("general-importance", "--normalize-general", "7", "normalize_general must be 0 or 1, got 7"),
+    ], ids=["sparsity-1", "mode-diagonal", "block-size-0", "method-rand", "normalize-general-7"])
+    def test_bad_option_exit_2(self, workspace, tmp_path, capsys, command, flag, value, message):
+        self._assert_rejected(workspace, tmp_path, capsys, command, flag, value, message)
+
+    @staticmethod
+    def _assert_rejected(workspace, tmp_path, capsys, command, flag, value, message):
         ckpt = ["--checkpoint", str(workspace["out"] / "model.ckpt")]
         inputs = {"pretrain": [], "general-importance": ckpt,
                   "prune": [*ckpt, "--general-scores", str(workspace["out"] / "general_scores.bin")]}
@@ -413,3 +439,46 @@ class TestConfigHandling:
     def test_lambda_validation_exit_2(self, workspace, tmp_path):
         assert main(["pretrain", "--config", str(workspace["config"]),
                      "--lambda", "-1", "--output-dir", str(tmp_path)]) == 2
+
+
+# (name, type, default) of every RunConfig field; each is also a flag of every subcommand
+RUN_CONFIG_FIELDS = [
+    ("vocab_size", int, 256), ("context_length", int, 64), ("num_layers", int, 2),
+    ("d_model", int, 64), ("num_heads", int, 4), ("d_ff", int, 128), ("seed", int, 0),
+    ("train_corpus", str, ""), ("open_corpus", str, ""), ("domain_corpus", str, ""),
+    ("test_corpus", str, ""), ("train_samples", int, 512), ("open_samples", int, 128),
+    ("domain_samples", int, 128), ("test_samples", int, 64), ("sequence_length", int, 64),
+    ("train_region", str, "0:1"), ("open_region", str, "0:1"), ("domain_region", str, "0:1"),
+    ("test_region", str, "0:1"), ("steps", int, 2000), ("learning_rate", float, 0.3),
+    ("batch_size", int, 8), ("log_every", int, 50), ("lam", float, 0.1), ("alpha", float, 0.03),
+    ("damping", float, 1e-4), ("fisher_source", str, "domain"), ("normalize_general", int, 0),
+    ("sparsity", float, 0.5), ("mode", str, "per-matrix"), ("block_size", int, 16),
+    ("method", str, "dual"), ("output_dir", str, "runs/default"),
+]
+COMMAND_OPTIONS = {
+    "calibrate": [],
+    "pretrain": [],
+    "general-importance": ["--checkpoint"],
+    "prune": ["--checkpoint", "--general-scores"],
+    "eval": ["--checkpoint", "--corpus", "--corpus-cache", "--tag"],
+    "masksim": ["mask_a", "mask_b"],
+    "sweep": ["--checkpoint", "--scores", "--corpus", "--corpus-cache", "--sparsities"],
+}
+
+
+class TestSurface:
+    """The command-line surface: config fields, their defaults and every option string."""
+
+    def test_run_config_fields(self):
+        hints = get_type_hints(RunConfig)
+        assert [(f.name, hints[f.name], f.default) for f in fields(RunConfig)] == RUN_CONFIG_FIELDS
+
+    def test_option_strings(self):
+        config_flags = [f"--{('lambda' if name == 'lam' else name).replace('_', '-')}"
+                        for name, _, _ in RUN_CONFIG_FIELDS]
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(COMMAND_OPTIONS)
+        for command, parser in sub.choices.items():
+            options = [o for a in parser._actions for o in (a.option_strings or [a.dest])]
+            assert options == ["-h", "--help", "--config", *config_flags,
+                               *COMMAND_OPTIONS[command]], command

@@ -10,7 +10,6 @@ from dualprune import tensor as T
 from dualprune.corpus import Corpus
 from dualprune.errors import NumericError, ShapeError, ValidationError
 from dualprune.importance import (
-    FisherDiagonal,
     ImportanceMatrixG,
     _PairwiseSum,
     brute_force_importance,
@@ -35,6 +34,7 @@ from dualprune.model import (
     pretrain,
     prunable_names,
 )
+from dualprune.pruning import select_mask_per_matrix
 
 TINY = ModelConfig(vocab_size=32, context_length=16, num_layers=1, d_model=16,
                    num_heads=2, d_ff=24, seed=3)
@@ -141,7 +141,6 @@ class TestBatchedGradients:
             acc_g.add(g)
             acc_g2.add({k: v * v for k, v in g.items()})
         mean, mean_square = acc_g.mean(), acc_g2.mean()
-        assert stats.sample_count == 13
         assert list(stats.mean) == prunable_names(TINY)
         for name in prunable_names(TINY):
             assert np.array_equal(stats.mean[name], mean[name]), name
@@ -169,14 +168,14 @@ class TestFisher:
         fisher = estimate_fisher_diagonal(tiny_model, Corpus("one", [seq]))
         direct = sample_gradient(tiny_model, seq)
         for name in prunable_names(TINY):
-            assert np.array_equal(fisher.values[name], direct[name] ** 2)
+            assert np.array_equal(fisher[name], direct[name] ** 2)
 
     def test_duplicated_corpus_identical(self, tiny_model, two_sample_corpus):
         s1, s2 = two_sample_corpus.sequences
         base = estimate_fisher_diagonal(tiny_model, two_sample_corpus)
         dup = estimate_fisher_diagonal(tiny_model, Corpus("dup", [s1, s1, s2, s2]))
         for name in prunable_names(TINY):
-            assert np.array_equal(base.values[name], dup.values[name]), name
+            assert np.array_equal(base[name], dup[name]), name
 
     def test_two_sample_hand_accumulation(self, tiny_model, two_sample_corpus):
         s1, s2 = two_sample_corpus.sequences
@@ -185,11 +184,11 @@ class TestFisher:
         g2 = sample_gradient(tiny_model, s2)
         for name in prunable_names(TINY):
             hand = (g1[name] ** 2 + g2[name] ** 2) / 2.0
-            assert np.array_equal(fisher.values[name], hand), name
+            assert np.array_equal(fisher[name], hand), name
 
     def test_nonnegative(self, tiny_model, two_sample_corpus):
         fisher = estimate_fisher_diagonal(tiny_model, two_sample_corpus)
-        assert all((v >= 0).all() for v in fisher.values.values())
+        assert all((v >= 0).all() for v in fisher.values())
 
     def test_nan_gradient_aborts_with_sample(self, tiny_model, two_sample_corpus):
         broken = tiny_model.copy()
@@ -211,14 +210,15 @@ class TestGeneralImportance:
         G = general_importance(tiny_model, two_sample_corpus, damping)
         for name in prunable_names(TINY):
             w = tiny_model.params[name].data
-            expected = 0.5 * w * w * (fisher.values[name] + damping)
+            expected = 0.5 * w * w * (fisher[name] + damping)
             assert np.array_equal(G.scores[name], expected), name
 
-    def test_known_values(self):
-        # W = 2, H = 1, vanishing damping: score -> 0.5 * 4 * 1 = 2
-        w = np.array([[2.0]])
-        h = np.array([[1.0]])
-        assert 0.5 * w[0, 0] ** 2 * (h[0, 0] + 0.0) == 2.0  # the identity the op encodes
+    def test_metadata(self, tiny_model, two_sample_corpus):
+        G = general_importance(tiny_model, two_sample_corpus, 1e-3)
+        assert G.damping == 1e-3 and not G.normalized
+        assert G.sample_count == 2
+        assert G.corpus_fingerprint == two_sample_corpus.fingerprint()
+        assert G.model_fingerprint == tiny_model.fingerprint()
 
     def test_damping_validation(self, tiny_model, two_sample_corpus):
         with pytest.raises(ValidationError, match="damping"):
@@ -249,8 +249,7 @@ class TestRegularizerGradient:
     def _parts(self, tiny_model, corpus):
         G = general_importance(tiny_model, corpus)
         stats = next_token_gradients(tiny_model, corpus)
-        fisher = FisherDiagonal(stats.mean_square, stats.sample_count, stats.corpus_fingerprint)
-        return G, stats.mean, fisher
+        return G, stats.mean, stats.mean_square
 
     def test_lambda_zero_gives_zeros(self, tiny_model, two_sample_corpus):
         G, g, H = self._parts(tiny_model, two_sample_corpus)
@@ -259,7 +258,7 @@ class TestRegularizerGradient:
 
     def test_arithmetic_example(self):
         G = ImportanceMatrixG({"m": np.array([[1.0]])}, 1e-4, 1, "c", "m")
-        H = FisherDiagonal({"m": np.array([[2.0]])}, 1, "c")
+        H = {"m": np.array([[2.0]])}
         out = regularizer_gradient(G, {"m": np.array([[0.5]])}, H, 0.1, 0.03)
         assert out["m"][0, 0] == pytest.approx(1.8e-4, rel=1e-12)
 
@@ -298,11 +297,27 @@ class TestDualLossGradient:
         return {k: score_from_first_order(total[k] * model.params[k].data) for k in total}
 
     def test_lambda_zero_bit_identical(self, tiny_model, two_sample_corpus):
+        # the +-0 regularizer term can flip only the sign of a zero gradient,
+        # and |u + u^2/2| maps both signs to +0
         G = general_importance(tiny_model, two_sample_corpus)
-        S = dual_importance_scores(tiny_model, two_sample_corpus, G, lam=0.0)
         plain = self.scores_of(tiny_model, next_token_gradients(tiny_model, two_sample_corpus).mean)
+        ones = {n: np.ones_like(G.scores[n]) for n in G.scores}
+        for fisher in (None, ones):
+            S = dual_importance_scores(tiny_model, two_sample_corpus, G, lam=0.0, fisher=fisher)
+            for name in prunable_names(TINY):
+                assert S.scores[name].tobytes() == plain[name].tobytes(), name
+
+    def test_default_regularizer_keeps_the_lambda_zero_mask(self, tiny_model, two_sample_corpus):
+        # The pull toward general importance does not change which weights
+        # the 50% mask keeps at the default lambda and alpha: the mask equals
+        # the lambda = 0 mask.  A regularizer that does change the mask fails
+        # here, and this test should then assert the mask delta instead.
+        G = general_importance(tiny_model, two_sample_corpus)
+        dual = select_mask_per_matrix(dual_importance_scores(tiny_model, two_sample_corpus, G), 0.5)
+        plain = select_mask_per_matrix(
+            dual_importance_scores(tiny_model, two_sample_corpus, G, lam=0.0), 0.5)
         for name in prunable_names(TINY):
-            assert np.array_equal(S.scores[name], plain[name]), name
+            assert np.array_equal(dual.masks[name], plain.masks[name]), name
 
     def test_lambda_positive_differs(self, tiny_model, two_sample_corpus):
         G = general_importance(tiny_model, two_sample_corpus)
@@ -315,15 +330,14 @@ class TestDualLossGradient:
         lam, alpha = 0.1, 0.03
         S = dual_importance_scores(tiny_model, two_sample_corpus, G, lam, alpha)
         stats = next_token_gradients(tiny_model, two_sample_corpus)
-        fisher = FisherDiagonal(stats.mean_square, stats.sample_count, stats.corpus_fingerprint)
-        reg = regularizer_gradient(G, stats.mean, fisher, lam, alpha)
+        reg = regularizer_gradient(G, stats.mean, stats.mean_square, lam, alpha)
         parts = self.scores_of(tiny_model, {k: stats.mean[k] + reg[k] for k in stats.mean})
         for name in S.scores:
             assert np.array_equal(S.scores[name], parts[name]), name
 
     def test_provided_fisher_used(self, tiny_model, two_sample_corpus):
         G = general_importance(tiny_model, two_sample_corpus)
-        ones = FisherDiagonal({n: np.ones_like(G.scores[n]) for n in G.scores}, 1, "x")
+        ones = {n: np.ones_like(G.scores[n]) for n in G.scores}
         a = dual_importance_scores(tiny_model, two_sample_corpus, G, 0.5, 0.03).scores
         b = dual_importance_scores(tiny_model, two_sample_corpus, G, 0.5, 0.03, fisher=ones).scores
         assert any(not np.array_equal(a[n], b[n]) for n in a)

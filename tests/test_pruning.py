@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualprune.errors import ValidationError
+from dualprune.importance import ImportanceMatrixG
 from dualprune.model import ModelConfig, init_model, next_token_loss, prunable_names
 from dualprune.pruning import (
-    PruneConfig,
     apply_mask,
     load_mask,
     magnitude_mask,
@@ -211,6 +211,20 @@ class TestApply:
         mask.model_fingerprint = None  # a mask without provenance is taken as it is
         assert apply_mask(other, mask).meta["mask_fingerprint"] == mask.fingerprint()
 
+    @pytest.mark.parametrize("select", [lambda S: select_mask_per_matrix(S, 0.5),
+                                        lambda S: select_mask_blocked(S, 0.5, 4)],
+                             ids=["per-matrix", "blocked"])
+    def test_mask_from_scores_of_another_model_rejected(self, select):
+        model = init_model(TINY)
+        other = init_model(dataclasses.replace(TINY, seed=TINY.seed + 1))
+        scores = {name: np.abs(model.params[name].data) for name in prunable_names(TINY)}
+        mask = select(ImportanceMatrixG(scores, 1e-4, 1, "c", model.fingerprint()))
+        assert mask.model_fingerprint == model.fingerprint()
+        apply_mask(model, mask)
+        with pytest.raises(ValidationError, match="different model"):
+            apply_mask(other, mask)
+        assert select(scores).model_fingerprint is None  # a plain dict records no model
+
     def test_provenance_recorded(self):
         model = init_model(TINY)
         mask = magnitude_mask(model, 0.5)
@@ -253,15 +267,3 @@ class TestMaskPersistence:
         save_mask(mask, b)
         assert a.read_bytes() == b.read_bytes()
 
-
-class TestPruneConfig:
-    def test_validation(self):
-        PruneConfig().validate()
-        with pytest.raises(ValidationError):
-            PruneConfig(sparsity=1.0).validate()
-        with pytest.raises(ValidationError):
-            PruneConfig(mode="diagonal").validate()
-        with pytest.raises(ValidationError):
-            PruneConfig(block_size=0).validate()
-        with pytest.raises(ValidationError):
-            PruneConfig(method="rand").validate()
