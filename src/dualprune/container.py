@@ -19,6 +19,7 @@ None and `"1"`/`"0"` for bools, and every field's key is required on reading.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -91,13 +92,12 @@ def _encode_block(arr: np.ndarray, codec: str) -> bytes:
 
 
 def _decode_block(raw: bytes, codec: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Decode a block whose codec, shape and byte count `read_container` has checked."""
     if codec == "f8":
         return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if codec == "b1":
-        rows, cols = shape
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(rows, -1)
-        return np.unpackbits(packed, axis=1)[:, :cols].astype(np.uint8)
-    raise ArtifactError(f"unknown block codec {codec!r}")
+    rows, cols = shape
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(rows, -(-cols // 8))
+    return np.unpackbits(packed, axis=1)[:, :cols].astype(np.uint8)
 
 
 def write_container(path, kind: str, meta: dict[str, str],
@@ -186,6 +186,15 @@ def read_container(path, expect_kind: str) -> Container:
                 offset, nbytes = int(offset_s), int(nbytes_s)
             except ValueError:
                 raise ArtifactError(f"{path}: malformed manifest line {line!r}") from None
+            if codec not in ("f8", "b1"):
+                raise ArtifactError(f"{path}: block {name} has unknown codec {codec!r}")
+            if any(n < 0 for n in shape) or (codec == "b1" and len(shape) != 2):
+                raise ArtifactError(f"{path}: block {name} has invalid {codec} shape {shape}")
+            # f8: 8 bytes per entry; b1: each row packed into whole bytes
+            expected_nbytes = 8 * math.prod(shape) if codec == "f8" else shape[0] * -(-shape[1] // 8)
+            if nbytes != expected_nbytes:
+                raise ArtifactError(f"{path}: block {name} has {nbytes} bytes, but {codec} "
+                                    f"shape {shape} takes {expected_nbytes}")
             if offset != expected_offset or offset + nbytes > len(payload):
                 raise ArtifactError(f"{path}: block {name} offsets inconsistent with payload")
             expected_offset = offset + nbytes

@@ -10,12 +10,15 @@ Three score families:
   2*lambda*alpha^2 * G * g_next * H_mm that penalizes moving weights the
   general scores marked important;
 * brute force: the exact loss change from zeroing one weight at a time, used
-  as the ranking oracle for the approximations above.  Zeroing a weight
-  cannot change anything computed before its projection, nor the other
-  branches of its block, nor the attention heads that do not own its
-  column, so the oracle computes all of that once per matrix and reruns
-  per weight only the projection, its head (or its column of the gated
-  product), the block's output projection and the network after it.
+  as the ranking oracle for the approximations above.  The dense pass (the
+  residual streams entering every sublayer, 2L per eval batch) runs once
+  per (model, corpus) and is kept for the next call on the same pair.
+  Zeroing a weight cannot change anything computed before its projection,
+  nor the other branches of its block, nor the attention heads that do not
+  own its column, so the oracle computes the block's branches and mix once
+  per call and reruns per weight only the projection, its head (or its
+  column of the gated product), the block's output projection and the
+  network after it.
 
 Model weights are never updated here; only gradients are read.
 """
@@ -151,11 +154,12 @@ def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
         if not finite.all():
             b, m = np.argwhere(~finite)[0]
             raise NumericError(f"non-finite gradient for {names[m]} on sample {j + b}")
-        squares = [g * g for g in per_sample]
         for b in range(len(batch)):
             acc_g.add({k: g[b] for k, g in zip(names, per_sample)})
-            acc_g2.add({k: g[b] for k, g in zip(names, squares)})
+            acc_g2.add({k: g[b] * g[b] for k, g in zip(names, per_sample)})
         j += len(batch)
+        # the chunk's activations and gradients go before the next chunk's pass
+        del tape, loss, grads, per_sample
     return GradientStats(mean=acc_g.mean(), mean_square=acc_g2.mean())
 
 
@@ -282,6 +286,32 @@ def dual_importance_scores(model: TransformerModel, domain_corpus, G: Importance
     )
 
 
+# ((model fingerprint, corpus fingerprint), streams) of the oracle's last
+# (model, corpus); replaced when the key changes, never grown.
+_dense_streams: tuple[tuple[str, str], list[list[T.Tensor]]] | None = None
+
+
+def _residual_streams(model: TransformerModel, corpus) -> list[list[T.Tensor]]:
+    """Per `mean_corpus_loss` batch, the streams entering sublayers 1 .. 2L of
+    `model` on `corpus`: one dense pass per (model, corpus), keyed on both
+    fingerprints so that an in-place edit of either is a miss."""
+    global _dense_streams
+    key = (model.fingerprint(), corpus.fingerprint())
+    memo = _dense_streams
+    if memo is None or memo[0] != key:
+        memo = _dense_streams = None  # free the old streams before building the new
+        streams = []
+        for batch in corpus.batches(EVAL_BATCH):
+            h = model.embed(next_token_split(batch)[0])
+            states = []
+            for s in range(2 * model.config.num_layers):
+                h = model.sublayer(s, h)
+                states.append(h)
+            streams.append(states)
+        memo = _dense_streams = (key, streams)
+    return memo[1]
+
+
 def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int, str],
                            weight_indices=None) -> np.ndarray:
     """Exact |loss(zeroed) - loss(base)| for single-weight removals.
@@ -291,18 +321,28 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     on a copy, so the input model is untouched.
 
     The matrix sits in sublayer s = 2*layer (q, k, v, o) or 2*layer + 1
-    (gate, up, down).  For each `mean_corpus_loss` batch, everything the
-    matrix cannot change is computed once: the residual stream h entering s,
-    the block's normed input, its branch outputs and their mix.  Zeroing a
-    weight in column c of a branch (q, k, v, gate, up) changes only that
-    branch and the columns `mixed_columns(s, c)` of the mix, so per weight
-    the oracle reruns that branch, mixes only those columns (one attention
-    head, or one column of the gated product) into a copy of the cached mix,
-    and applies the output projection; zeroing a weight of `o` or `down`
-    reruns only the output projection.  The loss then resumes at sublayer
-    s + 1 from h plus that block output, as does the base loss.  Every step
-    runs the same primitives on operands of the same values and layout as a
-    full pass, so every delta is bit-identical to a full rerun.
+    (gate, up, down).  The work splits three ways:
+
+    * once per (model, corpus): one dense pass that keeps, per eval batch,
+      the residual streams entering sublayers 1 .. 2L, 2L streams of
+      (batch, length - 1, d_model) float64 per batch (4.1 MB for the
+      default `ModelConfig` on 32 sequences of 64 tokens).  Only the last
+      pair's streams are kept, keyed on the model's and the corpus's
+      fingerprints, which every call computes.
+    * once per call: per eval batch, the stream h entering s (the embedding
+      for s = 0), the block's normed input, its branch outputs and their
+      mix; the base loss runs only the head on the final streams
+      (`mean_corpus_loss(..., resume=(2L, ...))`).
+    * once per weight: zeroing a weight in column c of a branch (q, k, v,
+      gate, up) changes only that branch and the columns `mixed_columns(s, c)`
+      of the mix, so the oracle reruns that branch, mixes only those columns
+      (one attention head, or one column of the gated product) into a copy
+      of the cached mix, and applies the output projection; zeroing a weight
+      of `o` or `down` reruns only the output projection.  The loss then
+      resumes at sublayer s + 1 from h plus that block output.
+
+    Every step runs the same primitives on operands of the same values and
+    layout as a full pass, so every delta is bit-identical to a full rerun.
     """
     layer, proj = matrix_id
     key = f"layers.{layer}.{proj}"
@@ -320,19 +360,16 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
 
     s = 2 * layer + (proj in BLOCK_PROJECTIONS[1])
     *branch_names, _ = BLOCK_PROJECTIONS[s % 2]
+    streams = _residual_streams(model, corpus)
     cached = []  # per eval batch: (h, block input, branch outputs, their mix)
-    for batch in corpus.batches(EVAL_BATCH):
-        h = work.embed(next_token_split(batch)[0])
-        for r in range(s):
-            h = work.sublayer(r, h)
+    for batch, states in zip(corpus.batches(EVAL_BATCH), streams):
+        h = states[s - 1] if s else work.embed(next_token_split(batch)[0])
         x = work.block_input(s, h)
         branches = [work.branch(s, name, x) for name in branch_names]
         cached.append((h, x, branches, work.mix(s, branches)))
 
-    def loss_from(block_outputs) -> float:
-        return mean_corpus_loss(work, corpus, (s + 1, block_outputs))
-
-    base = loss_from([work.block_output(s, h, mixed) for h, _, _, mixed in cached])
+    final = (2 * work.config.num_layers, [states[-1] for states in streams])
+    base = mean_corpus_loss(work, corpus, final)
     deltas = np.empty(len(indices), dtype=np.float64)
     for n, i in enumerate(indices):
         original = weights[i]
@@ -348,7 +385,7 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
                 outputs.append(work.block_output(s, h, T.Tensor(spliced)))
         else:
             outputs = [work.block_output(s, h, mixed) for h, _, _, mixed in cached]
-        deltas[n] = abs(loss_from(outputs) - base)
+        deltas[n] = abs(mean_corpus_loss(work, corpus, (s + 1, outputs)) - base)
         weights[i] = original
     return deltas
 

@@ -288,14 +288,20 @@ def mean_corpus_loss(model: TransformerModel, corpus,
     The rows are batched in corpus order, `EVAL_BATCH` at a time (the last
     batch may be smaller), so the reduction order is fixed and results are
     reproducible bit-for-bit.  With `resume=(s, states)`, the forward pass of
-    the n-th batch resumes at sublayer `s` from `states[n]`.
+    the n-th batch resumes at sublayer `s` from `states[n]`.  A non-finite
+    batch loss raises `NumericError` naming the batch's rows.
     """
     nll_total = 0.0
     token_total = 0
     for n, batch in enumerate(corpus.batches(EVAL_BATCH)):
         at = None if resume is None else (resume[0], resume[1][n])
+        loss = float(batch_next_token_loss(model, batch, at).data)
+        if not math.isfinite(loss):
+            first = n * EVAL_BATCH
+            raise NumericError(f"mean_corpus_loss: non-finite loss {loss} on sequences "
+                               f"{first}..{first + len(batch) - 1}")
         n_predicted = batch.shape[0] * (batch.shape[1] - 1)
-        nll_total += float(batch_next_token_loss(model, batch, at).data) * n_predicted
+        nll_total += loss * n_predicted
         token_total += n_predicted
     return nll_total / token_total
 

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from dualprune.cli import RunConfig, build_parser, main
-from dualprune.container import read_container, write_container
+from dualprune.container import FORMAT_VERSION, MAGIC, read_container, write_container
 from dualprune.corpus import load_corpus_cache
 from dualprune.importance import load_dual_scores, load_general_scores
-from dualprune.model import load_checkpoint
+from dualprune.model import load_checkpoint, save_checkpoint
 from dualprune.pruning import load_mask, select_mask_blocked
 
 
@@ -292,6 +292,37 @@ class TestEvalMasksimSweep:
         rows = list(csv.reader((workspace["out"] / "masksim.csv").open()))
         assert rows[0][0] == "layer"
         assert all(float(x) == 0.5 for x in rows[1][1:])
+
+    def test_non_finite_model_exit_4(self, workspace, tmp_path, capsys):
+        # one NaN norm weight: no mask prunes it, so every sweep point sees it
+        model = load_checkpoint(workspace["out"] / "model.ckpt")
+        model.params["final_norm"].data[0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(model, ckpt)
+        c = read_container(workspace["out"] / "dual_scores.bin", expect_kind="scores.dual")
+        scores = tmp_path / "nan_scores.bin"
+        write_container(scores, c.kind, {**c.meta, "model_fingerprint": model.fingerprint()},
+                        list(c.blocks.items()))
+        out = tmp_path / "out"
+        flags = ["--config", str(workspace["config"]), "--checkpoint", str(ckpt),
+                 "--output-dir", str(out)]
+        assert main(["eval", *flags]) == 4
+        assert main(["sweep", *flags, "--scores", str(scores), "--sparsities", "0,0.5"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numeric error: mean_corpus_loss: non-finite loss nan on sequences 0..7"] * 2
+        assert not any(out.iterdir())
+
+    def test_masksim_block_byte_count_mismatch_exit_3(self, workspace, tmp_path, capsys):
+        # a b1 block of shape (3, 9) that holds 3 bytes: one per row, not two
+        header = b"kind=mask\nblock=layers.0.q|b1|3,9|0|3\n"
+        bad = tmp_path / "bad_mask.bin"
+        bad.write_bytes(MAGIC + bytes([FORMAT_VERSION]) + len(header).to_bytes(4, "little")
+                        + header + bytes(3))
+        out = tmp_path / "out"
+        assert main(["masksim", "--config", str(workspace["config"]), "--output-dir", str(out),
+                     str(bad), str(workspace["out"] / "mask.bin")]) == 3
+        assert "block layers.0.q has 3 bytes, but b1 shape (3, 9) takes 6" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_sweep_csv_rows(self, workspace):
         assert main(["sweep", "--config", str(workspace["config"]),

@@ -129,6 +129,27 @@ def test_meta_newline_rejected(tmp_path):
         write_container(tmp_path / "x.bin", "checkpoint", {"k": "a\nb"}, [])
 
 
+def raw_container(header: str, payload: bytes) -> bytes:
+    """The bytes of a container with this header text and payload, as written by hand."""
+    head = header.encode("utf-8")
+    return MAGIC + bytes([FORMAT_VERSION]) + len(head).to_bytes(4, "little") + head + payload
+
+
+@pytest.mark.parametrize("manifest, payload, message", [
+    ("a|f8|4,4|0|8", bytes(8), r"block a has 8 bytes, but f8 shape \(4, 4\) takes 128"),
+    ("a|f8|1|0|5", bytes(5), r"block a has 5 bytes, but f8 shape \(1,\) takes 8"),
+    ("a|b1|3,9|0|3", bytes(3), r"block a has 3 bytes, but b1 shape \(3, 9\) takes 6"),
+    ("a|b1|9|0|2", bytes(2), r"block a has invalid b1 shape \(9,\)"),
+    ("a|f8|-1,2|0|16", bytes(16), r"block a has invalid f8 shape \(-1, 2\)"),
+    ("a|i4|2|0|8", bytes(8), "block a has unknown codec 'i4'"),
+], ids=["f8-short", "f8-partial-entry", "b1-short-rows", "b1-one-axis", "negative-axis", "codec"])
+def test_block_byte_count_checked_against_codec_and_shape(tmp_path, manifest, payload, message):
+    path = tmp_path / "x.bin"
+    path.write_bytes(raw_container(f"kind=mask\nblock={manifest}\n", payload))
+    with pytest.raises(ArtifactError, match=message):
+        read_container(path, expect_kind="mask")
+
+
 def test_empty_payload_ok(tmp_path):
     path = tmp_path / "empty.bin"
     write_container(path, "mask", {"note": "none"}, [])

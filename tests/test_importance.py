@@ -2,10 +2,12 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dualprune import importance
 from dualprune import tensor as T
 from dualprune.corpus import Corpus
 from dualprune.errors import NumericError, ShapeError, ValidationError
@@ -482,6 +484,51 @@ class TestOracleIsExact:
             expected.append(abs(mean_corpus_loss(zeroed, three_batch_corpus) - base))
             weights[i] = original
         assert np.array_equal(got, expected)
+
+    def test_memo_follows_in_place_edits(self, three_batch_corpus):
+        """Interleaved calls over every matrix, two models and two corpora.  Within each
+        run of three calls on one (model, corpus) pair, a weight of that model object
+        is edited in place before the second call, as `pretrain` does, and a row of
+        that corpus before the third: the dense streams the oracle keeps must follow."""
+        rng = np.random.default_rng(10)
+        models = [init_model(TWO_LAYER), init_model(replace(TWO_LAYER, seed=5))]
+        corpora = [Corpus("three", three_batch_corpus.sequences.copy()),  # partial eval batch
+                   Corpus("full", rng.integers(0, TWO_LAYER.vocab_size,
+                                                size=(EVAL_BATCH, TWO_LAYER.context_length)))]
+        names = prunable_names(TWO_LAYER)
+        order = [names[(5 * k) % len(names)] for k in range(2 * len(names))]
+        for k, name in enumerate(order):
+            model, corpus = models[k // 3 % 2], corpora[k // 6 % 2]
+            if k % 3 == 1:
+                edited = names[int(rng.integers(len(names)))]
+                model.params[edited].data -= 0.1 * rng.normal(size=model.params[edited].shape)
+            elif k % 3 == 2:
+                corpus.sequences[int(rng.integers(len(corpus)))] = rng.integers(
+                    0, TWO_LAYER.vocab_size, size=TWO_LAYER.context_length)
+            size = model.params[name].size
+            indices = sorted(int(i) for i in rng.choice(size, 2, replace=False))
+            base = mean_corpus_loss(model, corpus)
+            expected = []
+            for i in indices:
+                zeroed = model.copy()
+                zeroed.params[name].data.reshape(-1)[i] = 0.0
+                expected.append(abs(mean_corpus_loss(zeroed, corpus) - base))
+            _, layer, proj = name.split(".")
+            got = brute_force_importance(model, corpus, (int(layer), proj), indices)
+            assert np.array_equal(got, expected), (k, name)
+        # one entry, for the last call: 2L streams per eval batch
+        key, streams = importance._dense_streams
+        assert key == (model.fingerprint(), corpus.fingerprint())
+        assert [len(states) for states in streams] == [2 * TWO_LAYER.num_layers] * 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_raises(self, three_batch_corpus, value):
+        model = init_model(TWO_LAYER)
+        model.params["layers.0.gate"].data[1, 2] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            for matrix_id in [(0, "q"), (1, "down")]:
+                with pytest.raises(NumericError, match=r"non-finite loss nan on sequences 0\.\.31$"):
+                    brute_force_importance(model, three_batch_corpus, matrix_id, [0])
 
     @pytest.mark.parametrize("lengths", [[TWO_LAYER.context_length + 2]], ids=["over-long"])
     def test_bad_corpus_raises_what_mean_corpus_loss_raises(self, lengths):

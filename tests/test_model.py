@@ -189,6 +189,34 @@ class TestLoss:
         singles = [float(next_token_loss(model, s)[0].data) for s in seqs]
         assert whole == pytest.approx(np.mean(singles), rel=1e-12)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_raises(self, value):
+        model = init_model(TWO_LAYER)
+        model.params["layers.1.up"].data[3, 5] = value
+        corpus = Corpus("m", np.random.default_rng(3).integers(0, 32, size=(EVAL_BATCH + 3, 9)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericError, match=r"^mean_corpus_loss: non-finite loss nan on "
+                                                   r"sequences 0\.\.31$"):
+                mean_corpus_loss(model, corpus)
+
+    def test_non_finite_loss_names_its_batch(self):
+        # the residual stream turns infinite only in rows that hold the last token id: rows 33, 34
+        model = init_model(TINY)
+        rare = TINY.vocab_size - 1
+        seqs = np.random.default_rng(3).integers(0, rare, size=(EVAL_BATCH + 3, 9))
+        seqs[EVAL_BATCH + 1:, 4] = rare
+        embed = model.embed
+
+        def embed_breaking_rare(ids):
+            h = embed(ids)
+            h.data[(ids == rare).any(axis=1)] = np.inf
+            return h
+
+        model.embed = embed_breaking_rare
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericError, match=r"non-finite loss nan on sequences 32\.\.34$"):
+                mean_corpus_loss(model, Corpus("m", seqs))
+
 
 # Two layers, so that a pass can resume past a whole layer.
 TWO_LAYER = ModelConfig(vocab_size=32, context_length=16, num_layers=2, d_model=16,
