@@ -175,6 +175,9 @@ def _build_corpus(config: RunConfig, role: str):
 
 
 def _out_dir(config: RunConfig) -> Path:
+    """The output directory, created on first use.  Stages ask for it only
+    once they have a result to write, so a stage that fails before that
+    leaves no directory behind."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -184,13 +187,12 @@ def _out_dir(config: RunConfig) -> Path:
 # subcommands
 
 def cmd_calibrate(config: RunConfig, args) -> int:
-    out = _out_dir(config)
     built = []
     for role in ("train", "open", "domain", "test"):
         if not getattr(config, f"{role}_corpus"):
             continue
         corpus = _build_corpus(config, role)
-        cache = out / f"{role}.corpus.json"
+        cache = _out_dir(config) / f"{role}.corpus.json"
         save_corpus_cache(corpus, cache)
         built.append(role)
         print(f"{role}: {len(corpus)} sequences x {config.sequence_length} tokens -> {cache}")
@@ -200,13 +202,13 @@ def cmd_calibrate(config: RunConfig, args) -> int:
 
 
 def cmd_pretrain(config: RunConfig, args) -> int:
-    out = _out_dir(config)
     corpus = _build_corpus(config, "train")
     model = init_model(config.model_config())
     model, history = pretrain(
         model, corpus, config.steps, config.learning_rate,
         batch_size=config.batch_size, log_every=config.log_every, verbose=True,
     )
+    out = _out_dir(config)
     ckpt = out / "model.ckpt"
     save_checkpoint(model, ckpt)
     log_path = out / "pretrain_log.csv"
@@ -221,20 +223,18 @@ def cmd_pretrain(config: RunConfig, args) -> int:
 
 
 def cmd_general_importance(config: RunConfig, args) -> int:
-    out = _out_dir(config)
     model = load_checkpoint(args.checkpoint)
     corpus = _build_corpus(config, "open")
     G = importance.general_importance(
         model, corpus, config.damping, normalize=bool(config.normalize_general),
     )
-    path = out / "general_scores.bin"
+    path = _out_dir(config) / "general_scores.bin"
     importance.save_general_scores(G, path)
     print(f"general importance over {G.sample_count} samples -> {path}")
     return EXIT_OK
 
 
 def cmd_prune(config: RunConfig, args) -> int:
-    out = _out_dir(config)
     model = load_checkpoint(args.checkpoint)
 
     if config.method == "dual":
@@ -248,16 +248,15 @@ def cmd_prune(config: RunConfig, args) -> int:
         scores = importance.dual_importance_scores(
             model, domain, G, config.lam, config.alpha, fisher=fisher,
         )
-        scores_path = out / "dual_scores.bin"
+        scores.fisher_source = config.fisher_source
+        scores_path = _out_dir(config) / "dual_scores.bin"
         importance.save_dual_scores(scores, scores_path)
         print(f"dual scores (lambda={config.lam}, alpha={config.alpha}) -> {scores_path}")
-        if config.mode == pruning.MODE_BLOCKED:
-            mask = pruning.select_mask_blocked(scores, config.sparsity, config.block_size)
-        else:
-            mask = pruning.select_mask_per_matrix(scores, config.sparsity)
+        [mask] = pruning.select_masks(scores, [config.sparsity], config.mode, config.block_size)
     else:
         mask = pruning.magnitude_mask(model, config.sparsity)
 
+    out = _out_dir(config)
     mask_path = out / "mask.bin"
     pruning.save_mask(mask, mask_path)
     pruned = pruning.apply_mask(model, mask)
@@ -281,7 +280,6 @@ def _load_eval_corpus(config: RunConfig, args):
 
 
 def cmd_eval(config: RunConfig, args) -> int:
-    out = _out_dir(config)
     model = load_checkpoint(args.checkpoint)
     corpus = _load_eval_corpus(config, args)
     report = evaluation.perplexity(model, corpus)
@@ -291,6 +289,7 @@ def cmd_eval(config: RunConfig, args) -> int:
         f"zero fraction (prunable weights): {prunable_frac:.6f}",
         f"zero fraction (all parameters): {total_frac:.6f}",
     ]
+    out = _out_dir(config)
     evaluation.write_eval_report(report, out / f"{stem}.csv", out / f"{stem}.txt", extra)
     print(f"perplexity on {corpus.name}: {report.perplexity:.4f} "
           f"(mean loss {report.mean_loss:.6f}, {report.token_count} tokens)")
@@ -299,10 +298,10 @@ def cmd_eval(config: RunConfig, args) -> int:
 
 
 def cmd_masksim(config: RunConfig, args) -> int:
-    out = _out_dir(config)
     mask_a = pruning.load_mask(args.mask_a)
     mask_b = pruning.load_mask(args.mask_b)
     report = evaluation.mask_similarity(mask_a, mask_b)
+    out = _out_dir(config)
     evaluation.write_similarity_grid(report, out / "masksim.csv", out / "masksim.txt")
     for kind, value in report.by_kind.items():
         print(f"{kind}: {value:.4f}")
@@ -311,13 +310,13 @@ def cmd_masksim(config: RunConfig, args) -> int:
 
 
 def cmd_sweep(config: RunConfig, args) -> int:
-    out = _out_dir(config)
     model = load_checkpoint(args.checkpoint)
     scores = importance.load_dual_scores(args.scores)
     corpus = _load_eval_corpus(config, args)
     sparsities = [_coerce("--sparsities", float, s) for s in args.sparsities.split(",") if s.strip()]
     result = evaluation.sparsity_sweep(model, scores, corpus, sparsities,
                                        mode=config.mode, block_size=config.block_size)
+    out = _out_dir(config)
     evaluation.write_sweep_csv(result, out / "sweep.csv")
     for sparsity, ppl in result.rows:
         print(f"sparsity {sparsity:.2f}: perplexity {ppl:.4f}")

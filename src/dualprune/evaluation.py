@@ -10,8 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import PROJECTIONS, TransformerModel, mean_corpus_loss, prunable_names
-from .pruning import (MODE_BLOCKED, Mask, apply_mask, check_mode, select_mask_blocked,
-                      select_mask_per_matrix)
+from .pruning import Mask, apply_mask, select_masks
 
 
 @dataclass
@@ -84,21 +83,18 @@ def sparsity_sweep(model: TransformerModel, scores, corpus, sparsity_list,
                    mode: str = "per-matrix", block_size=None) -> SweepResult:
     """Select, apply and evaluate a mask per sparsity; flags the perplexity trend.
 
+    Every mask comes from one `select_masks` call, so each pool is sorted once.
+
     Scores that record the model they were computed for (a `model_fingerprint`)
     must come from `model`; a plain dict of arrays is taken as it is.
     """
-    check_mode(mode)
     sparsity_list = list(sparsity_list)
     if not sparsity_list:
         raise ValidationError("sparsity_sweep: no sparsities given")
     rows: list[tuple[float, float]] = []
-    for sparsity in sparsity_list:
-        if mode == MODE_BLOCKED:
-            mask = select_mask_blocked(scores, sparsity, block_size)
-        else:
-            mask = select_mask_per_matrix(scores, sparsity)
+    for mask in select_masks(scores, sparsity_list, mode, block_size):
         report = perplexity(apply_mask(model, mask), corpus)
-        rows.append((float(sparsity), report.perplexity))
+        rows.append((float(mask.sparsity), report.perplexity))
     monotone = all(b >= a for (_, a), (_, b) in zip(rows, rows[1:]))
     return SweepResult(rows=rows, monotone=monotone)
 

@@ -74,47 +74,57 @@ def _score_dict(scores) -> dict[str, np.ndarray]:
     return dict(scores)
 
 
-def _select_mask(scores, sparsity: float, mode: str, block_size: int | None) -> Mask:
-    """Zero the floor(sparsity * pool size) lowest scores in every pool.
+def select_masks(scores, sparsities, mode: str, block_size: int | None = None) -> list[Mask]:
+    """One mask per sparsity: zero the floor(sparsity * pool size) lowest scores in every pool.
 
-    A pool is a group of `block_size` consecutive columns of one matrix (the
-    last group may be narrower), or the whole matrix when `block_size` is None.
-    Ties go to the lowest flat index within the pool.
+    A pool is a group of `block_size` consecutive columns of one matrix in
+    blocked mode (the last group may be narrower), or the whole matrix; a
+    per-matrix selection ignores `block_size`.  Ties go to the lowest flat
+    index within the pool.  Each pool is sorted once for all sparsities.
     """
-    check_sparsity(sparsity)
+    check_mode(mode)
+    sparsities = list(sparsities)
+    for sparsity in sparsities:
+        check_sparsity(sparsity)
     if mode == MODE_BLOCKED:
         check_block_size(block_size)
+    else:
+        block_size = None
     per_matrix = _score_dict(scores)
-    masks: dict[str, np.ndarray] = {}
+    masks: list[dict[str, np.ndarray]] = [{} for _ in sparsities]
     for name, s in per_matrix.items():
         if s.ndim != 2 or s.shape[1] == 0:
             raise ValidationError(
                 f"score matrix {name} must be 2-D with at least one column, got shape {s.shape}"
             )
         width = block_size or s.shape[1]
-        mask = np.empty(s.shape, dtype=np.uint8)
+        for chosen in masks:
+            chosen[name] = np.empty(s.shape, dtype=np.uint8)
         for j0 in range(0, s.shape[1], width):
             pool = s[:, j0 : j0 + width]
-            keep = np.ones(pool.size, dtype=np.uint8)
-            n_prune = math.floor(sparsity * pool.size)
-            if n_prune > 0:
-                keep[np.argsort(pool.reshape(-1), kind="stable")[:n_prune]] = 0
-            mask[:, j0 : j0 + width] = keep.reshape(pool.shape)
-        masks[name] = mask
-    return Mask(
-        masks=masks,
-        sparsity=sparsity,
-        mode=mode,
-        block_size=block_size,
-        method="dual",
-        score_fingerprint=score_content_fingerprint(per_matrix),
-        model_fingerprint=getattr(scores, "model_fingerprint", None),
-    )
+            order = np.argsort(pool.reshape(-1), kind="stable")
+            for chosen, sparsity in zip(masks, sparsities):
+                keep = np.ones(pool.size, dtype=np.uint8)
+                keep[order[: math.floor(sparsity * pool.size)]] = 0
+                chosen[name][:, j0 : j0 + width] = keep.reshape(pool.shape)
+    score_fingerprint = score_content_fingerprint(per_matrix)
+    return [
+        Mask(
+            masks=chosen,
+            sparsity=sparsity,
+            mode=mode,
+            block_size=block_size,
+            method="dual",
+            score_fingerprint=score_fingerprint,
+            model_fingerprint=getattr(scores, "model_fingerprint", None),
+        )
+        for sparsity, chosen in zip(sparsities, masks)
+    ]
 
 
 def select_mask_per_matrix(scores, sparsity: float) -> Mask:
     """Zero the floor(sparsity * M) lowest-scored weights within each matrix."""
-    return _select_mask(scores, sparsity, MODE_PER_MATRIX, None)
+    return select_masks(scores, [sparsity], MODE_PER_MATRIX)[0]
 
 
 def select_mask_blocked(scores, sparsity: float, block_size: int) -> Mask:
@@ -123,7 +133,7 @@ def select_mask_blocked(scores, sparsity: float, block_size: int) -> Mask:
     The pools are `block_size` columns wide in every matrix (the last group of
     a matrix may be narrower), and the mask records that width.
     """
-    return _select_mask(scores, sparsity, MODE_BLOCKED, block_size)
+    return select_masks(scores, [sparsity], MODE_BLOCKED, block_size)[0]
 
 
 def score_content_fingerprint(arrays: dict[str, np.ndarray]) -> str:

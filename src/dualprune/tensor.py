@@ -3,12 +3,14 @@
 The engine covers what a small decoder-only transformer needs: matmul,
 add, elementwise multiply, SiLU, RMS normalization, embedding lookup,
 fused causal softmax attention and cross-entropy, plus the transpose the
-tied output head requires.  Softmax over the last axis, causal mask add
-and reshape stay primitives of their own although the model no longer
-records them: the stage benchmark's span wrappers (`stagebench/spans.py`)
-look them up by name.  Cross-entropy is the only scalar loss.  Everything
-is float64 and single-threaded; leading batch dimensions are handled
-through numpy broadcasting.
+tied output head requires.  Attention works on the causal triangle only:
+scores above the diagonal are never exponentiated, and their
+probabilities are written as exact zeros.  Softmax over the last axis,
+causal mask add and reshape stay primitives of their own although the
+model no longer records them: the stage benchmark's span wrappers
+(`stagebench/spans.py`) look them up by name.  Cross-entropy is the only
+scalar loss.  Everything is float64 and single-threaded; leading batch
+dimensions are handled through numpy broadcasting.
 
 The reverse pass computes only the gradients that lead to the requested
 weights, and can return one gradient per sample of a batch (see
@@ -250,8 +252,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record(out, (table,), backward_fn)
 
 
-# Large negative instead of -inf keeps every engine output finite while still
-# flushing masked attention weights to exactly 0 after softmax.
+# Additive mask of `causal_mask_add` only: large negative instead of -inf keeps
+# its output finite while a softmax after it still flushes masked weights to
+# exactly 0.  `causal_attention` adds no mask; it never exponentiates the
+# entries above the diagonal.
 CAUSAL_NEG = -1e30
 
 
@@ -261,6 +265,14 @@ def _causal_mask(t: int) -> np.ndarray:
     mask = np.triu(np.full((t, t), CAUSAL_NEG), k=1)
     mask.flags.writeable = False
     return mask
+
+
+@functools.cache
+def _causal_keep(t: int) -> np.ndarray:
+    """Read-only (t, t) bool: True on and below the diagonal."""
+    keep = np.tri(t, dtype=bool)
+    keep.flags.writeable = False
+    return keep
 
 
 def causal_mask_add(scores: Tensor) -> Tensor:
@@ -281,9 +293,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
 
     One tape record for what would otherwise be a chain of split heads,
     q @ k^T, scale by 1/sqrt(head_dim), causal mask add, softmax, @ v and
-    merge heads.  The arithmetic is that chain's, in the same order and on
-    operands of the same memory layout, so the output and all three input
-    gradients are bit-identical to it; the softmax runs in place.
+    merge heads.  The softmax runs in place on the causal triangle only: the
+    row max and the exponential read only scores on or below the diagonal,
+    and the probabilities above it are written as +0.0, the value the
+    chain's exp(CAUSAL_NEG - max) underflows to.  Every other step is the
+    chain's arithmetic, in the same order and on operands of the same memory
+    layout, so for scores far smaller than |CAUSAL_NEG| the output and all
+    three input gradients are bit-identical to it.  Unlike the chain, a
+    key's scores, however large, never reach the rows before its position.
     """
     shape = q.data.shape
     if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
@@ -303,13 +320,16 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
 
     qh, vh = split(q.data), split(v.data)
     kt = np.ascontiguousarray(np.swapaxes(split(k.data), -1, -2))
+    keep = _causal_keep(n_tok)
     p = qh @ kt
     p *= scale
-    p += _causal_mask(n_tok)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
+    p -= np.max(p, axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    np.exp(p, out=p, where=keep)
+    np.copyto(p, 0.0, where=~keep)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(merge(p @ vh))
+    ctx = np.empty((n_batch, n_tok, num_heads, head_dim))
+    np.matmul(p, vh, out=ctx.transpose(0, 2, 1, 3))  # p @ vh, written merged
+    out = Tensor(ctx.reshape(shape))
 
     def backward_fn(g, need):
         g_ctx = split(g)
@@ -340,9 +360,9 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ValidationError(f"cross-entropy: target id out of range for {n_classes} classes")
 
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    denom = e.sum(axis=-1, keepdims=True)
     picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
+    e = np.exp(z, out=z)
+    denom = e.sum(axis=-1, keepdims=True)
     nll = np.log(denom[..., 0]) - picked
     out = Tensor(nll.mean())
     count = max(targets.size, 1)

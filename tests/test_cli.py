@@ -221,6 +221,14 @@ class TestPrune:
                      "--general-scores", str(workspace["out"] / "general_scores.bin"),
                      "--output-dir", str(tmp_path)]) == 2
 
+    def test_fisher_source_recorded(self, workspace, tmp_path):
+        assert main(["prune", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--general-scores", str(workspace["out"] / "general_scores.bin"),
+                     "--fisher-source", "general", "--output-dir", str(tmp_path)]) == 0
+        assert load_dual_scores(tmp_path / "dual_scores.bin").fisher_source == "general"
+        assert load_dual_scores(workspace["out"] / "dual_scores.bin").fisher_source == "domain"
+
     def test_blocked_mask_pools_are_block_size_wide(self, workspace, tmp_path):
         # d_ff 48: gate and up are 48 columns wide, down and q/k/v/o 32; every pool is 16 wide
         assert main(["prune", "--config", str(workspace["config"]),
@@ -310,7 +318,7 @@ class TestEvalMasksimSweep:
         assert main(["sweep", *flags, "--scores", str(scores), "--sparsities", "0,0.5"]) == 4
         err = capsys.readouterr().err.splitlines()
         assert err == ["numeric error: mean_corpus_loss: non-finite loss nan on sequences 0..7"] * 2
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_masksim_block_byte_count_mismatch_exit_3(self, workspace, tmp_path, capsys):
         # a b1 block of shape (3, 9) that holds 3 bytes: one per row, not two
@@ -322,7 +330,7 @@ class TestEvalMasksimSweep:
         assert main(["masksim", "--config", str(workspace["config"]), "--output-dir", str(out),
                      str(bad), str(workspace["out"] / "mask.bin")]) == 3
         assert "block layers.0.q has 3 bytes, but b1 shape (3, 9) takes 6" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_sweep_csv_rows(self, workspace):
         assert main(["sweep", "--config", str(workspace["config"]),

@@ -18,6 +18,7 @@ from dualprune.pruning import (
     save_mask,
     select_mask_blocked,
     select_mask_per_matrix,
+    select_masks,
 )
 
 TINY = ModelConfig(vocab_size=32, context_length=16, num_layers=1, d_model=16,
@@ -124,6 +125,34 @@ class TestBlocked:
         for bad in (0, None, 2.0, {"m": 2}):
             with pytest.raises(ValidationError, match="block size must be an int >= 1, got"):
                 select_mask_blocked({"m": np.ones((2, 2))}, 0.5, bad)
+
+
+class TestSeveralSparsities:
+    SPARSITIES = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 0.5]
+
+    @pytest.mark.parametrize("mode,block_size", [("per-matrix", None), ("per-matrix", 4),
+                                                 ("blocked", 4), ("blocked", 5)])
+    def test_equals_one_selection_per_sparsity(self, mode, block_size):
+        rng = np.random.default_rng(53)
+        # rounded scores tie often, so the tie order is exercised at every sparsity
+        scores = {"a": np.round(rng.random((6, 13)), 1), "b": np.ones((4, 9)),
+                  "c": rng.random((8, 8))}
+        masks = select_masks(scores, self.SPARSITIES, mode, block_size)
+        assert [m.sparsity for m in masks] == self.SPARSITIES
+        for sparsity, mask in zip(self.SPARSITIES, masks):
+            if mode == "blocked":
+                one = select_mask_blocked(scores, sparsity, block_size)
+            else:
+                one = select_mask_per_matrix(scores, sparsity)
+            assert mask.fingerprint() == one.fingerprint(), sparsity
+            assert (mask.mode, mask.block_size, mask.score_fingerprint) == (
+                one.mode, one.block_size, one.score_fingerprint)
+            for name in scores:
+                assert np.array_equal(mask.masks[name], one.masks[name]), (sparsity, name)
+
+    def test_any_invalid_sparsity_rejected(self):
+        with pytest.raises(ValidationError, match="sparsity must lie in"):
+            select_masks({"m": np.ones((2, 2))}, [0.5, 1.0], "per-matrix")
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 0), (2, 3, 4)], ids=["1-D", "no-columns", "3-D"])

@@ -100,6 +100,31 @@ class TestForwardPrimitives:
         assert losses[-1] < 1e-12
 
 
+def test_cross_entropy_bit_identical_to_unfused_formula():
+    rng = np.random.default_rng(8)
+    for shape in [(5,), (7, 11), (4, 9, 256)]:
+        logits = rng.normal(scale=4.0, size=shape)
+        targets = rng.integers(0, shape[-1], size=shape[:-1])
+        z = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        denom = e.sum(axis=-1, keepdims=True)
+        picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
+        expected_loss = (np.log(denom[..., 0]) - picked).mean()
+        expected_grad = e / denom
+        np.put_along_axis(expected_grad, targets[..., None],
+                          np.take_along_axis(expected_grad, targets[..., None], axis=-1) - 1.0,
+                          axis=-1)
+        expected_grad *= 1.0 / max(targets.size, 1)
+
+        x = T.param(logits, "x")
+        tape = T.GradientTape()
+        with tape:
+            loss = T.cross_entropy(x, targets)
+        assert float(loss.data) == float(expected_loss), shape
+        assert np.array_equal(T.backward(tape, loss)[x.tid].data, expected_grad), shape
+        assert np.array_equal(x.data, logits), shape  # the logits are left as they were
+
+
 class TestTape:
     def test_square_loss_gradient(self):
         w = T.param(np.array([[1.0, -2.0]]), "w")
@@ -214,6 +239,23 @@ def composed_attention(q, k, v, num_heads):
     return T.reshape(T.transpose(T.matmul(attn, split(v)), 1, 2), (n_batch, n_tok, width))
 
 
+def assert_matches_chain(rng, shape, num_heads):
+    """The fused primitive's output and q, k, v gradients equal the chain's, bit for bit."""
+    weighting = T.Tensor(rng.normal(size=shape))
+    data = [rng.normal(size=shape) for _ in range(3)]
+    results = []
+    for attention in (T.causal_attention, composed_attention):
+        qkv = [T.param(d, name) for d, name in zip(data, "qkv")]
+        tape = T.GradientTape()
+        with tape:
+            out = attention(*qkv, num_heads)
+            loss = scalar_loss(T.mul(out, weighting))
+        grads = T.backward(tape, loss)
+        results.append([out.data] + [grads[t.tid].data for t in qkv])
+    for name, fused, chain in zip(["out", "q", "k", "v"], *results):
+        assert np.array_equal(fused, chain), (shape, num_heads, name)
+
+
 TINY = ModelConfig(vocab_size=32, context_length=16, num_layers=1, d_model=16,
                    num_heads=2, d_ff=24, seed=3)
 
@@ -224,20 +266,31 @@ class TestCausalAttention:
         rng = np.random.default_rng(config.d_model)
         for n_batch, n_tok in [(1, 2), (1, config.context_length - 1), (3, 5),
                                (8, config.context_length // 2 + 3), (8, config.context_length - 1)]:
-            shape = (n_batch, n_tok, config.d_model)
-            weighting = T.Tensor(rng.normal(size=shape))
-            data = [rng.normal(size=shape) for _ in range(3)]
-            results = []
-            for attention in (T.causal_attention, composed_attention):
-                qkv = [T.param(d, name) for d, name in zip(data, "qkv")]
-                tape = T.GradientTape()
-                with tape:
-                    out = attention(*qkv, config.num_heads)
-                    loss = scalar_loss(T.mul(out, weighting))
-                grads = T.backward(tape, loss)
-                results.append([out.data] + [grads[t.tid].data for t in qkv])
-            for name, fused, chain in zip(["out", "q", "k", "v"], *results):
-                assert np.array_equal(fused, chain), (n_batch, n_tok, name)
+            assert_matches_chain(rng, (n_batch, n_tok, config.d_model), config.num_heads)
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    @pytest.mark.parametrize("n_tok", [1, 2, 3, 17, 63])
+    def test_bit_identical_to_composed_chain_per_shape(self, n_tok, num_heads):
+        rng = np.random.default_rng(100 * n_tok + num_heads)
+        assert_matches_chain(rng, (3, n_tok, 16 * num_heads), num_heads)
+
+    @pytest.mark.parametrize("value", [-1e35, -1.0, 0.0, 2.5, 1e35])
+    def test_a_key_never_reaches_earlier_rows(self, value):
+        # one head whose values are the identity: each output row is that
+        # query's row of attention probabilities
+        n_tok = 6
+        rng = np.random.default_rng(7)
+        q, k = (rng.normal(size=(2, n_tok, n_tok)) for _ in range(2))
+        v = T.Tensor(np.broadcast_to(np.eye(n_tok), (2, n_tok, n_tok)))
+        base = T.causal_attention(T.Tensor(q), T.Tensor(k), v, 1).data
+        rows, cols = np.triu_indices(n_tok, 1)
+        for j in range(n_tok):
+            moved_k = k.copy()
+            moved_k[:, j] = value
+            probs = T.causal_attention(T.Tensor(q), T.Tensor(moved_k), v, 1).data
+            assert np.array_equal(probs[:, :j], base[:, :j]), j
+            above = probs[:, rows, cols]
+            assert np.all(above == 0.0) and not np.signbit(above).any(), j
 
     def test_one_tape_record(self):
         x = T.Tensor(np.zeros((2, 3, 4)))
