@@ -3,7 +3,9 @@
 The pipeline: pretrain a toy byte-level transformer, score general weight
 importance on open-domain calibration data, blend it with domain-specific
 gradients into dual importance scores, select unstructured masks, and
-evaluate the pruned model.
+evaluate the pruned model.  The API lives in the submodules (`dualprune.model`,
+`dualprune.importance`, ...): the package root binds only those modules, so each
+public name has one import path.
 
 The numeric core is single-threaded by design: a multi-threaded GEMM sums in
 an order that depends on the thread count, and results must be reproducible
@@ -53,52 +55,7 @@ def _pin_blas_threads() -> None:
                    stacklevel=2)
 
 
-from .corpus import CalibrationSpec, Corpus, build_calibration, tokenize
-from .errors import (
-    ArtifactError,
-    DualPruneError,
-    NumericError,
-    ShapeError,
-    ValidationError,
-)
-from .evaluation import (
-    EvalReport,
-    SimilarityReport,
-    SweepResult,
-    mask_similarity,
-    perplexity,
-    sparsity_sweep,
-)
-from .importance import (
-    DualScoreS,
-    GradientStats,
-    ImportanceMatrixG,
-    brute_force_importance,
-    dual_importance_scores,
-    estimate_fisher_diagonal,
-    general_importance,
-    next_token_gradients,
-    regularizer_gradient,
-)
-from .model import (
-    ModelConfig,
-    TransformerModel,
-    init_model,
-    load_checkpoint,
-    mean_corpus_loss,
-    next_token_loss,
-    pretrain,
-    prunable_matrices,
-    save_checkpoint,
-)
-from .pruning import (
-    Mask,
-    apply_mask,
-    magnitude_mask,
-    select_mask_blocked,
-    select_mask_per_matrix,
-)
-from .tensor import GradientTape, Tensor, backward
+from . import container, corpus, errors, evaluation, importance, model, pruning, tensor
 
 __version__ = "0.1.0"
 

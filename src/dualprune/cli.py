@@ -85,6 +85,9 @@ class RunConfig:
         pruning.check_block_size(self.block_size)
         if self.method not in ("dual", "magnitude"):
             raise ValidationError(f"unknown pruning method {self.method!r}")
+        if self.method == "magnitude" and self.mode != pruning.MODE_PER_MATRIX:
+            raise ValidationError(f"method magnitude selects per-matrix masks only; "
+                                  f"mode must be {pruning.MODE_PER_MATRIX!r}, got {self.mode!r}")
         importance.validate_lambda_alpha(self.lam, self.alpha)
         importance.validate_damping(self.damping)
         if self.fisher_source not in ("domain", "general"):
@@ -156,9 +159,6 @@ def _corpus_spec(config: RunConfig, role: str) -> CalibrationSpec:
     if not paths_raw:
         raise ValidationError(f"no {role}_corpus configured")
     paths = [p.strip() for p in paths_raw.split(",") if p.strip()]
-    for p in paths:
-        if not Path(p).is_file():
-            raise ValidationError(f"{role}_corpus file not found: {p}")
     role_offsets = {"train": 11, "open": 22, "domain": 33, "test": 44}
     return CalibrationSpec(
         sources=paths,

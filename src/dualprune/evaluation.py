@@ -81,14 +81,15 @@ def mask_similarity(mask_a: Mask, mask_b: Mask) -> SimilarityReport:
 
 def sparsity_sweep(model: TransformerModel, scores, corpus, sparsity_list,
                    mode: str = "per-matrix", block_size=None) -> SweepResult:
-    """Select, apply and evaluate a mask per sparsity; flags the perplexity trend.
+    """Select, apply and evaluate a mask per sparsity, in ascending order of
+    sparsity; flags the perplexity trend.
 
     Every mask comes from one `select_masks` call, so each pool is sorted once.
 
     Scores that record the model they were computed for (a `model_fingerprint`)
     must come from `model`; a plain dict of arrays is taken as it is.
     """
-    sparsity_list = list(sparsity_list)
+    sparsity_list = sorted(sparsity_list)
     if not sparsity_list:
         raise ValidationError("sparsity_sweep: no sparsities given")
     rows: list[tuple[float, float]] = []

@@ -464,13 +464,18 @@ class TestConfigHandling:
     def test_bad_option_exit_2(self, workspace, tmp_path, capsys, command, flag, value, message):
         self._assert_rejected(workspace, tmp_path, capsys, command, flag, value, message)
 
+    def test_magnitude_with_blocked_mode_exit_2(self, workspace, tmp_path, capsys):
+        self._assert_rejected(workspace, tmp_path, capsys, "prune", "--mode", "blocked",
+                              "method magnitude selects per-matrix masks only; mode must be "
+                              "'per-matrix', got 'blocked'", "--method", "magnitude")
+
     @staticmethod
-    def _assert_rejected(workspace, tmp_path, capsys, command, flag, value, message):
+    def _assert_rejected(workspace, tmp_path, capsys, command, flag, value, message, *more_args):
         ckpt = ["--checkpoint", str(workspace["out"] / "model.ckpt")]
         inputs = {"pretrain": [], "general-importance": ckpt,
                   "prune": [*ckpt, "--general-scores", str(workspace["out"] / "general_scores.bin")]}
         assert main([command, "--config", str(workspace["config"]), *inputs[command], flag, value,
-                     "--output-dir", str(tmp_path)]) == 2
+                     *more_args, "--output-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not any(tmp_path.iterdir())

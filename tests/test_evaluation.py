@@ -185,6 +185,13 @@ class TestSweep:
         with pytest.raises(ValidationError, match="sparsity"):
             sparsity_sweep(model, scores, corpus, [0.5, 1.0])
 
+    def test_rows_and_verdict_follow_sparsity_not_argument_order(self, trained):
+        model, scores, corpus = trained
+        ascending = sparsity_sweep(model, scores, corpus, [0.1, 0.3, 0.5, 0.7])
+        reversed_ = sparsity_sweep(model, scores, corpus, [0.7, 0.5, 0.3, 0.1])
+        assert [s for s, _ in ascending.rows] == [0.1, 0.3, 0.5, 0.7]
+        assert reversed_ == ascending
+
     def test_monotone_flag_consistent(self, trained):
         model, scores, corpus = trained
         result = sparsity_sweep(model, scores, corpus, [0.0, 0.3, 0.6])

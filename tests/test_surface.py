@@ -6,16 +6,21 @@
   exact string constant (the benchmark wraps functions by name), and for a
   module-level definition also a bare name; so an API that only tests reach
   fails here.
-* No module in `src/` or `tests/` imports a name it does not use.  Relative
-  re-exports in `__init__.py` and lines marked `# noqa: F401` are exempt.
+* No module in `src/` or `tests/` imports a name it does not use.  The
+  submodule imports in `__init__.py` and lines marked `# noqa: F401` are exempt.
+* The package root binds no public name but its submodules, so every public
+  function and class has one import path: `dualprune.<module>.<name>`.
 * The stage benchmark's hooks install on the package and come off again.
 """
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import dualprune
 from dualprune import model, tensor
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,6 +86,21 @@ def test_no_unused_imports():
     unused = [entry for path, tree in _trees(ROOT / "src", ROOT / "tests")
               for entry in _unused_imports(path, tree)]
     assert unused == [], f"unused imports: {unused}"
+
+
+def test_package_root_binds_only_submodules():
+    public = {name: value for name, value in vars(dualprune).items() if not name.startswith("_")}
+    assert {name: getattr(value, "__name__", None) for name, value in public.items()} == {
+        name: f"dualprune.{name}" for name in public}
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import dualprune; "
+         "print(*sorted(n for n in vars(dualprune) if not n.startswith('_')))"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))),
+        capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.split() == ["container", "corpus", "errors", "evaluation", "importance",
+                                    "model", "pruning", "tensor"]
 
 
 def _package_bindings():
