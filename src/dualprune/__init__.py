@@ -7,10 +7,14 @@ evaluate the pruned model.  The API lives in the submodules (`dualprune.model`,
 `dualprune.importance`, ...): the package root binds only those modules, so each
 public name has one import path.
 
-The numeric core is single-threaded by design: a multi-threaded GEMM sums in
-an order that depends on the thread count, and results must be reproducible
-bit-for-bit.  So on import the OpenBLAS that numpy loaded is pinned to one
-thread, and a RuntimeWarning says so when no OpenBLAS thread setter is found.
+Results must be reproducible bit-for-bit, and a multi-threaded GEMM sums in
+an order that depends on the thread count.  So every pass, and every GEMM in
+it, stays on one BLAS thread: on import the OpenBLAS that numpy loaded is
+pinned to one thread, and a RuntimeWarning says so when no OpenBLAS thread
+setter is found.  The independent batches of an evaluation pass
+(`model.mean_corpus_loss`) run concurrently on a thread pool with one worker
+per usable CPU, and their losses are reduced in corpus order, so the result
+does not depend on the number of workers.
 """
 
 import ctypes as _ctypes

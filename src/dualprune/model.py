@@ -7,8 +7,13 @@ head are never part of the prunable set.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import hashlib
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -280,29 +285,75 @@ def batch_next_token_loss(model: TransformerModel, batch: np.ndarray,
 # Sequences per forward pass of `mean_corpus_loss`.
 EVAL_BATCH = 32
 
+# glibc's mallopt parameter for the most malloc arenas the process may create.
+_M_ARENA_MAX = -8
+_eval_pool_lock = threading.Lock()
+_eval_pool_instance: ThreadPoolExecutor | None = None
+
+
+def _eval_pool() -> ThreadPoolExecutor:
+    """The process-wide pool for the batches of `mean_corpus_loss`, made on
+    first use with one worker per CPU this process may run on.
+
+    Before its threads start, glibc is held to one malloc arena: a thread
+    with an arena of its own would keep that arena's batch-32 high-water mark
+    mapped beside the main one.  Where there is no `mallopt` (not glibc) the
+    threads keep their own arenas; that changes memory use, never results.
+    """
+    global _eval_pool_instance
+    with _eval_pool_lock:
+        if _eval_pool_instance is None:
+            mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+            if mallopt is not None:
+                mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+                mallopt.restype = ctypes.c_int
+                mallopt(_M_ARENA_MAX, 1)
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                workers = os.cpu_count() or 1
+            _eval_pool_instance = ThreadPoolExecutor(workers, thread_name_prefix="dualprune-eval")
+        return _eval_pool_instance
+
 
 def mean_corpus_loss(model: TransformerModel, corpus,
                      resume: tuple[int, list[Tensor]] | None = None) -> float:
     """Token-count-weighted mean next-token loss over the corpus's (n, length) array.
 
     The rows are batched in corpus order, `EVAL_BATCH` at a time (the last
-    batch may be smaller), so the reduction order is fixed and results are
-    reproducible bit-for-bit.  With `resume=(s, states)`, the forward pass of
-    the n-th batch resumes at sublayer `s` from `states[n]`.  A non-finite
-    batch loss raises `NumericError` naming the batch's rows.
+    batch may be smaller).  The batches' forward passes run concurrently on
+    the process-wide eval pool, each in a copy of the caller's context (so
+    under its `np.errstate`), and their losses are summed in corpus order, so
+    the result is bit-for-bit that of passing them one by one.  With
+    `resume=(s, states)`, the forward pass of the n-th batch resumes at
+    sublayer `s` from `states[n]`.  A non-finite batch loss raises
+    `NumericError` naming the rows of the first such batch; no pass of the
+    call is left running when it returns or raises.
     """
+    pool = _eval_pool()
+    batches = list(corpus.batches(EVAL_BATCH))
+    futures = []
     nll_total = 0.0
     token_total = 0
-    for n, batch in enumerate(corpus.batches(EVAL_BATCH)):
-        at = None if resume is None else (resume[0], resume[1][n])
-        loss = float(batch_next_token_loss(model, batch, at).data)
-        if not math.isfinite(loss):
-            first = n * EVAL_BATCH
-            raise NumericError(f"mean_corpus_loss: non-finite loss {loss} on sequences "
-                               f"{first}..{first + len(batch) - 1}")
-        n_predicted = batch.shape[0] * (batch.shape[1] - 1)
-        nll_total += loss * n_predicted
-        token_total += n_predicted
+    try:
+        for n, batch in enumerate(batches):
+            at = None if resume is None else (resume[0], resume[1][n])
+            # a context per task: one context cannot be entered by two threads at once
+            futures.append(pool.submit(contextvars.copy_context().run,
+                                       batch_next_token_loss, model, batch, at))
+        for n, (batch, future) in enumerate(zip(batches, futures)):
+            loss = float(future.result().data)
+            if not math.isfinite(loss):
+                first = n * EVAL_BATCH
+                raise NumericError(f"mean_corpus_loss: non-finite loss {loss} on sequences "
+                                   f"{first}..{first + len(batch) - 1}")
+            n_predicted = batch.shape[0] * (batch.shape[1] - 1)
+            nll_total += loss * n_predicted
+            token_total += n_predicted
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
     return nll_total / token_total
 
 

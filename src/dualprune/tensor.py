@@ -9,8 +9,10 @@ probabilities are written as exact zeros.  Softmax over the last axis,
 causal mask add and reshape stay primitives of their own although the
 model no longer records them: the stage benchmark's span wrappers
 (`stagebench/spans.py`) look them up by name.  Cross-entropy is the only
-scalar loss.  Everything is float64 and single-threaded; leading batch
-dimensions are handled through numpy broadcasting.
+scalar loss.  Everything is float64 and leading batch dimensions are handled
+through numpy broadcasting.  Every pass, and every GEMM in it, runs on one
+BLAS thread; independent passes may run in concurrent threads, each
+recording onto its own thread's active tape.
 
 The reverse pass computes only the gradients that lead to the requested
 weights, and can return one gradient per sample of a batch (see
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from typing import Callable, Iterable
 
 import numpy as np
@@ -65,29 +68,35 @@ def param(data, name: str) -> Tensor:
     return Tensor(data, is_param=True, name=name)
 
 
+class _ActiveTape(threading.local):
+    tape: "GradientTape | None" = None
+
+
+_active = _ActiveTape()
+
+
 class GradientTape:
     """Ordered record of the primitives applied during one forward pass.
 
     Ops record themselves on the active tape (entered via ``with``); replay
-    happens in exact reverse order of recording.  A tape is single-use: make
-    a fresh one per forward pass so gradients from distinct samples never
-    mix unless explicitly accumulated through the graph itself.
+    happens in exact reverse order of recording.  Each thread has at most one
+    active tape, and ops record only onto their own thread's.  A tape is
+    single-use: make a fresh one per forward pass so gradients from distinct
+    samples never mix unless explicitly accumulated through the graph itself.
     """
-
-    _active: "GradientTape | None" = None
 
     def __init__(self):
         self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._output_ids: set[int] = set()
 
     def __enter__(self) -> "GradientTape":
-        if GradientTape._active is not None:
+        if _active.tape is not None:
             raise ValidationError("a gradient tape is already active")
-        GradientTape._active = self
+        _active.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        GradientTape._active = None
+        _active.tape = None
         return False
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
@@ -104,7 +113,7 @@ SKIP, SUMMED, PER_SAMPLE = 0, 1, 2
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
-    tape = GradientTape._active
+    tape = _active.tape
     if tape is not None:
         tape.record(out, inputs, backward_fn)
     return out
@@ -245,9 +254,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = Tensor(table.data[ids])
 
     def backward_fn(g, need):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        # np.add.at(zeros, ids, g) as one bincount over the (id, column) slots: each
+        # slot sums its rows' entries from 0.0 in the same order, so bit-identically
+        rows, width = table.data.shape
+        slots = (ids.astype(np.intp, copy=False).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        gt = np.bincount(slots, weights=g.reshape(-1), minlength=rows * width)
+        return (gt.reshape(rows, width),)
 
     return _record(out, (table,), backward_fn)
 

@@ -4,6 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 import dualprune
 from dualprune.corpus import Corpus
 from dualprune.errors import ArtifactError, NumericError, ShapeError, ValidationError
+from dualprune.evaluation import sparsity_sweep
 from dualprune.model import (
     EVAL_BATCH,
     ModelConfig,
@@ -24,7 +28,7 @@ from dualprune.model import (
     prunable_matrices,
     save_checkpoint,
 )
-from dualprune.tensor import Tensor
+from dualprune.tensor import GradientTape, Tensor
 
 TINY = ModelConfig(vocab_size=32, context_length=16, num_layers=1, d_model=16,
                    num_heads=2, d_ff=24, seed=3)
@@ -252,6 +256,108 @@ class TestResume:
         model = init_model(TWO_LAYER)
         with pytest.raises(ShapeError, match=r"resume stream has shape .*, expected \(2, 5, 16\)"):
             model.forward(np.zeros((2, 5), dtype=np.int64), (1, Tensor(np.zeros(shape))))
+
+
+def serial_corpus_loss(model, corpus, resume=None, reverse=False):
+    """`mean_corpus_loss` as a plain loop: one batch after another in this
+    thread, in corpus order or, with `reverse`, in the opposite order."""
+    nll_total, token_total = 0.0, 0
+    batches = list(enumerate(corpus.batches(EVAL_BATCH)))
+    for n, batch in reversed(batches) if reverse else batches:
+        at = None if resume is None else (resume[0], resume[1][n])
+        n_predicted = batch.shape[0] * (batch.shape[1] - 1)
+        nll_total += float(batch_next_token_loss(model, batch, at).data) * n_predicted
+        token_total += n_predicted
+    return nll_total / token_total
+
+
+@pytest.fixture
+def eval_pool(monkeypatch):
+    """Puts a pool of the given size in place of the process-wide eval pool."""
+    pools = []
+
+    def use(workers):
+        pool = ThreadPoolExecutor(workers)
+        pools.append(pool)
+        monkeypatch.setattr(dualprune.model, "_eval_pool", lambda: pool)
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
+class TestEvalPool:
+    # 6 full batches and a partial one of 5, seeded so that summing the batch
+    # losses in another order changes the result's last bits
+    SEQS = np.random.default_rng(30).integers(0, TWO_LAYER.vocab_size, size=(6 * EVAL_BATCH + 5, 12))
+
+    @pytest.mark.parametrize("resume_at", [None, 2], ids=["full", "resumed"])
+    def test_pool_size_changes_no_bit(self, eval_pool, resume_at):
+        model = init_model(TWO_LAYER)
+        corpus = Corpus("m", self.SEQS)
+        resume = None if resume_at is None else (resume_at, [
+            stream_entering(model, batch[:, :-1], resume_at) for batch in corpus.batches(EVAL_BATCH)])
+        expected = serial_corpus_loss(model, corpus, resume).hex()
+        assert serial_corpus_loss(model, corpus, resume, reverse=True).hex() != expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' Python code finely
+        try:
+            for workers in (1, 2, 8):  # 8: more workers than batches and than cores
+                eval_pool(workers)
+                assert mean_corpus_loss(model, corpus, resume).hex() == expected, workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sweep_rows_do_not_depend_on_pool_size(self, eval_pool):
+        model = init_model(TWO_LAYER)
+        rng = np.random.default_rng(9)
+        scores = {f"layers.{i}.{name}": rng.random(t.shape) for i, name, t in prunable_matrices(model)}
+        rows = []
+        for workers in (1, 2):
+            eval_pool(workers)
+            rows.append(sparsity_sweep(model, scores, Corpus("m", self.SEQS), [0.0, 0.3, 0.6]).rows)
+        assert rows[0] == rows[1]
+
+    def test_first_non_finite_batch_in_corpus_order_raises(self, eval_pool, monkeypatch):
+        # batches 1 and 6 turn infinite; batch 1 is held back so that batch 6 fails first
+        model = init_model(TWO_LAYER)
+        rare = TWO_LAYER.vocab_size - 1
+        seqs = self.SEQS.copy()
+        seqs[seqs == rare] = 0
+        seqs[EVAL_BATCH + 3, 4] = seqs[6 * EVAL_BATCH + 1, 4] = rare
+        batch_six_done = threading.Event()
+        embed = model.embed
+
+        def embed_breaking_rare(ids):
+            h = embed(ids)
+            if (ids[:, 4] == rare).any():
+                if len(ids) == EVAL_BATCH:  # batch 1
+                    batch_six_done.wait(timeout=10)
+                h.data[(ids == rare).any(axis=1)] = np.inf
+            return h
+
+        def loss_marking_batch_six(model, batch, resume=None):
+            loss = batch_next_token_loss(model, batch, resume)
+            if len(batch) == 5:
+                batch_six_done.set()
+            return loss
+
+        model.embed = embed_breaking_rare
+        monkeypatch.setattr(dualprune.model, "batch_next_token_loss", loss_marking_batch_six)
+        eval_pool(3)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")  # a worker outside the caller's errstate would warn
+            with pytest.raises(NumericError, match=r"non-finite loss nan on sequences 32\.\.63$"):
+                mean_corpus_loss(model, Corpus("m", seqs))
+        assert batch_six_done.is_set()
+
+    def test_tape_active_in_the_caller_records_nothing(self):
+        model = init_model(TWO_LAYER)
+        tape = GradientTape()
+        with tape:
+            loss = mean_corpus_loss(model, Corpus("m", self.SEQS))
+        assert tape.records == []
+        assert loss == serial_corpus_loss(model, Corpus("m", self.SEQS))
 
 
 class TestPretrain:

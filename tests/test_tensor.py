@@ -1,6 +1,7 @@
 """Engine primitives: forward values, shape errors, and gradient correctness."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -171,6 +172,32 @@ class TestTape:
                 with T.GradientTape():
                     pass
 
+    def test_each_thread_has_its_own_active_tape(self):
+        both_active = threading.Barrier(2, timeout=10)
+        tapes = [T.GradientTape(), T.GradientTape()]
+        errors = []
+
+        def record(tape, value):
+            try:
+                with tape:
+                    both_active.wait()
+                    T.mul(T.Tensor(value), T.Tensor(value))
+                    both_active.wait()
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=record, args=(tape, float(i)))
+                   for i, tape in enumerate(tapes)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for i, tape in enumerate(tapes):
+            [(out, _, _)] = tape.records
+            assert float(out.data) == float(i * i)
+
     def test_gradient_shapes_match_weights(self):
         rng = np.random.default_rng(2)
         w = T.param(rng.normal(size=(3, 4)), "w")
@@ -258,6 +285,38 @@ def assert_matches_chain(rng, shape, num_heads):
 
 TINY = ModelConfig(vocab_size=32, context_length=16, num_layers=1, d_model=16,
                    num_heads=2, d_ff=24, seed=3)
+
+
+class TestEmbeddingBackward:
+    @staticmethod
+    def table_gradient(table, ids, g):
+        tape = T.GradientTape()
+        with tape:
+            T.embedding_lookup(table, ids)
+        [(_, _, backward_fn)] = tape.records
+        return backward_fn(g, (T.SUMMED,))[0]
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_bit_identical_to_add_at(self, batch):
+        rng = np.random.default_rng(batch)
+        table = T.param(rng.normal(size=(32, 16)), "embed")
+        ids = rng.integers(0, 8, size=(batch, 63))  # few rows, so ids repeat
+        g = rng.normal(size=(batch, 63, 16))
+        g[rng.random(g.shape) < 0.2] = -0.0
+        g[:, :, 3] = -0.0  # a column whose every slot sums only -0.0 entries
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, ids, g)
+        assert self.table_gradient(table, ids, g).tobytes() == expected.tobytes()
+
+    def test_position_path_bit_identical_to_add_at(self):
+        rng = np.random.default_rng(7)
+        table = T.param(rng.normal(size=(64, 16)), "pos")
+        ids = np.arange(63)
+        g = rng.normal(size=(63, 16))
+        g[::5] = -0.0
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, ids, g)
+        assert self.table_gradient(table, ids, g).tobytes() == expected.tobytes()
 
 
 class TestCausalAttention:
