@@ -4,7 +4,10 @@ Three score families:
 
 * general importance: per-weight removal error 0.5 * W^2 / [H^-1]_mm, with the
   inverse Hessian diagonal approximated as 1 / (H_mm + damping) and H_mm from
-  the empirical Fisher (mean squared per-sample gradient) on open-domain data;
+  the empirical Fisher (mean squared per-sample gradient) on open-domain data.
+  The per-sample gradients come from batched tape passes over chunks of
+  `GRADIENT_CHUNK` sequences, run concurrently on the eval pool and reduced
+  in corpus order, bit-identical to one batch-1 pass per sequence;
 * dual importance: |u + u^2/2| with u = g * W, where g is the next-token
   gradient on domain data plus a closed-form regularizer gradient
   2*lambda*alpha^2 * G * g_next * H_mm that penalizes moving weights the
@@ -26,6 +29,7 @@ Model weights are never updated here; only gradients are read.
 from __future__ import annotations
 
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +43,7 @@ from .model import (
     EVAL_BATCH,
     TransformerModel,
     check_scored_model,
+    in_corpus_order,
     mean_corpus_loss,
     next_token_split,
     prunable_names,
@@ -49,10 +54,11 @@ from .model import next_token_loss  # noqa: F401
 DEFAULT_DAMPING = 1e-4
 DEFAULT_LAMBDA = 0.1
 DEFAULT_ALPHA = 0.03
-# Sequences per batched gradient pass: the pretraining batch size.  A pass
-# holds the activations and per-sample gradients of all its sequences at
-# once, so larger chunks raise peak memory.
-GRADIENT_CHUNK = 8
+# Sequences per batched gradient pass.  A pass holds the activations and
+# per-sample gradients of all its sequences at once, and the eval pool runs
+# one pass per worker, so peak memory is about workers x 4 sequences of
+# activations.  The size never changes a bit of the results.
+GRADIENT_CHUNK = 4
 
 
 @dataclass
@@ -123,43 +129,53 @@ class _PairwiseSum:
         return {k: v / self.count for k, v in total.items()}
 
 
+def _sample_gradients(model: TransformerModel, weights: list[T.Tensor], batch: np.ndarray):
+    """One chunk's tape pass: per weight, the (n, *shape) per-sample gradients
+    and their squares, and finite[b, m], whether sample b's gradient of weight
+    m is finite."""
+    tape = T.GradientTape()
+    with tape:
+        # looked up at call time, so that a hook installed on
+        # model.batch_next_token_loss sees every chunk
+        loss = model_lib.batch_next_token_loss(model, batch)
+    grads = T.backward(tape, loss, weights, samples=len(batch))
+    per_sample = [grads[w.tid].data for w in weights]
+    finite = np.stack([np.isfinite(g).reshape(len(batch), -1).all(axis=1) for g in per_sample],
+                      axis=1)
+    return per_sample, [g * g for g in per_sample], finite
+
+
 def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
     """Per-sample next-token gradients over the corpus's (n, length) array,
     reduced to mean and mean-of-squares.
 
     Each block of up to `GRADIENT_CHUNK` consecutive rows goes through one
     batched tape pass, whose reverse pass returns every sequence's gradient
-    of its own loss for the prunable matrices only.
-    That pass repeats the arithmetic of a batch-1 pass per sequence, and the
-    samples are reduced one at a time in corpus order, so the squared-gradient
+    of its own loss for the prunable matrices only.  The chunks' passes run
+    concurrently on the process-wide eval pool (`model.in_corpus_order`), and
+    their samples are reduced one at a time in corpus order.  A pass repeats
+    the arithmetic of a batch-1 pass per sequence, so the squared-gradient
     accumulator is the empirical Fisher diagonal and the results are
-    bit-identical to one pass per sequence.
+    bit-identical to one pass per sequence, whatever the chunk size and the
+    number of workers.  A non-finite gradient raises `NumericError` naming
+    the first such sample in corpus order; no pass of the call is left
+    running when it returns or raises.
     """
     names = prunable_names(model.config)
     weights = [model.params[k] for k in names]
     acc_g = _PairwiseSum()
     acc_g2 = _PairwiseSum()
     j = 0
-    for batch in corpus.batches(GRADIENT_CHUNK):
-        tape = T.GradientTape()
-        with tape:
-            # looked up at call time, so that a hook installed on
-            # model.batch_next_token_loss sees every chunk
-            loss = model_lib.batch_next_token_loss(model, batch)
-        grads = T.backward(tape, loss, weights, samples=len(batch))
-        per_sample = [grads[w.tid].data for w in weights]
-        # finite[b, m]: sample b's gradient of matrix m is finite
-        finite = np.stack([np.isfinite(g).reshape(len(batch), -1).all(axis=1) for g in per_sample],
-                          axis=1)
-        if not finite.all():
-            b, m = np.argwhere(~finite)[0]
-            raise NumericError(f"non-finite gradient for {names[m]} on sample {j + b}")
-        for b in range(len(batch)):
-            acc_g.add({k: g[b] for k, g in zip(names, per_sample)})
-            acc_g2.add({k: g[b] * g[b] for k, g in zip(names, per_sample)})
-        j += len(batch)
-        # the chunk's activations and gradients go before the next chunk's pass
-        del tape, loss, grads, per_sample
+    calls = ((_sample_gradients, model, weights, batch) for batch in corpus.batches(GRADIENT_CHUNK))
+    with closing(in_corpus_order(calls)) as chunks:
+        for per_sample, squares, finite in chunks:
+            if not finite.all():
+                b, m = np.argwhere(~finite)[0]
+                raise NumericError(f"non-finite gradient for {names[m]} on sample {j + b}")
+            for b in range(len(finite)):
+                acc_g.add({k: g[b] for k, g in zip(names, per_sample)})
+                acc_g2.add({k: g2[b] for k, g2 in zip(names, squares)})
+            j += len(finite)
     return GradientStats(mean=acc_g.mean(), mean_square=acc_g2.mean())
 
 

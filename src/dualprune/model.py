@@ -13,7 +13,10 @@ import hashlib
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from collections import deque
+from collections.abc import Iterable, Iterator
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -292,8 +295,9 @@ _eval_pool_instance: ThreadPoolExecutor | None = None
 
 
 def _eval_pool() -> ThreadPoolExecutor:
-    """The process-wide pool for the batches of `mean_corpus_loss`, made on
-    first use with one worker per CPU this process may run on.
+    """The process-wide pool that runs the passes of `mean_corpus_loss` and
+    `importance.next_token_gradients` (see `in_corpus_order`), made on first
+    use with one worker per CPU this process may run on.
 
     Before its threads start, glibc is held to one malloc arena: a thread
     with an arena of its own would keep that arena's batch-32 high-water mark
@@ -316,33 +320,60 @@ def _eval_pool() -> ThreadPoolExecutor:
         return _eval_pool_instance
 
 
+def in_corpus_order(calls: Iterable[tuple], window: int | None = None) -> Iterator:
+    """Run each `(fn, *args)` of `calls` on the eval pool and yield the
+    results in the order of `calls`.
+
+    Each call runs in a copy of the caller's context, so under its
+    `np.errstate`, and records onto its worker's tape, never the caller's.
+    At most `window` calls (default: as many as the pool has workers) are
+    submitted and not yet yielded, so results that hold large buffers wait
+    for the caller only that many at a time.  A call's exception is raised
+    where its result would be yielded.  On exit, including `close()` after a
+    raise in the caller, queued calls are cancelled and running ones waited
+    for; use it under `contextlib.closing`, so that no call outlives the
+    caller's loop.
+    """
+    pool = _eval_pool()
+    if window is None:
+        window = pool._max_workers  # ThreadPoolExecutor keeps no public worker count
+    pending: deque[Future] = deque()
+    try:
+        for fn, *args in calls:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            # a context per call: one context cannot be entered by two threads at once
+            pending.append(pool.submit(contextvars.copy_context().run, fn, *args))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
 def mean_corpus_loss(model: TransformerModel, corpus,
                      resume: tuple[int, list[Tensor]] | None = None) -> float:
     """Token-count-weighted mean next-token loss over the corpus's (n, length) array.
 
     The rows are batched in corpus order, `EVAL_BATCH` at a time (the last
     batch may be smaller).  The batches' forward passes run concurrently on
-    the process-wide eval pool, each in a copy of the caller's context (so
-    under its `np.errstate`), and their losses are summed in corpus order, so
-    the result is bit-for-bit that of passing them one by one.  With
-    `resume=(s, states)`, the forward pass of the n-th batch resumes at
-    sublayer `s` from `states[n]`.  A non-finite batch loss raises
-    `NumericError` naming the rows of the first such batch; no pass of the
-    call is left running when it returns or raises.
+    the process-wide eval pool (`in_corpus_order`), and their losses are
+    summed in corpus order, so the result is bit-for-bit that of passing them
+    one by one.  With `resume=(s, states)`, the forward pass of the n-th
+    batch resumes at sublayer `s` from `states[n]`.  A non-finite batch loss
+    raises `NumericError` naming the rows of the first such batch; no pass of
+    the call is left running when it returns or raises.
     """
-    pool = _eval_pool()
     batches = list(corpus.batches(EVAL_BATCH))
-    futures = []
+    calls = ((batch_next_token_loss, model, batch, None if resume is None else (resume[0], resume[1][n]))
+             for n, batch in enumerate(batches))
     nll_total = 0.0
     token_total = 0
-    try:
-        for n, batch in enumerate(batches):
-            at = None if resume is None else (resume[0], resume[1][n])
-            # a context per task: one context cannot be entered by two threads at once
-            futures.append(pool.submit(contextvars.copy_context().run,
-                                       batch_next_token_loss, model, batch, at))
-        for n, (batch, future) in enumerate(zip(batches, futures)):
-            loss = float(future.result().data)
+    # a batch's result is a scalar, so every batch may be queued at once
+    with closing(in_corpus_order(calls, window=len(batches))) as losses:
+        for n, (batch, loss) in enumerate(zip(batches, losses)):
+            loss = float(loss.data)
             if not math.isfinite(loss):
                 first = n * EVAL_BATCH
                 raise NumericError(f"mean_corpus_loss: non-finite loss {loss} on sequences "
@@ -350,10 +381,6 @@ def mean_corpus_loss(model: TransformerModel, corpus,
             n_predicted = batch.shape[0] * (batch.shape[1] - 1)
             nll_total += loss * n_predicted
             token_total += n_predicted
-    finally:
-        for future in futures:
-            future.cancel()
-        wait(futures)
     return nll_total / token_total
 
 

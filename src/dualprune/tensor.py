@@ -15,8 +15,8 @@ BLAS thread; independent passes may run in concurrent threads, each
 recording onto its own thread's active tape.
 
 The reverse pass computes only the gradients that lead to the requested
-weights, and can return one gradient per sample of a batch (see
-`backward`).
+weights, can return one gradient per sample of a batch, and drops each tape
+record once it has replayed it (see `backward`).
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ class GradientTape:
     active tape, and ops record only onto their own thread's.  A tape is
     single-use: make a fresh one per forward pass so gradients from distinct
     samples never mix unless explicitly accumulated through the graph itself.
+    `backward` spends it, dropping each record as it replays it.
     """
 
     def __init__(self):
@@ -425,6 +426,9 @@ def backward(tape: GradientTape, loss: Tensor, wrt: Iterable[Tensor] | None = No
     Returns the gradients of the parameters in `wrt` (default: every
     parameter the pass touched), keyed by tensor id; each has the shape of
     its parameter.  Only gradients on a path to one of them are computed.
+    The replay spends the tape: it drops each record once replayed, so the
+    activations go as the pass moves back, and a second `backward` on the
+    tape raises `ValidationError`.
 
     With `samples=n`, `loss` must be the mean of n per-sample losses whose
     samples lie along the leading axis of every activation, and each
@@ -435,7 +439,7 @@ def backward(tape: GradientTape, loss: Tensor, wrt: Iterable[Tensor] | None = No
     result is bit-identical to n batch-1 passes.
     """
     if not tape.records:
-        raise ValidationError("backward on an empty tape")
+        raise ValidationError("backward on an empty tape (a replayed tape is spent)")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     if loss.tid not in tape._output_ids:
@@ -452,7 +456,11 @@ def backward(tape: GradientTape, loss: Tensor, wrt: Iterable[Tensor] | None = No
     # d(sum of the n per-sample losses) = n * d(mean); cross-entropy's n / (n * tokens)
     # rounds to the same float as a single sample's 1 / tokens
     grads: dict[int, np.ndarray] = {loss.tid: np.full((), 1.0 if samples is None else float(samples))}
-    for out, inputs, backward_fn in reversed(tape.records):
+    # popping each record as it is replayed frees the activations that only
+    # it holds, so they do not pile up under the gradients; the tape is spent
+    records = tape.records
+    while records:
+        out, inputs, backward_fn = records.pop()
         g_out = grads.pop(out.tid, None)
         if g_out is None:
             continue

@@ -1,6 +1,9 @@
 """Fisher estimates, general importance, regularized gradients, dual scores, oracle."""
 
 import re
+import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from dualprune import importance
+from dualprune import model as model_lib
 from dualprune import tensor as T
 from dualprune.corpus import Corpus
 from dualprune.errors import NumericError, ShapeError, ValidationError
@@ -110,14 +114,32 @@ RARE_ID = TINY.vocab_size - 1
 
 @pytest.fixture
 def chunked_corpus():
-    """13 sequences of 16 tokens: one full gradient chunk of 8 and a partial one of 5.
+    """13 sequences of 16 tokens: three full gradient chunks of 4 and a partial one of 1.
 
-    `RARE_ID` occurs only in sample 9, the second of the partial chunk.
+    `RARE_ID` occurs only in sample 9, the second of the third chunk.
     """
     rng = np.random.default_rng(7)
     seqs = rng.integers(0, RARE_ID, size=(13, 16))
     seqs[9, 5] = RARE_ID
     return Corpus("chunked", seqs)
+
+
+def per_sequence_stats(model, corpus, reverse=False):
+    """`next_token_gradients` as a plain loop: one batch-1 pass per sequence
+    in this thread, reduced in corpus order or, with `reverse`, in the
+    opposite order."""
+    acc_g, acc_g2 = _PairwiseSum(), _PairwiseSum()
+    names = prunable_names(model.config)
+    seqs = corpus.sequences[::-1] if reverse else corpus.sequences
+    for seq in seqs:
+        g = sample_gradient(model, seq)
+        acc_g.add({k: g[k] for k in names})
+        acc_g2.add({k: g[k] * g[k] for k in names})
+    return acc_g.mean(), acc_g2.mean()
+
+
+def stats_bytes(mean, mean_square):
+    return [(k, mean[k].tobytes(), mean_square[k].tobytes()) for k in mean]
 
 
 class TestBatchedGradients:
@@ -137,12 +159,7 @@ class TestBatchedGradients:
 
     def test_matches_per_sequence_passes(self, tiny_model, chunked_corpus):
         stats = next_token_gradients(tiny_model, chunked_corpus)
-        acc_g, acc_g2 = _PairwiseSum(), _PairwiseSum()
-        for seq in chunked_corpus.sequences:
-            g = {k: v for k, v in sample_gradient(tiny_model, seq).items() if k in stats.mean}
-            acc_g.add(g)
-            acc_g2.add({k: v * v for k, v in g.items()})
-        mean, mean_square = acc_g.mean(), acc_g2.mean()
+        mean, mean_square = per_sequence_stats(tiny_model, chunked_corpus)
         assert list(stats.mean) == prunable_names(TINY)
         for name in prunable_names(TINY):
             assert np.array_equal(stats.mean[name], mean[name]), name
@@ -162,6 +179,110 @@ class TestBatchedGradients:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericError, match=r"non-finite gradient for layers\.0\.q on sample 9$"):
                 next_token_gradients(broken, chunked_corpus)
+
+
+class TestGradientPool:
+    # 4k + 3 sequences, so that the last chunk of 4 is short; seeded so that
+    # reducing the samples in another order changes the results' last bits
+    SEQS = np.random.default_rng(11).integers(0, RARE_ID, size=(4 * 5 + 3, 16))
+
+    def test_pool_size_and_chunk_size_change_no_bit(self, tiny_model, eval_pool, monkeypatch):
+        corpus = Corpus("pool", self.SEQS)
+        expected = stats_bytes(*per_sequence_stats(tiny_model, corpus))
+        assert stats_bytes(*per_sequence_stats(tiny_model, corpus, reverse=True)) != expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' Python code finely
+        try:
+            for workers in (1, 2, 8):  # 8: more workers than cores
+                eval_pool(workers)
+                for chunk in (1, 3, 4, 8):
+                    monkeypatch.setattr(importance, "GRADIENT_CHUNK", chunk)
+                    stats = next_token_gradients(tiny_model, corpus)
+                    assert stats_bytes(stats.mean, stats.mean_square) == expected, (workers, chunk)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_first_non_finite_chunk_in_corpus_order_raises(self, tiny_model, eval_pool,
+                                                           monkeypatch):
+        # chunks 1 (samples 4..7) and 5 (20..22) turn infinite; chunk 1 is held
+        # back until chunk 5 is done, and chunk 2 is still running at the raise
+        seqs = self.SEQS.copy()
+        seqs[[5, 7, 21], 3] = RARE_ID
+        broken = tiny_model.copy()
+        embed = broken.embed
+        chunk_five_done = threading.Event()
+        lock = threading.Lock()
+        running = [0]
+
+        def embed_breaking_rare(ids):
+            h = embed(ids)
+            if (ids == RARE_ID).any() and len(ids) == 4:  # chunk 1
+                chunk_five_done.wait(timeout=10)
+            h.data[(ids == RARE_ID).any(axis=1)] = np.inf
+            return h
+
+        sample_gradients = importance._sample_gradients
+
+        def sample_gradients_observed(model, weights, batch):
+            with lock:
+                running[0] += 1
+            try:
+                if np.array_equal(batch, seqs[8:12]):  # chunk 2
+                    time.sleep(0.3)
+                return sample_gradients(model, weights, batch)
+            finally:
+                if len(batch) == 3:  # chunk 5
+                    chunk_five_done.set()
+                with lock:
+                    running[0] -= 1
+
+        broken.embed = embed_breaking_rare
+        monkeypatch.setattr(importance, "_sample_gradients", sample_gradients_observed)
+        eval_pool(6)  # all six chunks in flight at once
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")  # a worker outside the caller's errstate would warn
+            with pytest.raises(NumericError, match=r"non-finite gradient for layers\.0\.q on sample 5$"):
+                next_token_gradients(broken, Corpus("broken", seqs))
+        assert chunk_five_done.is_set()
+        assert running[0] == 0
+
+    def test_tape_active_in_the_caller_records_nothing(self, tiny_model):
+        corpus = Corpus("pool", self.SEQS)
+        tape = T.GradientTape()
+        with tape:
+            stats = next_token_gradients(tiny_model, corpus)
+        assert tape.records == []
+        assert stats_bytes(stats.mean, stats.mean_square) == stats_bytes(
+            *per_sequence_stats(tiny_model, corpus))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_in_flight_never_exceed_the_workers(self, tiny_model, eval_pool, monkeypatch,
+                                                       workers):
+        # a chunk is in flight from the start of its forward pass until the
+        # caller has added its last sample to the accumulators
+        sums = []
+
+        class CountingSum(_PairwiseSum):
+            def __init__(self):
+                super().__init__()
+                sums.append(self)
+
+        started = []
+        lock = threading.Lock()
+        batch_loss = model_lib.batch_next_token_loss
+
+        def counting_batch_loss(model, batch, resume=None):
+            with lock:
+                reduced = min(s.count for s in sums) // importance.GRADIENT_CHUNK
+                started.append(len(started) + 1 - reduced)
+            return batch_loss(model, batch, resume)
+
+        monkeypatch.setattr(importance, "_PairwiseSum", CountingSum)
+        monkeypatch.setattr(model_lib, "batch_next_token_loss", counting_batch_loss)
+        eval_pool(workers)
+        next_token_gradients(tiny_model, Corpus("pool", self.SEQS))
+        assert len(started) == 6
+        assert max(started) <= workers
 
 
 class TestFisher:

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -271,21 +270,6 @@ def serial_corpus_loss(model, corpus, resume=None, reverse=False):
     return nll_total / token_total
 
 
-@pytest.fixture
-def eval_pool(monkeypatch):
-    """Puts a pool of the given size in place of the process-wide eval pool."""
-    pools = []
-
-    def use(workers):
-        pool = ThreadPoolExecutor(workers)
-        pools.append(pool)
-        monkeypatch.setattr(dualprune.model, "_eval_pool", lambda: pool)
-
-    yield use
-    for pool in pools:
-        pool.shutdown()
-
-
 class TestEvalPool:
     # 6 full batches and a partial one of 5, seeded so that summing the batch
     # losses in another order changes the result's last bits
@@ -414,8 +398,8 @@ class TestPretrain:
 
 
 # Pretrains, then scores general importance on 15 sequences (batched
-# per-sample gradient passes of 8 and 7); prints the checkpoint's and the
-# scores' fingerprints.
+# per-sample gradient passes of 4, 4, 4 and 3); prints the checkpoint's and
+# the scores' fingerprints.
 PRETRAIN_SCRIPT = """
 import warnings
 import numpy as np

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -149,6 +150,29 @@ class TestTape:
     def test_empty_tape_rejected(self):
         with pytest.raises(ValidationError, match="empty tape"):
             T.backward(T.GradientTape(), T.Tensor(1.0))
+
+    def test_backward_spends_the_tape(self):
+        w = T.param(np.array([[3.0, 1.0], [5.0, 2.0]]), "w")
+        tape = T.GradientTape()
+        with tape:
+            loss = T.cross_entropy(T.matmul(T.Tensor(np.ones((1, 2))), w), np.array([1]))
+        run_backward(loss, tape)
+        with pytest.raises(ValidationError, match="empty tape"):
+            run_backward(loss, tape)
+
+    def test_backward_frees_the_activations_it_replays(self):
+        w = T.param(np.array([[3.0, 1.0], [5.0, 2.0]]), "w")
+        tape = T.GradientTape()
+        with tape:
+            hidden = T.silu(T.matmul(T.Tensor(np.ones((3, 2))), w))
+            loss = T.cross_entropy(T.mul(hidden, hidden), np.array([0, 1, 0]))
+        activation = weakref.ref(hidden.data)
+        del hidden
+        assert activation() is not None  # held by the tape
+        grads = run_backward(loss, tape)
+        assert activation() is None
+        assert tape.records == []
+        assert grads[w.tid].shape == (2, 2)
 
     def test_foreign_loss_rejected(self):
         w = T.param(np.ones((2, 2)), "w")
