@@ -65,8 +65,6 @@ class RunConfig:
     lam: float = importance.DEFAULT_LAMBDA
     alpha: float = importance.DEFAULT_ALPHA
     damping: float = importance.DEFAULT_DAMPING
-    fisher_source: str = "domain"  # domain | general
-    normalize_general: int = 0
     # pruning
     sparsity: float = 0.5
     mode: str = pruning.MODE_PER_MATRIX
@@ -90,10 +88,6 @@ class RunConfig:
                                   f"mode must be {pruning.MODE_PER_MATRIX!r}, got {self.mode!r}")
         importance.validate_lambda_alpha(self.lam, self.alpha)
         importance.validate_damping(self.damping)
-        if self.fisher_source not in ("domain", "general"):
-            raise ValidationError(f"fisher_source must be domain or general, got {self.fisher_source!r}")
-        if self.normalize_general not in (0, 1):
-            raise ValidationError(f"normalize_general must be 0 or 1, got {self.normalize_general}")
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
@@ -225,9 +219,7 @@ def cmd_pretrain(config: RunConfig, args) -> int:
 def cmd_general_importance(config: RunConfig, args) -> int:
     model = load_checkpoint(args.checkpoint)
     corpus = _build_corpus(config, "open")
-    G = importance.general_importance(
-        model, corpus, config.damping, normalize=bool(config.normalize_general),
-    )
+    G = importance.general_importance(model, corpus, config.damping)
     path = _out_dir(config) / "general_scores.bin"
     importance.save_general_scores(G, path)
     print(f"general importance over {G.sample_count} samples -> {path}")
@@ -242,17 +234,11 @@ def cmd_prune(config: RunConfig, args) -> int:
             raise ValidationError("--general-scores is required for method=dual")
         G = importance.load_general_scores(args.general_scores)
         domain = _build_corpus(config, "domain")
-        fisher = None
-        if config.fisher_source == "general":
-            fisher = importance.estimate_fisher_diagonal(model, _build_corpus(config, "open"))
-        scores = importance.dual_importance_scores(
-            model, domain, G, config.lam, config.alpha, fisher=fisher,
-        )
-        scores.fisher_source = config.fisher_source
+        scores = importance.dual_importance_scores(model, domain, G, config.lam, config.alpha)
+        [mask] = pruning.select_masks(scores, [config.sparsity], config.mode, config.block_size)
         scores_path = _out_dir(config) / "dual_scores.bin"
         importance.save_dual_scores(scores, scores_path)
         print(f"dual scores (lambda={config.lam}, alpha={config.alpha}) -> {scores_path}")
-        [mask] = pruning.select_masks(scores, [config.sparsity], config.mode, config.block_size)
     else:
         mask = pruning.magnitude_mask(model, config.sparsity)
 

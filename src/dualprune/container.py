@@ -6,6 +6,9 @@ length, a UTF-8 text header, then raw payload blocks.  The header carries
 
     block=<name>|<codec>|<shape>|<offset>|<nbytes>
 
+The kind, each meta key and each block name appear once; a reader refuses
+a header that repeats one, and a writer refuses to repeat a block name.
+
 Codec `f8` is raw little-endian float64, row-major.  Codec `b1` is a binary
 mask bit-packed row by row (most significant bit = lowest column index, rows
 padded to a whole byte).  Offsets are relative to the payload start.  Writers
@@ -14,7 +17,8 @@ emit meta keys sorted, so identical content yields identical bytes.
 Stage records (score files and masks) are dataclasses whose first field holds
 the blocks; every other field is one meta entry, keyed by the field name or by
 `field(metadata={"key": ...})`.  A value is written as `str(value)`, `""` for
-None and `"1"`/`"0"` for bools, and every field's key is required on reading.
+None.  A record file's meta holds exactly its record's keys: on reading, a
+missing key and a key that names no field are both refused.
 """
 
 from __future__ import annotations
@@ -45,13 +49,7 @@ def record_meta(record) -> dict[str, str]:
     meta = {}
     for f in fields(record)[1:]:
         value = getattr(record, f.name)
-        if value is None:
-            text = ""
-        elif isinstance(value, bool):
-            text = "1" if value else "0"
-        else:
-            text = str(value)
-        meta[f.metadata.get("key", f.name)] = text
+        meta[f.metadata.get("key", f.name)] = "" if value is None else str(value)
     return meta
 
 
@@ -61,10 +59,6 @@ def _parse_meta(hint, text: str):
         if text == "":
             return None
         (hint,) = [a for a in args if a is not type(None)]
-    if hint is bool:
-        if text not in ("0", "1"):
-            raise ValueError(f"expected 0 or 1, got {text!r}")
-        return text == "1"
     return hint(text)
 
 
@@ -72,12 +66,16 @@ def record_from_container(cls, c: Container, path):
     """Rebuild a stage record of class `cls` from its container `c`, read from `path`."""
     hints = get_type_hints(cls)
     first, *rest = fields(cls)
+    keys = {f.name: f.metadata.get("key", f.name) for f in rest}
     values = {first.name: dict(c.blocks)}
     try:
-        for f in rest:
-            values[f.name] = _parse_meta(hints[f.name], c.meta[f.metadata.get("key", f.name)])
+        for name, key in keys.items():
+            values[name] = _parse_meta(hints[name], c.meta[key])
     except (KeyError, ValueError) as e:
         raise ArtifactError(f"{c.kind} file {path}: bad metadata ({e})") from None
+    unknown = sorted(set(c.meta) - set(keys.values()))
+    if unknown:
+        raise ArtifactError(f"{c.kind} file {path}: bad metadata (unknown key {unknown[0]!r})")
     return cls(**values)
 
 
@@ -117,9 +115,13 @@ def write_container(path, kind: str, meta: dict[str, str],
 
     payload = bytearray()
     offset = 0
+    names = set()
     for name, arr in blocks:
         if "|" in name or "\n" in name:
             raise ValidationError(f"invalid block name {name!r}")
+        if name in names:
+            raise ValidationError(f"block {name!r} named twice")
+        names.add(name)
         codec = "b1" if name in bitpack else "f8"
         raw = _encode_block(arr, codec)
         shape = ",".join(str(n) for n in arr.shape)
@@ -173,8 +175,12 @@ def read_container(path, expect_kind: str) -> Container:
             continue
         key, _, value = line.partition("=")
         if key == "kind":
+            if kind is not None:
+                raise ArtifactError(f"{path}: kind given twice")
             kind = value
         elif key.startswith("meta."):
+            if key[5:] in meta:
+                raise ArtifactError(f"{path}: meta key {key[5:]!r} given twice")
             meta[key[5:]] = value
         elif key == "block":
             parts = value.split("|")
@@ -186,6 +192,8 @@ def read_container(path, expect_kind: str) -> Container:
                 offset, nbytes = int(offset_s), int(nbytes_s)
             except ValueError:
                 raise ArtifactError(f"{path}: malformed manifest line {line!r}") from None
+            if name in blocks:
+                raise ArtifactError(f"{path}: block {name} named twice")
             if codec not in ("f8", "b1"):
                 raise ArtifactError(f"{path}: block {name} has unknown codec {codec!r}")
             if any(n < 0 for n in shape) or (codec == "b1" and len(shape) != 2):

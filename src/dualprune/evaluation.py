@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import PROJECTIONS, TransformerModel, mean_corpus_loss, prunable_names
-from .pruning import Mask, apply_mask, select_masks
+from .pruning import MODE_PER_MATRIX, Mask, apply_mask, select_masks
 
 
 @dataclass
@@ -80,7 +80,7 @@ def mask_similarity(mask_a: Mask, mask_b: Mask) -> SimilarityReport:
 
 
 def sparsity_sweep(model: TransformerModel, scores, corpus, sparsity_list,
-                   mode: str = "per-matrix", block_size=None) -> SweepResult:
+                   mode: str = MODE_PER_MATRIX, block_size=None) -> SweepResult:
     """Select, apply and evaluate a mask per sparsity, in ascending order of
     sparsity; flags the perplexity trend.
 

@@ -11,7 +11,9 @@ Three score families:
 * dual importance: |u + u^2/2| with u = g * W, where g is the next-token
   gradient on domain data plus a closed-form regularizer gradient
   2*lambda*alpha^2 * G * g_next * H_mm that penalizes moving weights the
-  general scores marked important;
+  general scores marked important.  g_next and H_mm both come from the one
+  gradient pass over the domain data: its mean and its empirical Fisher
+  diagonal;
 * brute force: the exact loss change from zeroing one weight at a time, used
   as the ranking oracle for the approximations above.  The dense pass (the
   residual streams entering every sublayer, 2L per eval batch) runs once
@@ -69,7 +71,6 @@ class ImportanceMatrixG:
     sample_count: int
     corpus_fingerprint: str
     model_fingerprint: str
-    normalized: bool = False
 
 
 @dataclass
@@ -82,7 +83,6 @@ class DualScoreS:
     domain_corpus_fingerprint: str
     general_corpus_fingerprint: str
     model_fingerprint: str
-    fisher_source: str = "domain"
 
 
 @dataclass
@@ -190,8 +190,8 @@ def validate_damping(damping: float) -> None:
         raise ValidationError(f"damping must be finite and > 0, got {damping}")
 
 
-def general_importance(model: TransformerModel, open_corpus, damping: float = DEFAULT_DAMPING,
-                       *, normalize: bool = False) -> ImportanceMatrixG:
+def general_importance(model: TransformerModel, open_corpus,
+                       damping: float = DEFAULT_DAMPING) -> ImportanceMatrixG:
     """Removal-error scores 0.5 * W^2 * (H_mm + damping) on open-domain data.
 
     H_mm is the empirical Fisher diagonal estimated from `open_corpus`.
@@ -212,18 +212,12 @@ def general_importance(model: TransformerModel, open_corpus, damping: float = DE
         # [H^-1]_mm ~ 1/(H_mm + damping), so the OBS ratio W^2 / [H^-1]_mm
         # becomes a multiplication and stays defined where H_mm == 0.
         scores[name] = 0.5 * w * w * (fisher[name] + damping)
-    if normalize:
-        for name, s in scores.items():
-            peak = s.max()
-            if peak > 0:
-                scores[name] = s / peak
     return ImportanceMatrixG(
         scores=scores,
         damping=damping,
         sample_count=len(open_corpus),
         corpus_fingerprint=open_corpus.fingerprint(),
         model_fingerprint=model.fingerprint(),
-        normalized=normalize,
     )
 
 
@@ -267,15 +261,14 @@ def score_from_first_order(u: np.ndarray) -> np.ndarray:
 
 
 def dual_importance_scores(model: TransformerModel, domain_corpus, G: ImportanceMatrixG,
-                           lam: float = DEFAULT_LAMBDA, alpha: float = DEFAULT_ALPHA,
-                           *, fisher: dict[str, np.ndarray] | None = None) -> DualScoreS:
+                           lam: float = DEFAULT_LAMBDA,
+                           alpha: float = DEFAULT_ALPHA) -> DualScoreS:
     """Final per-weight pruning scores from the regularized-loss gradient.
 
     The gradient is the next-token gradient over the domain corpus plus the
-    closed-form regularizer gradient; weights are not updated.  By default the
-    Fisher diagonal inside the regularizer comes from the same domain pass;
-    pass `fisher` to reuse e.g. the open-domain one.  `G` must have been
-    scored on this model.
+    closed-form regularizer gradient; weights are not updated.  The Fisher
+    diagonal H inside the regularizer is the mean squared gradient of the
+    same domain pass.  `G` must have been scored on this model.
 
     At lambda = 0 the +-0 regularizer term can flip only the sign of a zero
     gradient, and |u + u^2/2| maps both signs to +0: the plain gradient's scores.
@@ -283,8 +276,7 @@ def dual_importance_scores(model: TransformerModel, domain_corpus, G: Importance
     validate_lambda_alpha(lam, alpha)
     model_fingerprint = check_scored_model(model, G.model_fingerprint, "general scores")
     stats = next_token_gradients(model, domain_corpus)
-    H = stats.mean_square if fisher is None else fisher
-    reg = regularizer_gradient(G, stats.mean, H, lam, alpha)
+    reg = regularizer_gradient(G, stats.mean, stats.mean_square, lam, alpha)
     total = {k: stats.mean[k] + reg[k] for k in stats.mean}
     scores = {
         name: score_from_first_order(total[name] * model.params[name].data)
@@ -298,7 +290,6 @@ def dual_importance_scores(model: TransformerModel, domain_corpus, G: Importance
         domain_corpus_fingerprint=domain_corpus.fingerprint(),
         general_corpus_fingerprint=G.corpus_fingerprint,
         model_fingerprint=model_fingerprint,
-        fisher_source="domain" if fisher is None else "provided",
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_container, record_from_container, record_meta, write_container
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .model import TransformerModel, check_scored_model, prunable_matrices, prunable_names
 
 MODE_PER_MATRIX = "per-matrix"
@@ -81,6 +81,7 @@ def select_masks(scores, sparsities, mode: str, block_size: int | None = None) -
     blocked mode (the last group may be narrower), or the whole matrix; a
     per-matrix selection ignores `block_size`.  Ties go to the lowest flat
     index within the pool.  Each pool is sorted once for all sparsities.
+    A NaN or infinite score has no rank, so it raises `NumericError`.
     """
     check_mode(mode)
     sparsities = list(sparsities)
@@ -97,6 +98,8 @@ def select_masks(scores, sparsities, mode: str, block_size: int | None = None) -
             raise ValidationError(
                 f"score matrix {name} must be 2-D with at least one column, got shape {s.shape}"
             )
+        if not np.isfinite(s).all():
+            raise NumericError(f"score matrix {name} has non-finite entries")
         width = block_size or s.shape[1]
         for chosen in masks:
             chosen[name] = np.empty(s.shape, dtype=np.uint8)

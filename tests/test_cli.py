@@ -174,15 +174,6 @@ class TestGeneralImportance:
                      "--checkpoint", str(workspace["out"] / "model.ckpt")]) == 0
         assert path.read_bytes() == first
 
-    def test_normalize_general_recorded(self, workspace, tmp_path):
-        assert main(["general-importance", "--config", str(workspace["config"]),
-                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
-                     "--normalize-general", "1", "--output-dir", str(tmp_path)]) == 0
-        path = tmp_path / "general_scores.bin"
-        assert read_container(path, expect_kind="scores.general").meta["normalized"] == "1"
-        G = load_general_scores(path)
-        assert G.normalized and all(s.max() == 1.0 for s in G.scores.values())
-
     def test_corrupted_checkpoint_exit_3(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"
         raw = bytearray((workspace["out"] / "model.ckpt").read_bytes())
@@ -221,13 +212,21 @@ class TestPrune:
                      "--general-scores", str(workspace["out"] / "general_scores.bin"),
                      "--output-dir", str(tmp_path)]) == 2
 
-    def test_fisher_source_recorded(self, workspace, tmp_path):
+    def test_non_finite_general_score_exit_4(self, workspace, tmp_path, capsys):
+        # a NaN in G reaches the dual score through the regularizer
+        c = read_container(workspace["out"] / "general_scores.bin", expect_kind="scores.general")
+        blocks = dict(c.blocks)
+        blocks["layers.0.k"] = blocks["layers.0.k"].copy()
+        blocks["layers.0.k"][0, 0] = np.nan
+        bad = tmp_path / "nan_general.bin"
+        write_container(bad, c.kind, dict(c.meta), list(blocks.items()))
+        out = tmp_path / "out"
         assert main(["prune", "--config", str(workspace["config"]),
                      "--checkpoint", str(workspace["out"] / "model.ckpt"),
-                     "--general-scores", str(workspace["out"] / "general_scores.bin"),
-                     "--fisher-source", "general", "--output-dir", str(tmp_path)]) == 0
-        assert load_dual_scores(tmp_path / "dual_scores.bin").fisher_source == "general"
-        assert load_dual_scores(workspace["out"] / "dual_scores.bin").fisher_source == "domain"
+                     "--general-scores", str(bad), "--output-dir", str(out)]) == 4
+        assert ("numeric error: score matrix layers.0.k has non-finite entries"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_blocked_mask_pools_are_block_size_wide(self, workspace, tmp_path):
         # d_ff 48: gate and up are 48 columns wide, down and q/k/v/o 32; every pool is 16 wide
@@ -377,7 +376,9 @@ class TestEvalMasksimSweep:
         assert "different model" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("key,value", [("sample_count", "abc"), ("fisher_source", None)])
+    @pytest.mark.parametrize("key,value", [("sample_count", "abc"),
+                                           ("general_corpus_fingerprint", None),
+                                           ("normalized", "1")])
     def test_sweep_bad_score_metadata_exit_3(self, workspace, tmp_path, key, value):
         c = read_container(workspace["out"] / "dual_scores.bin", expect_kind="scores.dual")
         meta = dict(c.meta)
@@ -415,6 +416,20 @@ class TestEvalMasksimSweep:
                 in capsys.readouterr().err)
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_sweep_non_finite_score_exit_4(self, workspace, tmp_path, capsys):
+        c = read_container(workspace["out"] / "dual_scores.bin", expect_kind="scores.dual")
+        blocks = dict(c.blocks)
+        blocks["layers.0.up"] = blocks["layers.0.up"].copy()
+        blocks["layers.0.up"][3, 5] = np.nan
+        bad = tmp_path / "nan_scores.bin"
+        write_container(bad, c.kind, dict(c.meta), list(blocks.items()))
+        assert main(["sweep", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"),
+                     "--scores", str(bad), "--output-dir", str(tmp_path)]) == 4
+        assert ("numeric error: score matrix layers.0.up has non-finite entries"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestConfigHandling:
     def test_env_var_overrides_file(self, workspace, tmp_path, monkeypatch):
@@ -434,6 +449,14 @@ class TestConfigHandling:
         config = tmp_path / "bad.cfg"
         config.write_text("not_a_key=1\n")
         assert main(["calibrate", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("line", ["fisher_source=general", "normalize_general=1"])
+    def test_removed_scoring_key_exit_2(self, tmp_path, capsys, line):
+        config = tmp_path / "old.cfg"
+        config.write_text(line + "\n")
+        assert main(["calibrate", "--config", str(config)]) == 2
+        key = line.partition("=")[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_malformed_line_exit_2(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -459,8 +482,7 @@ class TestConfigHandling:
         ("prune", "--mode", "diagonal", "unknown mask mode 'diagonal'"),
         ("prune", "--block-size", "0", "block size must be an int >= 1, got 0"),
         ("prune", "--method", "rand", "unknown pruning method 'rand'"),
-        ("general-importance", "--normalize-general", "7", "normalize_general must be 0 or 1, got 7"),
-    ], ids=["sparsity-1", "mode-diagonal", "block-size-0", "method-rand", "normalize-general-7"])
+    ], ids=["sparsity-1", "mode-diagonal", "block-size-0", "method-rand"])
     def test_bad_option_exit_2(self, workspace, tmp_path, capsys, command, flag, value, message):
         self._assert_rejected(workspace, tmp_path, capsys, command, flag, value, message)
 
@@ -495,7 +517,7 @@ RUN_CONFIG_FIELDS = [
     ("train_region", str, "0:1"), ("open_region", str, "0:1"), ("domain_region", str, "0:1"),
     ("test_region", str, "0:1"), ("steps", int, 2000), ("learning_rate", float, 0.3),
     ("batch_size", int, 8), ("log_every", int, 50), ("lam", float, 0.1), ("alpha", float, 0.03),
-    ("damping", float, 1e-4), ("fisher_source", str, "domain"), ("normalize_general", int, 0),
+    ("damping", float, 1e-4),
     ("sparsity", float, 0.5), ("mode", str, "per-matrix"), ("block_size", int, 16),
     ("method", str, "dual"), ("output_dir", str, "runs/default"),
 ]

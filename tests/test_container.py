@@ -150,6 +150,25 @@ def test_block_byte_count_checked_against_codec_and_shape(tmp_path, manifest, pa
         read_container(path, expect_kind="mask")
 
 
+@pytest.mark.parametrize("header, payload, message", [
+    ("kind=mask\nblock=a|f8|1|0|8\nblock=a|f8|1|8|8\n", bytes(16), "block a named twice"),
+    ("kind=mask\nmeta.k=1\nmeta.k=2\n", b"", "meta key 'k' given twice"),
+    ("kind=mask\nkind=checkpoint\n", b"", "kind given twice"),
+], ids=["block", "meta", "kind"])
+def test_repeated_header_entry_rejected(tmp_path, header, payload, message):
+    path = tmp_path / "x.bin"
+    path.write_bytes(raw_container(header, payload))
+    with pytest.raises(ArtifactError, match=message):
+        read_container(path, expect_kind="mask")
+
+
+def test_repeated_block_name_not_written(tmp_path):
+    path = tmp_path / "x.bin"
+    with pytest.raises(ValidationError, match="block 'a' named twice"):
+        write_container(path, "mask", {}, [("a", np.ones(2)), ("a", np.zeros(2))])
+    assert not path.exists()
+
+
 def test_empty_payload_ok(tmp_path):
     path = tmp_path / "empty.bin"
     write_container(path, "mask", {"note": "none"}, [])
@@ -163,9 +182,9 @@ def _records():
     scores = {"layers.0.q": np.arange(6.0).reshape(2, 3)}
     keep = {"layers.0.q": np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)}
     return {
-        "general": (ImportanceMatrixG(scores, 1e-4, 2, "c" * 64, "m" * 64, normalized=True),
+        "general": (ImportanceMatrixG(scores, 1e-4, 2, "c" * 64, "m" * 64),
                     save_general_scores, load_general_scores),
-        "dual": (DualScoreS(scores, 0.1, 0.03, 2, "d" * 64, "g" * 64, "m" * 64, "provided"),
+        "dual": (DualScoreS(scores, 0.1, 0.03, 2, "d" * 64, "g" * 64, "m" * 64),
                  save_dual_scores, load_dual_scores),
         "mask": (Mask(keep, 0.5, "blocked", block_size=2, score_fingerprint="s" * 64,
                       model_fingerprint="m" * 64), save_mask, load_mask),
@@ -203,7 +222,6 @@ def test_record_round_trip(tmp_path, kind):
 
 def test_record_meta_values(tmp_path):
     records = {kind: record for kind, (record, _, _) in _records().items()}
-    assert record_meta(records["general"])["normalized"] == "1"
     assert record_meta(records["general"])["damping"] == "0.0001"
     assert record_meta(records["dual"])["lambda"] == "0.1" and "lam" not in record_meta(records["dual"])
     bare = record_meta(records["bare_mask"])
@@ -216,10 +234,10 @@ def test_record_meta_values(tmp_path):
 
 @pytest.mark.parametrize("kind,key", [
     ("general", "damping"), ("general", "sample_count"), ("general", "corpus_fingerprint"),
-    ("general", "model_fingerprint"), ("general", "normalized"),
+    ("general", "model_fingerprint"),
     ("dual", "lambda"), ("dual", "alpha"), ("dual", "sample_count"),
     ("dual", "domain_corpus_fingerprint"), ("dual", "general_corpus_fingerprint"),
-    ("dual", "model_fingerprint"), ("dual", "fisher_source"),
+    ("dual", "model_fingerprint"),
     ("mask", "sparsity"), ("mask", "mode"), ("mask", "block_size"), ("mask", "method"),
     ("mask", "score_fingerprint"), ("mask", "model_fingerprint"),
 ])
@@ -233,7 +251,7 @@ def test_record_missing_meta_key_rejected(tmp_path, kind, key):
 
 
 @pytest.mark.parametrize("kind,key,value", [
-    ("general", "sample_count", "abc"), ("general", "normalized", "yes"),
+    ("general", "sample_count", "abc"),
     ("dual", "sample_count", "abc"), ("dual", "lambda", "0.1x"),
     ("mask", "sparsity", "x"), ("mask", "block_size", "1.5"),
 ])
@@ -243,4 +261,16 @@ def test_record_unparsable_meta_rejected(tmp_path, kind, key, value):
     save(record, path)
     _rewrite_meta(path, kind, key, value)
     with pytest.raises(ArtifactError, match="bad metadata"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["general", "dual", "mask"])
+def test_record_unknown_meta_key_rejected(tmp_path, kind):
+    # older general score files carry normalized=0 or 1; loading one that says 1
+    # as unscaled scores would drop the only record of the rescaling
+    record, save, load = _records()[kind]
+    path = tmp_path / f"{kind}.bin"
+    save(record, path)
+    _rewrite_meta(path, kind, "normalized", "1")
+    with pytest.raises(ArtifactError, match="bad metadata \\(unknown key 'normalized'\\)"):
         load(path)

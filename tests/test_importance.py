@@ -338,7 +338,7 @@ class TestGeneralImportance:
 
     def test_metadata(self, tiny_model, two_sample_corpus):
         G = general_importance(tiny_model, two_sample_corpus, 1e-3)
-        assert G.damping == 1e-3 and not G.normalized
+        assert G.damping == 1e-3
         assert G.sample_count == 2
         assert G.corpus_fingerprint == two_sample_corpus.fingerprint()
         assert G.model_fingerprint == tiny_model.fingerprint()
@@ -356,12 +356,6 @@ class TestGeneralImportance:
         fresh = init_model(TINY)
         with pytest.warns(UserWarning, match="pretrained"):
             general_importance(fresh, two_sample_corpus)
-
-    def test_normalize_flag(self, tiny_model, two_sample_corpus):
-        G = general_importance(tiny_model, two_sample_corpus, normalize=True)
-        assert G.normalized
-        for name, s in G.scores.items():
-            assert 0.0 <= s.max() <= 1.0 + 1e-15, name
 
     def test_nonnegative(self, tiny_model, two_sample_corpus):
         G = general_importance(tiny_model, two_sample_corpus)
@@ -424,11 +418,9 @@ class TestDualLossGradient:
         # and |u + u^2/2| maps both signs to +0
         G = general_importance(tiny_model, two_sample_corpus)
         plain = self.scores_of(tiny_model, next_token_gradients(tiny_model, two_sample_corpus).mean)
-        ones = {n: np.ones_like(G.scores[n]) for n in G.scores}
-        for fisher in (None, ones):
-            S = dual_importance_scores(tiny_model, two_sample_corpus, G, lam=0.0, fisher=fisher)
-            for name in prunable_names(TINY):
-                assert S.scores[name].tobytes() == plain[name].tobytes(), name
+        S = dual_importance_scores(tiny_model, two_sample_corpus, G, lam=0.0)
+        for name in prunable_names(TINY):
+            assert S.scores[name].tobytes() == plain[name].tobytes(), name
 
     def test_default_regularizer_keeps_the_lambda_zero_mask(self, tiny_model, two_sample_corpus):
         # The pull toward general importance does not change which weights
@@ -457,13 +449,6 @@ class TestDualLossGradient:
         parts = self.scores_of(tiny_model, {k: stats.mean[k] + reg[k] for k in stats.mean})
         for name in S.scores:
             assert np.array_equal(S.scores[name], parts[name]), name
-
-    def test_provided_fisher_used(self, tiny_model, two_sample_corpus):
-        G = general_importance(tiny_model, two_sample_corpus)
-        ones = {n: np.ones_like(G.scores[n]) for n in G.scores}
-        a = dual_importance_scores(tiny_model, two_sample_corpus, G, 0.5, 0.03).scores
-        b = dual_importance_scores(tiny_model, two_sample_corpus, G, 0.5, 0.03, fisher=ones).scores
-        assert any(not np.array_equal(a[n], b[n]) for n in a)
 
 
 class TestDualScores:
@@ -706,7 +691,6 @@ class TestScorePersistence:
         save_dual_scores(S, path)
         loaded = load_dual_scores(path)
         assert loaded.lam == S.lam and loaded.alpha == S.alpha
-        assert loaded.fisher_source == S.fisher_source
         for name in S.scores:
             assert np.array_equal(loaded.scores[name], S.scores[name])
 

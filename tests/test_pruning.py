@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualprune.errors import ValidationError
+from dualprune.errors import NumericError, ValidationError
 from dualprune.importance import ImportanceMatrixG
 from dualprune.model import ModelConfig, init_model, next_token_loss, prunable_names
 from dualprune.pruning import (
@@ -164,6 +164,15 @@ def test_malformed_score_matrix_rejected(select, shape):
     with pytest.raises(ValidationError,
                        match=r"score matrix bad must be 2-D with at least one column, got shape"):
         select(scores, 0.5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", ["per-matrix", "blocked"])
+def test_non_finite_score_rejected(mode, value):
+    # argsort would rank NaN last, so a NaN-scored weight would always be kept
+    scores = {"ok": np.ones((2, 2)), "bad": np.array([[3.0, value], [1.0, 2.0]])}
+    with pytest.raises(NumericError, match="score matrix bad has non-finite entries"):
+        select_masks(scores, [0.5], mode, 1)
 
 
 class TestMagnitude:

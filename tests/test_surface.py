@@ -6,6 +6,9 @@
   exact string constant (the benchmark wraps functions by name), and for a
   module-level definition also a bare name; so an API that only tests reach
   fails here.
+* Every keyword-only parameter of a package function is passed by keyword
+  somewhere in the program (`src/` or the stage benchmark, not its tests), so
+  no option exists that only the tests set.
 * No module in `src/` or `tests/` imports a name it does not use.  The
   submodule imports in `__init__.py` and lines marked `# noqa: F401` are exempt.
 * The package root binds no public name but its submodules, so every public
@@ -63,6 +66,33 @@ def test_every_definition_is_reached_by_the_program():
                     for qualified, name, is_method in _definitions(path, tree)
                     if name not in members and (is_method or name not in names)]
     assert unreferenced == [], f"defined but never referenced by src/ or stagebench/: {unreferenced}"
+
+
+def _keyword_only_parameters(tree):
+    """(callee name, parameter) of each keyword-only parameter; a constructor
+    is called by its class's name."""
+    class_of = {id(item): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                for item in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            name = class_of.get(id(node), node.name) if node.name == "__init__" else node.name
+            for arg in node.args.kwonlyargs:
+                yield name, arg.arg
+
+
+def test_every_keyword_only_parameter_is_passed_by_the_program():
+    passed = set()  # (callee name, keyword) of every call in src/ and the benchmark
+    for path, tree in _trees(ROOT / "src", ROOT / "stagebench"):
+        if "tests" in path.relative_to(ROOT).parts:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                passed.update((callee, k.arg) for k in node.keywords if k.arg)
+    parameters = {entry for _, tree in _trees(PACKAGE) for entry in _keyword_only_parameters(tree)}
+    assert parameters, "no keyword-only parameter found; the walk is broken"
+    unpassed = sorted(parameters - passed)
+    assert unpassed == [], f"keyword-only parameters no program call passes: {unpassed}"
 
 
 def _unused_imports(path, tree):
