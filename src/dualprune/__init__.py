@@ -12,10 +12,12 @@ an order that depends on the thread count.  So every pass, and every GEMM in
 it, stays on one BLAS thread: on import the OpenBLAS that numpy loaded is
 pinned to one thread, and a RuntimeWarning says so when no OpenBLAS thread
 setter is found.  The independent batches of an evaluation pass
-(`model.mean_corpus_loss`) and the chunks of a per-sample gradient pass
-(`importance.next_token_gradients`) run concurrently on one thread pool with
-one worker per usable CPU, and their losses or gradients are reduced in
-corpus order, so the results do not depend on the number of workers.
+(`model.mean_corpus_loss`), the chunks of a per-sample gradient pass
+(`importance.next_token_gradients`) and the row blocks of the exact removal
+oracle's passes (`importance.brute_force_importance`) run concurrently on
+one thread pool with one worker per usable CPU, and their losses or
+gradients are reduced in corpus order, so the results do not depend on the
+number of workers.
 """
 
 import ctypes as _ctypes

@@ -23,7 +23,9 @@ Three score families:
   own its column, so the oracle computes the block's branches and mix once
   per call and reruns per weight only the projection, its head (or its
   column of the gated product), the block's output projection and the
-  network after it.
+  network after it.  Every op of a pass works on each sequence alone, so
+  those reruns go in row blocks, one per eval-pool worker, run
+  concurrently and reduced in corpus order, bit-identical to a full rerun.
 
 Model weights are never updated here; only gradients are read.
 """
@@ -45,13 +47,15 @@ from .model import (
     EVAL_BATCH,
     TransformerModel,
     check_scored_model,
+    eval_workers,
     in_corpus_order,
-    mean_corpus_loss,
     next_token_split,
     prunable_names,
+    token_weighted_mean,
 )
 # unused here; kept because the stage benchmark patches importance.next_token_loss
-from .model import next_token_loss  # noqa: F401
+# and its tests read importance.mean_corpus_loss
+from .model import mean_corpus_loss, next_token_loss  # noqa: F401
 
 DEFAULT_DAMPING = 1e-4
 DEFAULT_LAMBDA = 0.1
@@ -319,13 +323,43 @@ def _residual_streams(model: TransformerModel, corpus) -> list[list[T.Tensor]]:
     return memo[1]
 
 
+def _rows(t: T.Tensor, r: slice) -> T.Tensor:
+    return T.Tensor(t.data[r])
+
+
+def _resumed_nll(model: TransformerModel, start: int, inputs: np.ndarray, targets: np.ndarray,
+                 h: T.Tensor) -> np.ndarray:
+    """Per-token NLL of `targets` from `model`'s pass on `inputs` resumed at
+    sublayer `start` from the stream `h`."""
+    return T.token_nll(model.forward(inputs, (start, h)).data, targets)
+
+
+def _removal_nll(model: TransformerModel, s: int, proj: str, cols: slice | None, block) -> np.ndarray:
+    """Per-token NLL of one row block of an eval batch for `model`, whose
+    matrix `proj` of sublayer `s` has one weight zeroed.
+
+    `block` holds the block's inputs and targets and the dense pass's stream
+    entering `s`, block input, branch outputs and mix for its rows.  For a
+    branch, `cols` are the mix columns its zeroed weight reaches: the branch
+    is rerun and those columns remixed into a copy of the mix."""
+    inputs, targets, h, x, branches, mixed = block
+    if cols is not None:
+        names = BLOCK_PROJECTIONS[s % 2][:-1]
+        changed = [model.branch(s, name, x) if name == proj else y for name, y in zip(names, branches)]
+        spliced = mixed.data.copy()
+        spliced[..., cols] = model.mix(s, [T.Tensor(y.data[..., cols]) for y in changed]).data
+        mixed = T.Tensor(spliced)
+    return _resumed_nll(model, s + 1, inputs, targets, model.block_output(s, h, mixed))
+
+
 def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int, str],
                            weight_indices=None) -> np.ndarray:
     """Exact |loss(zeroed) - loss(base)| for single-weight removals.
 
     `matrix_id` is (layer_index, projection_name); `weight_indices` is a list
-    of integer flat indices into that matrix (default: every weight).  Works
-    on a copy, so the input model is untouched.
+    of integer flat indices into that matrix (default: every weight).  The
+    input model is never edited: each weight's pass runs on a model that
+    shares every tensor but one, a copy of the matrix with that weight zeroed.
 
     The matrix sits in sublayer s = 2*layer (q, k, v, o) or 2*layer + 1
     (gate, up, down).  The work splits three ways:
@@ -338,63 +372,78 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
       fingerprints, which every call computes.
     * once per call: per eval batch, the stream h entering s (the embedding
       for s = 0), the block's normed input, its branch outputs and their
-      mix; the base loss runs only the head on the final streams
-      (`mean_corpus_loss(..., resume=(2L, ...))`).
-    * once per weight: zeroing a weight in column c of a branch (q, k, v,
-      gate, up) changes only that branch and the columns `mixed_columns(s, c)`
-      of the mix, so the oracle reruns that branch, mixes only those columns
-      (one attention head, or one column of the gated product) into a copy
-      of the cached mix, and applies the output projection; zeroing a weight
-      of `o` or `down` reruns only the output projection.  The loss then
-      resumes at sublayer s + 1 from h plus that block output.
+      mix; the base loss runs only the head on the final streams.
+    * once per weight and row block: each eval batch is cut into blocks of
+      ceil(`EVAL_BATCH` / eval-pool workers) rows, and each block is one
+      call on the eval pool (`model.in_corpus_order`), at most one batch's
+      worth in flight.  Zeroing a weight in column c of a branch (q, k, v,
+      gate, up) changes only that branch and the columns
+      `mixed_columns(s, c)` of the mix, so the call reruns that branch on
+      its rows, mixes only those columns (one attention head, or one column
+      of the gated product) into a copy of the cached mix, and applies the
+      output projection; for a weight of `o` or `down` it reruns only the
+      output projection.  The pass then resumes at sublayer s + 1 from h
+      plus that block output and returns the per-token NLL.  The caller
+      joins each batch's blocks and reduces the batches as
+      `mean_corpus_loss` does (`model.token_weighted_mean`); the base loss
+      takes the same path.
 
-    Every step runs the same primitives on operands of the same values and
-    layout as a full pass, so every delta is bit-identical to a full rerun.
+    Every op of a pass works on each row alone, and every step runs the same
+    primitives on operands of the same values and layout as a full pass, so
+    every delta is bit-identical to a full rerun for any worker count.
     """
     layer, proj = matrix_id
     key = f"layers.{layer}.{proj}"
     if key not in prunable_names(model.config):
         raise ValidationError(f"{matrix_id!r} is not a prunable matrix")
-    work = model.copy()
-    matrix = work.params[key].data
-    weights = matrix.reshape(-1)
-    indices = range(weights.size) if weight_indices is None else list(weight_indices)
+    matrix = model.params[key].data
+    indices = range(matrix.size) if weight_indices is None else list(weight_indices)
     for i in indices:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
             raise ValidationError(f"weight index {i!r} for {key} is not an integer")
-        if not 0 <= i < weights.size:
-            raise ValidationError(f"weight index {i} out of range for {key} with {weights.size} entries")
+        if not 0 <= i < matrix.size:
+            raise ValidationError(f"weight index {i} out of range for {key} with {matrix.size} entries")
 
     s = 2 * layer + (proj in BLOCK_PROJECTIONS[1])
-    *branch_names, _ = BLOCK_PROJECTIONS[s % 2]
+    branch_names = BLOCK_PROJECTIONS[s % 2][:-1]
+    n_sublayers = 2 * model.config.num_layers
     streams = _residual_streams(model, corpus)
-    cached = []  # per eval batch: (h, block input, branch outputs, their mix)
-    for batch, states in zip(corpus.batches(EVAL_BATCH), streams):
-        h = states[s - 1] if s else work.embed(next_token_split(batch)[0])
-        x = work.block_input(s, h)
-        branches = [work.branch(s, name, x) for name in branch_names]
-        cached.append((h, x, branches, work.mix(s, branches)))
+    batches = list(corpus.batches(EVAL_BATCH))
+    rows = -(-EVAL_BATCH // eval_workers())  # one worker splits nothing
+    # per eval batch, per row block: the block's rows of (inputs, targets, h,
+    # block input, branch outputs, mix) and of the final stream
+    blocks = []
+    for batch, states in zip(batches, streams):
+        inputs, targets = next_token_split(batch)
+        h = states[s - 1] if s else model.embed(inputs)
+        x = model.block_input(s, h)
+        branches = [model.branch(s, name, x) for name in branch_names]
+        mixed = model.mix(s, branches)
+        cuts = [slice(a, a + rows) for a in range(0, len(batch), rows)]
+        blocks.append([((inputs[r], targets[r], _rows(h, r), _rows(x, r), [_rows(y, r) for y in branches],
+                         _rows(mixed, r)), _rows(states[-1], r)) for r in cuts])
 
-    final = (2 * work.config.num_layers, [states[-1] for states in streams])
-    base = mean_corpus_loss(work, corpus, final)
-    deltas = np.empty(len(indices), dtype=np.float64)
-    for n, i in enumerate(indices):
-        original = weights[i]
-        weights[i] = 0.0
-        if proj in branch_names:
-            b = branch_names.index(proj)
-            cols = work.mixed_columns(s, i % matrix.shape[1])
-            outputs = []
-            for h, x, branches, mixed in cached:
-                changed = [*branches[:b], work.branch(s, proj, x), *branches[b + 1:]]
-                spliced = mixed.data.copy()
-                spliced[..., cols] = work.mix(s, [T.Tensor(y.data[..., cols]) for y in changed]).data
-                outputs.append(work.block_output(s, h, T.Tensor(spliced)))
-        else:
-            outputs = [work.block_output(s, h, mixed) for h, _, _, mixed in cached]
-        deltas[n] = abs(mean_corpus_loss(work, corpus, (s + 1, outputs)) - base)
-        weights[i] = original
-    return deltas
+    def calls():
+        for batch_blocks in blocks:
+            for (inputs, targets, *_), final in batch_blocks:
+                yield _resumed_nll, model, n_sublayers, inputs, targets, final
+        for i in indices:
+            zeroed = matrix.copy()
+            zeroed.reshape(-1)[i] = 0.0
+            removed = TransformerModel(model.config, {**model.params, key: T.param(zeroed, key)})
+            cols = model.mixed_columns(s, i % matrix.shape[1]) if proj in branch_names else None
+            for batch_blocks in blocks:
+                for block, _ in batch_blocks:
+                    yield _removal_nll, removed, s, proj, cols, block
+
+    with closing(in_corpus_order(calls())) as nlls:
+        def batch_losses():
+            for batch_blocks in blocks:
+                yield np.concatenate([next(nlls) for _ in batch_blocks]).mean()
+
+        base = token_weighted_mean("brute_force_importance", batches, batch_losses())
+        return np.array([abs(token_weighted_mean("brute_force_importance", batches, batch_losses()) - base)
+                         for _ in indices], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

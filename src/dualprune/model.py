@@ -275,14 +275,10 @@ def next_token_split(batch) -> tuple[np.ndarray, np.ndarray]:
     return batch[:, :-1], batch[:, 1:]
 
 
-def batch_next_token_loss(model: TransformerModel, batch: np.ndarray,
-                          resume: tuple[int, Tensor] | None = None) -> Tensor:
-    """Mean cross-entropy over a (batch, length) array of same-length sequences.
-
-    `resume` is passed to `TransformerModel.forward` for the batch's inputs.
-    """
+def batch_next_token_loss(model: TransformerModel, batch: np.ndarray) -> Tensor:
+    """Mean cross-entropy over a (batch, length) array of same-length sequences."""
     inputs, targets = next_token_split(batch)
-    return T.cross_entropy(model.forward(inputs, resume), targets)
+    return T.cross_entropy(model.forward(inputs), targets)
 
 
 # Sequences per forward pass of `mean_corpus_loss`.
@@ -295,9 +291,10 @@ _eval_pool_instance: ThreadPoolExecutor | None = None
 
 
 def _eval_pool() -> ThreadPoolExecutor:
-    """The process-wide pool that runs the passes of `mean_corpus_loss` and
-    `importance.next_token_gradients` (see `in_corpus_order`), made on first
-    use with one worker per CPU this process may run on.
+    """The process-wide pool that runs the passes of `mean_corpus_loss`,
+    `importance.next_token_gradients` and the exact removal oracle
+    `importance.brute_force_importance` (see `in_corpus_order`), made on
+    first use with one worker per CPU this process may run on.
 
     Before its threads start, glibc is held to one malloc arena: a thread
     with an arena of its own would keep that arena's batch-32 high-water mark
@@ -320,9 +317,16 @@ def _eval_pool() -> ThreadPoolExecutor:
         return _eval_pool_instance
 
 
+def eval_workers() -> int:
+    """The eval pool's worker count."""
+    return _eval_pool()._max_workers  # ThreadPoolExecutor keeps no public worker count
+
+
 def in_corpus_order(calls: Iterable[tuple], window: int | None = None) -> Iterator:
     """Run each `(fn, *args)` of `calls` on the eval pool and yield the
-    results in the order of `calls`.
+    results in the order of `calls`: the batches of `mean_corpus_loss`, the
+    chunks of `importance.next_token_gradients` and the row blocks of the
+    exact removal oracle's resumed passes.
 
     Each call runs in a copy of the caller's context, so under its
     `np.errstate`, and records onto its worker's tape, never the caller's.
@@ -336,7 +340,7 @@ def in_corpus_order(calls: Iterable[tuple], window: int | None = None) -> Iterat
     """
     pool = _eval_pool()
     if window is None:
-        window = pool._max_workers  # ThreadPoolExecutor keeps no public worker count
+        window = eval_workers()
     pending: deque[Future] = deque()
     try:
         for fn, *args in calls:
@@ -352,36 +356,44 @@ def in_corpus_order(calls: Iterable[tuple], window: int | None = None) -> Iterat
         wait(pending)
 
 
-def mean_corpus_loss(model: TransformerModel, corpus,
-                     resume: tuple[int, list[Tensor]] | None = None) -> float:
+def token_weighted_mean(what: str, batches: list[np.ndarray], losses: Iterable) -> float:
+    """The mean of the batches' next-token losses `losses` (one float per
+    batch, in order), each weighted by its batch's count of predicted tokens
+    and summed in batch order.  A non-finite loss raises `NumericError`
+    naming `what` and the rows of the first such batch.  Takes one loss per
+    batch from `losses` and no more.
+    """
+    nll_total = 0.0
+    token_total = 0
+    first = 0
+    for batch, loss in zip(batches, losses):
+        loss = float(loss)
+        if not math.isfinite(loss):
+            raise NumericError(f"{what}: non-finite loss {loss} on sequences "
+                               f"{first}..{first + len(batch) - 1}")
+        n_predicted = batch.shape[0] * (batch.shape[1] - 1)
+        nll_total += loss * n_predicted
+        token_total += n_predicted
+        first += len(batch)
+    return nll_total / token_total
+
+
+def mean_corpus_loss(model: TransformerModel, corpus) -> float:
     """Token-count-weighted mean next-token loss over the corpus's (n, length) array.
 
     The rows are batched in corpus order, `EVAL_BATCH` at a time (the last
     batch may be smaller).  The batches' forward passes run concurrently on
     the process-wide eval pool (`in_corpus_order`), and their losses are
-    summed in corpus order, so the result is bit-for-bit that of passing them
-    one by one.  With `resume=(s, states)`, the forward pass of the n-th
-    batch resumes at sublayer `s` from `states[n]`.  A non-finite batch loss
+    summed in corpus order (`token_weighted_mean`), so the result is
+    bit-for-bit that of passing them one by one.  A non-finite batch loss
     raises `NumericError` naming the rows of the first such batch; no pass of
     the call is left running when it returns or raises.
     """
     batches = list(corpus.batches(EVAL_BATCH))
-    calls = ((batch_next_token_loss, model, batch, None if resume is None else (resume[0], resume[1][n]))
-             for n, batch in enumerate(batches))
-    nll_total = 0.0
-    token_total = 0
+    calls = ((batch_next_token_loss, model, batch) for batch in batches)
     # a batch's result is a scalar, so every batch may be queued at once
     with closing(in_corpus_order(calls, window=len(batches))) as losses:
-        for n, (batch, loss) in enumerate(zip(batches, losses)):
-            loss = float(loss.data)
-            if not math.isfinite(loss):
-                first = n * EVAL_BATCH
-                raise NumericError(f"mean_corpus_loss: non-finite loss {loss} on sequences "
-                                   f"{first}..{first + len(batch) - 1}")
-            n_predicted = batch.shape[0] * (batch.shape[1] - 1)
-            nll_total += loss * n_predicted
-            token_total += n_predicted
-    return nll_total / token_total
+        return token_weighted_mean("mean_corpus_loss", batches, (loss.data for loss in losses))
 
 
 def pretrain(model: TransformerModel, corpus, steps: int, learning_rate: float, *,

@@ -359,24 +359,36 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     return _record(out, (q, k, v), backward_fn)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of `targets` under `logits` rows."""
+def token_nll(logits: np.ndarray, targets) -> np.ndarray:
+    """Negative log-likelihood of each of `targets` under its `logits` row,
+    with no gradient: the per-token losses `cross_entropy` averages."""
+    return _softmax_nll(logits, targets)[0]
+
+
+def _softmax_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(per-token NLL, exp of the max-shifted logits, their row sums)."""
     targets = np.asarray(targets)
     if not np.issubdtype(targets.dtype, np.integer):
         raise ValidationError("cross-entropy: targets must be integers")
-    if targets.shape != logits.data.shape[:-1]:
+    if targets.shape != logits.shape[:-1]:
         raise ShapeError(
-            f"cross-entropy: targets shape {targets.shape} does not match logits {logits.data.shape}"
+            f"cross-entropy: targets shape {targets.shape} does not match logits {logits.shape}"
         )
-    n_classes = logits.data.shape[-1]
+    n_classes = logits.shape[-1]
     if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
         raise ValidationError(f"cross-entropy: target id out of range for {n_classes} classes")
 
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
     e = np.exp(z, out=z)
     denom = e.sum(axis=-1, keepdims=True)
-    nll = np.log(denom[..., 0]) - picked
+    return np.log(denom[..., 0]) - picked, e, denom
+
+
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean negative log-likelihood of `targets` under `logits` rows."""
+    targets = np.asarray(targets)
+    nll, e, denom = _softmax_nll(logits.data, targets)
     out = Tensor(nll.mean())
     count = max(targets.size, 1)
 

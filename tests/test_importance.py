@@ -271,11 +271,11 @@ class TestGradientPool:
         lock = threading.Lock()
         batch_loss = model_lib.batch_next_token_loss
 
-        def counting_batch_loss(model, batch, resume=None):
+        def counting_batch_loss(model, batch):
             with lock:
                 reduced = min(s.count for s in sums) // importance.GRADIENT_CHUNK
                 started.append(len(started) + 1 - reduced)
-            return batch_loss(model, batch, resume)
+            return batch_loss(model, batch)
 
         monkeypatch.setattr(importance, "_PairwiseSum", CountingSum)
         monkeypatch.setattr(model_lib, "batch_next_token_loss", counting_batch_loss)
@@ -590,6 +590,40 @@ class TestOracleIsExact:
             expected.append(abs(mean_corpus_loss(zeroed, three_batch_corpus) - base))
             weights[i] = original
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_size_changes_no_bit(self, three_batch_corpus, eval_pool, monkeypatch, workers):
+        """Row blocks of 32, 16 + 16 or 11 + 11 + 10 rows, then 3 for the partial batch."""
+        model = init_model(TWO_LAYER)
+        block_rows = []
+        removal_nll = importance._removal_nll
+
+        def recording_removal_nll(model, s, proj, cols, block):
+            block_rows.append(len(block[0]))
+            return removal_nll(model, s, proj, cols, block)
+
+        monkeypatch.setattr(importance, "_removal_nll", recording_removal_nll)
+        eval_pool(workers)
+        base = mean_corpus_loss(model, three_batch_corpus)
+        rng = np.random.default_rng(11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' Python code finely
+        try:
+            for name in ["layers.0.q", "layers.0.o", "layers.1.up", "layers.1.down"]:
+                indices = sorted(int(i) for i in rng.choice(model.params[name].size, 3, replace=False))
+                expected = []
+                for i in indices:
+                    zeroed = model.copy()
+                    zeroed.params[name].data.reshape(-1)[i] = 0.0
+                    expected.append(abs(mean_corpus_loss(zeroed, three_batch_corpus) - base))
+                _, layer, proj = name.split(".")
+                block_rows.clear()
+                got = brute_force_importance(model, three_batch_corpus, (int(layer), proj), indices)
+                assert np.array_equal(got, expected), (workers, name)
+                split = {1: [32, 3], 2: [16, 16, 3], 3: [11, 11, 10, 3]}[workers]
+                assert sorted(block_rows) == sorted(split * len(indices))  # workers append in any order
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_memo_follows_in_place_edits(self, three_batch_corpus):
         """Interleaved calls over every matrix, two models and two corpora.  Within each

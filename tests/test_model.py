@@ -18,6 +18,7 @@ from dualprune.evaluation import sparsity_sweep
 from dualprune.model import (
     EVAL_BATCH,
     ModelConfig,
+    TransformerModel,
     batch_next_token_loss,
     init_model,
     load_checkpoint,
@@ -257,15 +258,14 @@ class TestResume:
             model.forward(np.zeros((2, 5), dtype=np.int64), (1, Tensor(np.zeros(shape))))
 
 
-def serial_corpus_loss(model, corpus, resume=None, reverse=False):
+def serial_corpus_loss(model, corpus, reverse=False):
     """`mean_corpus_loss` as a plain loop: one batch after another in this
     thread, in corpus order or, with `reverse`, in the opposite order."""
     nll_total, token_total = 0.0, 0
-    batches = list(enumerate(corpus.batches(EVAL_BATCH)))
-    for n, batch in reversed(batches) if reverse else batches:
-        at = None if resume is None else (resume[0], resume[1][n])
+    batches = list(corpus.batches(EVAL_BATCH))
+    for batch in reversed(batches) if reverse else batches:
         n_predicted = batch.shape[0] * (batch.shape[1] - 1)
-        nll_total += float(batch_next_token_loss(model, batch, at).data) * n_predicted
+        nll_total += float(batch_next_token_loss(model, batch).data) * n_predicted
         token_total += n_predicted
     return nll_total / token_total
 
@@ -278,17 +278,19 @@ class TestEvalPool:
     @pytest.mark.parametrize("resume_at", [None, 2], ids=["full", "resumed"])
     def test_pool_size_changes_no_bit(self, eval_pool, resume_at):
         model = init_model(TWO_LAYER)
+        if resume_at is not None:
+            # every pass resumes at sublayer 2 from a stream computed sublayer by sublayer
+            model.forward = lambda ids: TransformerModel.forward(
+                model, ids, (resume_at, stream_entering(model, ids, resume_at)))
         corpus = Corpus("m", self.SEQS)
-        resume = None if resume_at is None else (resume_at, [
-            stream_entering(model, batch[:, :-1], resume_at) for batch in corpus.batches(EVAL_BATCH)])
-        expected = serial_corpus_loss(model, corpus, resume).hex()
-        assert serial_corpus_loss(model, corpus, resume, reverse=True).hex() != expected
+        expected = serial_corpus_loss(model, corpus).hex()
+        assert serial_corpus_loss(model, corpus, reverse=True).hex() != expected
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers' Python code finely
         try:
             for workers in (1, 2, 8):  # 8: more workers than batches and than cores
                 eval_pool(workers)
-                assert mean_corpus_loss(model, corpus, resume).hex() == expected, workers
+                assert mean_corpus_loss(model, corpus).hex() == expected, workers
         finally:
             sys.setswitchinterval(interval)
 
@@ -320,8 +322,8 @@ class TestEvalPool:
                 h.data[(ids == rare).any(axis=1)] = np.inf
             return h
 
-        def loss_marking_batch_six(model, batch, resume=None):
-            loss = batch_next_token_loss(model, batch, resume)
+        def loss_marking_batch_six(model, batch):
+            loss = batch_next_token_loss(model, batch)
             if len(batch) == 5:
                 batch_six_done.set()
             return loss
