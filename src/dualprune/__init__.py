@@ -13,11 +13,15 @@ it, stays on one BLAS thread: on import the OpenBLAS that numpy loaded is
 pinned to one thread, and a RuntimeWarning says so when no OpenBLAS thread
 setter is found.  The independent batches of an evaluation pass
 (`model.mean_corpus_loss`), the chunks of a per-sample gradient pass
-(`importance.next_token_gradients`) and the row blocks of the exact removal
-oracle's passes (`importance.brute_force_importance`) run concurrently on
-one thread pool with one worker per usable CPU, and their losses or
-gradients are reduced in corpus order, so the results do not depend on the
-number of workers.
+(`importance.next_token_gradients`), the row blocks of the exact removal
+oracle's passes (`importance.brute_force_importance`) and the row blocks of
+every batch loss (`model.batch_next_token_loss`, so of every SGD step) run
+concurrently on one thread pool with one worker per usable CPU.  Their
+losses or gradients are reduced in corpus order, and a gradient that sums
+over a batch's rows is reduced once on the rows of all its blocks, so the
+results do not depend on the number of workers.  A pass made inside a pool
+task takes back the blocks no worker has started and runs them itself, so
+nested passes cannot deadlock the pool.
 """
 
 import ctypes as _ctypes

@@ -24,8 +24,9 @@ Three score families:
   per call and reruns per weight only the projection, its head (or its
   column of the gated product), the block's output projection and the
   network after it.  Every op of a pass works on each sequence alone, so
-  those reruns go in row blocks, one per eval-pool worker, run
-  concurrently and reduced in corpus order, bit-identical to a full rerun.
+  those reruns go in the row blocks of `model.row_blocks` (one per
+  eval-pool worker, of at least 4 rows), run concurrently and reduced in
+  corpus order, bit-identical to a full rerun.
 
 Model weights are never updated here; only gradients are read.
 """
@@ -47,10 +48,10 @@ from .model import (
     EVAL_BATCH,
     TransformerModel,
     check_scored_model,
-    eval_workers,
     in_corpus_order,
     next_token_split,
     prunable_names,
+    row_blocks,
     token_weighted_mean,
 )
 # unused here; kept because the stage benchmark patches importance.next_token_loss
@@ -373,10 +374,9 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     * once per call: per eval batch, the stream h entering s (the embedding
       for s = 0), the block's normed input, its branch outputs and their
       mix; the base loss runs only the head on the final streams.
-    * once per weight and row block: each eval batch is cut into blocks of
-      ceil(`EVAL_BATCH` / eval-pool workers) rows, and each block is one
-      call on the eval pool (`model.in_corpus_order`), at most one batch's
-      worth in flight.  Zeroing a weight in column c of a branch (q, k, v,
+    * once per weight and row block: each eval batch is cut into the row
+      blocks of `model.row_blocks`, and each block is one call on the eval
+      pool (`model.in_corpus_order`), at most one per worker in flight.  Zeroing a weight in column c of a branch (q, k, v,
       gate, up) changes only that branch and the columns
       `mixed_columns(s, c)` of the mix, so the call reruns that branch on
       its rows, mixes only those columns (one attention head, or one column
@@ -409,7 +409,6 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     n_sublayers = 2 * model.config.num_layers
     streams = _residual_streams(model, corpus)
     batches = list(corpus.batches(EVAL_BATCH))
-    rows = -(-EVAL_BATCH // eval_workers())  # one worker splits nothing
     # per eval batch, per row block: the block's rows of (inputs, targets, h,
     # block input, branch outputs, mix) and of the final stream
     blocks = []
@@ -419,9 +418,8 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
         x = model.block_input(s, h)
         branches = [model.branch(s, name, x) for name in branch_names]
         mixed = model.mix(s, branches)
-        cuts = [slice(a, a + rows) for a in range(0, len(batch), rows)]
         blocks.append([((inputs[r], targets[r], _rows(h, r), _rows(x, r), [_rows(y, r) for y in branches],
-                         _rows(mixed, r)), _rows(states[-1], r)) for r in cuts])
+                         _rows(mixed, r)), _rows(states[-1], r)) for r in row_blocks(len(batch))])
 
     def calls():
         for batch_blocks in blocks:

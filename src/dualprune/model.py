@@ -276,84 +276,166 @@ def next_token_split(batch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_next_token_loss(model: TransformerModel, batch: np.ndarray) -> Tensor:
-    """Mean cross-entropy over a (batch, length) array of same-length sequences."""
+    """Mean cross-entropy over a (batch, length) array of same-length sequences.
+
+    A batch of more rows than one block of `row_blocks` runs as those row
+    blocks: the caller runs the first and offers the others to the eval pool
+    (`in_corpus_order`), taking back any that no worker has started by the
+    time it needs them, so a call made inside a pool task runs its blocks
+    inline while the other workers are busy and never waits on a block that
+    cannot start.  Under an active tape the call records one tape record for
+    the whole batch (`tensor.row_block_cross_entropy`): its reverse pass
+    replays the blocks side by side, then reduces every gradient that sums
+    over rows once, at full batch, split between the caller and one worker.
+    Every op works on each row alone, so the loss and every gradient, summed
+    or per sample, are bit-identical to one pass on the whole batch, for any
+    worker count; where OpenBLAS would give some row of a block's GEMM other
+    bits (`tensor.row_split_exact`, for blocks of few short rows) the batch
+    runs as one block.  No block outlives the call or its reverse pass.
+    """
     inputs, targets = next_token_split(batch)
-    return T.cross_entropy(model.forward(inputs), targets)
+    cuts = row_blocks(len(inputs))
+    if len(cuts) == 1 or not _splits_exactly(model, cuts, inputs):
+        return T.cross_entropy(model.forward(inputs), targets)
+    return T.row_block_cross_entropy(lambda r: model.forward(inputs[r]), targets, cuts, _in_blocks)
+
+
+def _splits_exactly(model: TransformerModel, cuts: list[slice], inputs: np.ndarray) -> bool:
+    """Whether every weight matmul of `model`'s pass on `inputs`, the tied
+    head's included, gives each row the bits of the whole batch's GEMM when
+    its input gradient is computed in the row blocks `cuts`
+    (`tensor.row_split_exact`)."""
+    n_rows, n_tok = inputs.shape
+    counts = tuple(len(range(n_rows)[r]) * n_tok for r in cuts)
+    shapes = {w.shape for _, _, w in prunable_matrices(model)}
+    shapes.add((model.config.d_model, model.config.vocab_size))
+    return all(T.row_split_exact(counts, shape) for shape in shapes)
 
 
 # Sequences per forward pass of `mean_corpus_loss`.
 EVAL_BATCH = 32
+# The fewest rows a pass is cut to: a 2-row block costs 4.5% more per
+# sequence than a 4-row one, so the 4-sequence gradient chunks stay whole.
+MIN_BLOCK_ROWS = 4
 
 # glibc's mallopt parameter for the most malloc arenas the process may create.
 _M_ARENA_MAX = -8
 _eval_pool_lock = threading.Lock()
 _eval_pool_instance: ThreadPoolExecutor | None = None
+_eval_pool_workers = 0  # the worker count `_eval_pool` made its pool with
+
+
+def mallopt(param: int, value: int) -> bool:
+    """glibc's mallopt(param, value); False where there is none (not glibc) or it refuses."""
+    fn = getattr(ctypes.CDLL(None), "mallopt", None)
+    if fn is None:
+        return False
+    fn.argtypes = [ctypes.c_int, ctypes.c_int]
+    fn.restype = ctypes.c_int
+    return bool(fn(param, value))
 
 
 def _eval_pool() -> ThreadPoolExecutor:
     """The process-wide pool that runs the passes of `mean_corpus_loss`,
     `importance.next_token_gradients` and the exact removal oracle
-    `importance.brute_force_importance` (see `in_corpus_order`), made on
-    first use with one worker per CPU this process may run on.
+    `importance.brute_force_importance`, and the row blocks of
+    `batch_next_token_loss` (see `in_corpus_order`), made on first use with
+    one worker per CPU this process may run on.  The worker count is kept
+    beside it, for `eval_workers`.
 
     Before its threads start, glibc is held to one malloc arena: a thread
     with an arena of its own would keep that arena's batch-32 high-water mark
     mapped beside the main one.  Where there is no `mallopt` (not glibc) the
     threads keep their own arenas; that changes memory use, never results.
     """
-    global _eval_pool_instance
+    global _eval_pool_instance, _eval_pool_workers
     with _eval_pool_lock:
         if _eval_pool_instance is None:
-            mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-            if mallopt is not None:
-                mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-                mallopt.restype = ctypes.c_int
-                mallopt(_M_ARENA_MAX, 1)
+            mallopt(_M_ARENA_MAX, 1)
             try:
                 workers = len(os.sched_getaffinity(0))
             except AttributeError:  # no affinity call on this platform
                 workers = os.cpu_count() or 1
             _eval_pool_instance = ThreadPoolExecutor(workers, thread_name_prefix="dualprune-eval")
+            _eval_pool_workers = workers
         return _eval_pool_instance
 
 
 def eval_workers() -> int:
     """The eval pool's worker count."""
-    return _eval_pool()._max_workers  # ThreadPoolExecutor keeps no public worker count
+    _eval_pool()
+    return _eval_pool_workers
 
 
-def in_corpus_order(calls: Iterable[tuple], window: int | None = None) -> Iterator:
+def row_blocks(rows: int) -> list[slice]:
+    """`rows` rows cut in order into blocks of max(`MIN_BLOCK_ROWS`,
+    ceil(rows / eval-pool workers)) rows, the last possibly shorter."""
+    size = max(MIN_BLOCK_ROWS, -(-rows // eval_workers()))
+    return [slice(a, a + size) for a in range(0, rows, size)]
+
+
+def in_corpus_order(calls: Iterable[tuple], window: int | None = None, *,
+                    caller_first: bool = False) -> Iterator:
     """Run each `(fn, *args)` of `calls` on the eval pool and yield the
     results in the order of `calls`: the batches of `mean_corpus_loss`, the
-    chunks of `importance.next_token_gradients` and the row blocks of the
-    exact removal oracle's resumed passes.
+    chunks of `importance.next_token_gradients`, the row blocks of the exact
+    removal oracle's resumed passes, and the row blocks of
+    `batch_next_token_loss` and of its reverse pass.
 
-    Each call runs in a copy of the caller's context, so under its
-    `np.errstate`, and records onto its worker's tape, never the caller's.
+    Each call runs under the caller's context (a copy of it on a worker),
+    so under its `np.errstate`, and never records onto the caller's tape.
     At most `window` calls (default: as many as the pool has workers) are
     submitted and not yet yielded, so results that hold large buffers wait
-    for the caller only that many at a time.  A call's exception is raised
-    where its result would be yielded.  On exit, including `close()` after a
-    raise in the caller, queued calls are cancelled and running ones waited
-    for; use it under `contextlib.closing`, so that no call outlives the
-    caller's loop.
+    for the caller only that many at a time.
+
+    Take-back rule: a call that no worker has started when the caller gets
+    to its result is withdrawn from the pool and run on the caller, with
+    the caller's tape set aside.  With `caller_first`, the first call is
+    never offered: the caller runs it once the window is filled.  So the
+    caller waits only on calls that are running, and calls made inside pool
+    tasks cannot deadlock the pool.
+
+    A call's exception is raised where its result would be yielded.  On
+    exit, including `close()` after a raise in the caller, calls not yet
+    started are withdrawn and running ones waited for; use it under
+    `contextlib.closing`, so that no call outlives the caller's loop.
     """
     pool = _eval_pool()
     if window is None:
         window = eval_workers()
-    pending: deque[Future] = deque()
+    pending: deque[tuple[Future | None, tuple]] = deque()
     try:
-        for fn, *args in calls:
+        for call in calls:
             if len(pending) == window:
-                yield pending.popleft().result()
-            # a context per call: one context cannot be entered by two threads at once
-            pending.append(pool.submit(contextvars.copy_context().run, fn, *args))
+                yield _take(*pending.popleft())
+            if caller_first:
+                pending.append((None, call))
+                caller_first = False
+            else:
+                # a context per call: one context cannot be entered by two threads at once
+                pending.append((pool.submit(contextvars.copy_context().run, *call), call))
         while pending:
-            yield pending.popleft().result()
+            yield _take(*pending.popleft())
     finally:
-        for future in pending:
-            future.cancel()
-        wait(pending)
+        # a withdrawn call never starts; wait() would block until a worker dequeued it
+        wait([future for future, _ in pending if future is not None and not future.cancel()])
+
+
+def _take(future: Future | None, call: tuple):
+    """The result of `call`, offered to the pool as `future`: run here, off
+    this thread's tape, unless a worker has started it."""
+    if future is None or future.cancel():
+        fn, *args = call
+        with T.active_tape(None):
+            return fn(*args)
+    return future.result()
+
+
+def _in_blocks(calls: list[tuple]) -> list:
+    """The results of `calls`: the first run by the caller, the others
+    offered to the eval pool (`in_corpus_order`)."""
+    with closing(in_corpus_order(calls, window=len(calls), caller_first=True)) as results:
+        return list(results)
 
 
 def token_weighted_mean(what: str, batches: list[np.ndarray], losses: Iterable) -> float:

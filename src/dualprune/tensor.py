@@ -17,15 +17,27 @@ recording onto its own thread's active tape.
 The reverse pass computes only the gradients that lead to the requested
 weights, can return one gradient per sample of a batch, and drops each tape
 record once it has replayed it (see `backward`).
+
+`row_block_cross_entropy` runs one batch as row blocks, possibly in
+concurrent threads, each block's ops on a tape of its own nested under the
+caller's, and records one record for the whole batch.  Its reverse pass
+replays each block's tape for the gradients that stay within a row, while
+every gradient that sums over rows (a weight's x^T g, a broadcast scale's or
+position row's sum, an embedding table's scatter) comes back unreduced
+(`ROWS`) and is reduced once, on all blocks' rows joined in batch order: the
+same reduction over the same values as the unsplit pass, so the gradients
+are bit-identical to it wherever the row-wise GEMMs give a block's rows the
+bits of the whole batch's (`row_split_exact`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import threading
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -79,11 +91,14 @@ class GradientTape:
     """Ordered record of the primitives applied during one forward pass.
 
     Ops record themselves on the active tape (entered via ``with``); replay
-    happens in exact reverse order of recording.  Each thread has at most one
-    active tape, and ops record only onto their own thread's.  A tape is
-    single-use: make a fresh one per forward pass so gradients from distinct
-    samples never mix unless explicitly accumulated through the graph itself.
-    `backward` spends it, dropping each record as it replays it.
+    happens in exact reverse order of recording.  Ops record only onto their
+    own thread's active tape.  A thread enters at most one tape with
+    ``with``; a row block of `row_block_cross_entropy` that runs on it makes
+    a tape of its own the active one for the block's ops (`active_tape`) and
+    gives the caller's back afterwards.  A tape is single-use: make a fresh
+    one per forward pass so gradients from distinct samples never mix unless
+    explicitly accumulated through the graph itself.  `backward` spends it,
+    dropping each record as it replays it.
     """
 
     def __init__(self):
@@ -105,12 +120,38 @@ class GradientTape:
         self._output_ids.add(out.tid)
 
 
+@contextlib.contextmanager
+def active_tape(tape: GradientTape | None) -> Iterator[None]:
+    """Make `tape` (None: no tape) this thread's active tape inside the
+    block, and give the one it replaces back on exit."""
+    outer = _active.tape
+    _active.tape = tape
+    try:
+        yield
+    finally:
+        _active.tape = outer
+
+
 # What the reverse pass asks of a backward function for each input: no
-# gradient, the gradient, or one gradient per sample along a leading axis.
-# A backward function may return None for a SKIP input, or compute it anyway
-# (the pass drops it); one-input primitives never see SKIP, since their
-# output leads to a requested weight exactly when their input does.
-SKIP, SUMMED, PER_SAMPLE = 0, 1, 2
+# gradient, the gradient, one gradient per sample along a leading axis, or
+# (ROWS, a row block's pass) the gradient, except that a gradient summing
+# over the leading row axis comes back as `Rows`, unreduced.  A backward
+# function may return None for a SKIP input, or compute it anyway (the pass
+# drops it); one-input primitives never see SKIP, since their output leads
+# to a requested weight exactly when their input does.
+SKIP, SUMMED, PER_SAMPLE, ROWS = 0, 1, 2, 3
+
+
+class Rows:
+    """A gradient that sums over rows, left unreduced by a row block's pass:
+    `reduce(*parts)`, where each of `parts` is joined along its leading axis
+    with the same part of every other block, in batch order."""
+
+    __slots__ = ("reduce", "parts")
+
+    def __init__(self, reduce: Callable, *parts: np.ndarray):
+        self.reduce = reduce
+        self.parts = parts
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
@@ -128,6 +169,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if n == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _input_gradient(grad: np.ndarray, shape: tuple[int, ...], need: int):
+    """`grad` summed down to an input of `shape`; under ROWS, an input with
+    fewer axes than `grad` is broadcast over the rows, so its sum is left to
+    the caller as `Rows`."""
+    if need == ROWS and len(shape) < grad.ndim:
+        return Rows(functools.partial(_unbroadcast, shape=shape), grad)
+    return _unbroadcast(grad, shape)
+
+
+def _gram(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return x.T @ g
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
@@ -160,8 +214,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g2 = g.reshape(-1, g.shape[-1])
             if need[0]:
                 ga = (g2 @ b.data.T).reshape(a.data.shape)
-            if need[1]:
-                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g2
+            if need[1] == ROWS:
+                gb = Rows(_gram, a.data.reshape(-1, a.data.shape[-1]), g2)
+            elif need[1]:
+                gb = _gram(a.data.reshape(-1, a.data.shape[-1]), g2)
         else:
             # one GEMM per leading index, each at the shape of a single
             # sample, so a per-sample pass repeats the batch-1 arithmetic
@@ -181,8 +237,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward_fn(g, need):
-        return (_unbroadcast(g, a.data.shape) if need[0] else None,
-                _unbroadcast(g, b.data.shape) if need[1] else None)
+        return (_input_gradient(g, a.data.shape, need[0]) if need[0] else None,
+                _input_gradient(g, b.data.shape, need[1]) if need[1] else None)
 
     return _record(out, (a, b), backward_fn)
 
@@ -192,8 +248,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward_fn(g, need):
-        return (_unbroadcast(g * b.data, a.data.shape) if need[0] else None,
-                _unbroadcast(g * a.data, b.data.shape) if need[1] else None)
+        return (_input_gradient(g * b.data, a.data.shape, need[0]) if need[0] else None,
+                _input_gradient(g * a.data, b.data.shape, need[1]) if need[1] else None)
 
     return _record(out, (a, b), backward_fn)
 
@@ -253,14 +309,18 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             f"embedding-lookup: id out of range for table with {table.data.shape[0]} rows"
         )
     out = Tensor(table.data[ids])
+    rows, width = table.data.shape
 
-    def backward_fn(g, need):
+    def scatter(flat_ids, g):
         # np.add.at(zeros, ids, g) as one bincount over the (id, column) slots: each
         # slot sums its rows' entries from 0.0 in the same order, so bit-identically
-        rows, width = table.data.shape
-        slots = (ids.astype(np.intp, copy=False).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        gt = np.bincount(slots, weights=g.reshape(-1), minlength=rows * width)
-        return (gt.reshape(rows, width),)
+        slots = (flat_ids.astype(np.intp, copy=False).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        return np.bincount(slots, weights=g.reshape(-1), minlength=rows * width).reshape(rows, width)
+
+    def backward_fn(g, need):
+        if need[0] == ROWS:  # the table's gradient sums over every row's ids
+            return (Rows(scatter, ids.reshape(-1), g.reshape(-1, width)),)
+        return (scatter(ids, g),)
 
     return _record(out, (table,), backward_fn)
 
@@ -385,6 +445,16 @@ def _softmax_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray, n
     return np.log(denom[..., 0]) - picked, e, denom
 
 
+def _nll_gradient(e: np.ndarray, denom: np.ndarray, targets: np.ndarray, scale: float) -> np.ndarray:
+    """The logits' gradient of `scale` times the summed NLL, from `_softmax_nll`'s exponentials."""
+    gl = e / denom  # the probabilities, formed only when a gradient is asked for
+    np.put_along_axis(
+        gl, targets[..., None],
+        np.take_along_axis(gl, targets[..., None], axis=-1) - 1.0, axis=-1,
+    )
+    return gl * scale
+
+
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of `targets` under `logits` rows."""
     targets = np.asarray(targets)
@@ -393,14 +463,96 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     count = max(targets.size, 1)
 
     def backward_fn(g, need):
-        gl = e / denom  # the probabilities, formed only when a gradient is asked for
-        np.put_along_axis(
-            gl, targets[..., None],
-            np.take_along_axis(gl, targets[..., None], axis=-1) - 1.0, axis=-1,
-        )
-        return (gl * (float(g) / count),)
+        return (_nll_gradient(e, denom, targets, float(g) / count),)
 
     return _record(out, (logits,), backward_fn)
+
+
+@functools.cache
+def row_split_exact(row_counts: tuple[int, ...], shape: tuple[int, int]) -> bool:
+    """Whether a weight matmul's folded input gradient g @ W^T, for a W of
+    `shape`, gives every row the same bits in GEMMs of `row_counts` rows as
+    in one GEMM of all of them; measured once per argument pair, on random
+    operands.  OpenBLAS picks its kernel by the GEMM's shape, and its
+    small-matrix kernel for this transposed product sums in another order,
+    so blocks of few rows can differ in the last bits."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((sum(row_counts), shape[1]))
+    w = rng.standard_normal(shape)
+    whole = g @ w.T
+    ends = list(itertools.accumulate(row_counts))
+    return all(np.array_equal(g[a:b] @ w.T, whole[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def row_block_cross_entropy(logits_of: Callable[[slice], Tensor], targets, cuts: list[slice],
+                            run: Callable[[list[tuple]], list]) -> Tensor:
+    """`cross_entropy` of `targets` under a batch's logits, computed in the
+    row blocks `cuts`, which cover the batch's rows in order; `logits_of(r)`
+    gives the logits of rows `r`.  `run(calls)` runs each `(fn, *args)` of a
+    list, possibly concurrently, and returns the results in order; it is
+    called once for the blocks' forward passes and, in the reverse pass,
+    once for their replays and once for the row-summed reductions.
+
+    The loss is the mean of the blocks' per-token NLLs joined in batch order.
+    With no active tape nothing is recorded.  Under one, each block records
+    onto a tape of its own (`active_tape`), and the call records one record
+    whose inputs are the parameters the first block touched.  Its reverse
+    pass replays each block's tape from the NLL gradient scaled by the whole
+    batch's token count.  A per-sample pass joins the blocks' per-sample
+    gradients.  A summed pass leaves every gradient that sums over rows to
+    `ROWS` and reduces it once on the rows of all blocks, the reductions
+    shared out between the two calls of one `run`; the records that only
+    those gradients reach (the tied head's transpose, the position lookup)
+    are replayed once, on the reduced gradients, in the unsplit pass's
+    order.  When a row's logits depend on no other row, and every GEMM of
+    the pass gives each row the bits it gives in the whole batch (see
+    `row_split_exact` for the one GEMM whose rows a split can change), the
+    loss and every gradient are bit-identical to `cross_entropy` on the
+    whole batch.
+    """
+    targets = np.asarray(targets)
+    recording = _active.tape is not None
+
+    def forward(r):
+        if not recording:
+            return token_nll(logits_of(r).data, targets[r])
+        tape = GradientTape()
+        with active_tape(tape):
+            logits = logits_of(r)
+        return tape, logits, *_softmax_nll(logits.data, targets[r])
+
+    blocks = run([(forward, r) for r in cuts])
+    if not recording:
+        return Tensor(np.concatenate(blocks).mean())
+    out = Tensor(np.concatenate([nll for _, _, nll, _, _ in blocks]).mean())
+    params = list({inp.tid: inp for _, inputs, _ in blocks[0][0].records
+                   for inp in inputs if inp.is_param}.values())
+    count = max(targets.size, 1)
+
+    def backward_fn(g, need):
+        ask = PER_SAMPLE if PER_SAMPLE in need else ROWS
+        wanted = [p.tid for p, n in zip(params, need) if n]
+
+        def replay(block, r):
+            tape, logits, _, e, denom = block
+            grads = {logits.tid: _nll_gradient(e, denom, targets[r], float(g) / count)}
+            deferred = _replay(tape.records, grads, _live(tape.records, wanted), ask)
+            if ask == PER_SAMPLE:
+                return grads
+            if any(tid in grads for tid in wanted):
+                raise ShapeError("row blocks: a parameter gradient that does not sum over rows")
+            return deferred
+
+        replayed = run([(replay, block, r) for block, r in zip(blocks, cuts)])
+        blocks.clear()  # the spent tapes and their activations
+        if ask == PER_SAMPLE:
+            grads = {tid: np.concatenate([grads[tid] for grads in replayed])
+                     for tid in wanted if tid in replayed[0]}
+        else:
+            grads = _reduce_rows(replayed, run)
+        return tuple(grads.get(p.tid) if n else None for p, n in zip(params, need))
+
+    return _record(out, tuple(params), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -460,28 +612,11 @@ def backward(tape: GradientTape, loss: Tensor, wrt: Iterable[Tensor] | None = No
     if wrt is None:
         wrt = [inp for _, inputs, _ in tape.records for inp in inputs if inp.is_param]
     targets = {t.tid: t for t in wrt}
-    live = set(targets)  # tensors on a path to a requested parameter
-    for out, inputs, _ in tape.records:
-        if any(inp.tid in live for inp in inputs):
-            live.add(out.tid)
     ask = SUMMED if samples is None else PER_SAMPLE
     # d(sum of the n per-sample losses) = n * d(mean); cross-entropy's n / (n * tokens)
     # rounds to the same float as a single sample's 1 / tokens
     grads: dict[int, np.ndarray] = {loss.tid: np.full((), 1.0 if samples is None else float(samples))}
-    # popping each record as it is replayed frees the activations that only
-    # it holds, so they do not pile up under the gradients; the tape is spent
-    records = tape.records
-    while records:
-        out, inputs, backward_fn = records.pop()
-        g_out = grads.pop(out.tid, None)
-        if g_out is None:
-            continue
-        need = tuple(ask if inp.tid in live else SKIP for inp in inputs)
-        for inp, g in zip(inputs, backward_fn(g_out, need)):
-            if g is None or inp.tid not in live:
-                continue
-            acc = grads.get(inp.tid)
-            grads[inp.tid] = g if acc is None else acc + g
+    _replay(tape.records, grads, _live(tape.records, targets), ask)
     result = {tid: Tensor(grads[tid]) for tid in targets if tid in grads}
     if samples is not None:
         for tid, g in result.items():
@@ -490,3 +625,86 @@ def backward(tape: GradientTape, loss: Tensor, wrt: Iterable[Tensor] | None = No
                                  f" of shape {targets[tid].shape}")
     return result
 
+
+def _live(records: list, targets: Iterable[int]) -> set[int]:
+    """The ids of `targets` and of every recorded tensor on a path to one."""
+    live = set(targets)
+    for out, inputs, _ in records:
+        if any(inp.tid in live for inp in inputs):
+            live.add(out.tid)
+    return live
+
+
+def _accumulate(grads: dict, tid: int, g: np.ndarray) -> None:
+    acc = grads.get(tid)
+    grads[tid] = g if acc is None else acc + g
+
+
+def _replay(records: list, grads: dict, live: set[int], ask: int) -> list:
+    """Replay `records` in reverse from the output gradients in `grads`,
+    accumulating into `grads` the gradients of the tensors in `live`.
+
+    Popping each record as it is replayed frees the activations that only it
+    holds, so they do not pile up under the gradients; the records are spent.
+    Under ROWS, a `Rows` gradient is not accumulated, and a record whose
+    output received one is not replayed here: both go, in replay order, into
+    the list returned, a `Rows` as (input, Rows) and a record as (record,
+    its SUMMED need), for `_reduce_rows`.
+    """
+    deferred: list = []
+    row_summed: set[int] = set()
+    while records:
+        record = records.pop()
+        out, inputs, backward_fn = record
+        if out.tid in row_summed:
+            deferred.append((record, tuple(SUMMED if inp.tid in live else SKIP for inp in inputs)))
+            continue
+        g_out = grads.pop(out.tid, None)
+        if g_out is None:
+            continue
+        need = tuple(ask if inp.tid in live else SKIP for inp in inputs)
+        for inp, g in zip(inputs, backward_fn(g_out, need)):
+            if g is None or inp.tid not in live:
+                continue
+            if isinstance(g, Rows):
+                row_summed.add(inp.tid)
+                deferred.append((inp, g))
+            else:
+                _accumulate(grads, inp.tid, g)
+    return deferred
+
+
+def _reduce_rows(deferred: list[list], run: Callable[[list[tuple]], list]) -> dict[int, np.ndarray]:
+    """The gradients the row blocks' ROWS replays left in `deferred` (one
+    `_replay` list per block, in batch order), keyed by the first block's ids.
+
+    Every block ran the same ops, so their lists match entry by entry.  Each
+    `Rows` is reduced once on its parts joined over the blocks, the
+    reductions shared out between the two calls of one `run`; then the
+    first block's list is walked in order, accumulating the reduced
+    gradients and replaying its deferred records, as the unsplit pass would
+    have.
+    """
+    first = deferred[0]
+    jobs = [k for k, (_, how) in enumerate(first) if isinstance(how, Rows)]
+
+    def reduce(ks):
+        return [first[k][1].reduce(*map(np.concatenate, zip(*(d[k][1].parts for d in deferred))))
+                for k in ks]
+
+    # two calls of about equal work: the reductions dealt out largest first
+    ranked = sorted(jobs, key=lambda k: sum(p.size for p in first[k][1].parts), reverse=True)
+    halves = [ranked[0::2], ranked[1::2]]
+    reduced = dict(zip(halves[0] + halves[1], itertools.chain(*run([(reduce, ks) for ks in halves]))))
+    grads: dict[int, np.ndarray] = {}
+    for k, (what, how) in enumerate(first):
+        if k in reduced:
+            _accumulate(grads, what.tid, reduced[k])
+            continue
+        (out, inputs, backward_fn), need = what, how
+        g_out = grads.pop(out.tid, None)
+        if g_out is not None:
+            for inp, n, g in zip(inputs, need, backward_fn(g_out, need)):
+                if n and g is not None:
+                    _accumulate(grads, inp.tid, g)
+    return grads

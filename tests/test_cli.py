@@ -10,6 +10,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+from dualprune import cli
 from dualprune.cli import RunConfig, build_parser, main
 from dualprune.container import FORMAT_VERSION, MAGIC, read_container, write_container
 from dualprune.corpus import load_corpus_cache
@@ -548,3 +549,23 @@ class TestSurface:
             options = [o for a in parser._actions for o in (a.option_strings or [a.dest])]
             assert options == ["-h", "--help", "--config", *config_flags,
                                *COMMAND_OPTIONS[command]], command
+
+
+class TestMallocPin:
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_main_fixes_both_thresholds_or_says_it_could_not(self, monkeypatch, capsys, tmp_path,
+                                                             accepted):
+        calls = []
+
+        def fake_mallopt(param, value):
+            calls.append((param, value))
+            return accepted
+
+        monkeypatch.setattr(cli, "mallopt", fake_mallopt)
+        assert main(["pretrain", "--config", str(tmp_path / "missing.cfg")]) == 2
+        pinned = [(cli.M_MMAP_THRESHOLD, 1 << 30), (cli.M_TRIM_THRESHOLD, 1 << 30)]
+        assert calls == (pinned if accepted else pinned[:1])  # a refusal stops at the first
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "malloc" in line]
+        assert warnings == ([] if accepted else [
+            "dualprune: could not fix malloc's mmap and trim thresholds; "
+            "large temporaries are page-faulted afresh, which is slower"])

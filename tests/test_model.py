@@ -1,11 +1,15 @@
 """Toy transformer: layout, loss, causality, pretraining, checkpoints."""
 
+import contextlib
+import functools
 import math
 import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +287,7 @@ class TestEvalPool:
             model.forward = lambda ids: TransformerModel.forward(
                 model, ids, (resume_at, stream_entering(model, ids, resume_at)))
         corpus = Corpus("m", self.SEQS)
+        eval_pool(1)  # one worker: every batch is one block
         expected = serial_corpus_loss(model, corpus).hex()
         assert serial_corpus_loss(model, corpus, reverse=True).hex() != expected
         interval = sys.getswitchinterval()
@@ -317,7 +322,7 @@ class TestEvalPool:
         def embed_breaking_rare(ids):
             h = embed(ids)
             if (ids[:, 4] == rare).any():
-                if len(ids) == EVAL_BATCH:  # batch 1
+                if (ids == seqs[EVAL_BATCH + 3, :-1]).all(axis=1).any():  # the rows of batch 1
                     batch_six_done.wait(timeout=10)
                 h.data[(ids == rare).any(axis=1)] = np.inf
             return h
@@ -344,6 +349,248 @@ class TestEvalPool:
             loss = mean_corpus_loss(model, Corpus("m", self.SEQS))
         assert tape.records == []
         assert loss == serial_corpus_loss(model, Corpus("m", self.SEQS))
+
+
+# `tensor._reduce_rows` as it must not be: each row-summed gradient reduced on
+# every block's rows alone, and the blocks' sums added.
+REDUCE_ROWS = dualprune.tensor._reduce_rows
+
+
+def reduced_per_block(deferred, run):
+    per_block = [(what, dualprune.tensor.Rows(
+        lambda k=k: functools.reduce(np.add, [d[k][1].reduce(*d[k][1].parts) for d in deferred])))
+        if isinstance(how, dualprune.tensor.Rows) else (what, how)
+        for k, (what, how) in enumerate(deferred[0])]
+    return REDUCE_ROWS([per_block], run)
+
+
+def claim_workers(monkeypatch, pool, workers):
+    """Make `pool` the eval pool, reporting `workers` workers."""
+    monkeypatch.setattr(dualprune.model, "_eval_pool", lambda: pool)
+    monkeypatch.setattr(dualprune.model, "_eval_pool_workers", workers)
+
+
+# Wide enough that OpenBLAS gives the rows of a 4-row block's GEMMs the bits of
+# the whole batch's, so that its passes split (`tensor.row_split_exact`).
+WIDE = ModelConfig(vocab_size=32, context_length=16, num_layers=2, d_model=32, num_heads=2,
+                   d_ff=48, seed=4)
+
+
+class TestRowBlocks:
+    CORPUS = Corpus("rows", np.random.default_rng(40).integers(0, WIDE.vocab_size, size=(64, 16)))
+
+    @pytest.mark.parametrize("workers,rows,sizes", [
+        (1, 32, [32]), (2, 4, [4]), (2, 8, [4, 4]), (2, 7, [4, 3]), (3, 32, [11, 11, 10]),
+        (8, 9, [4, 4, 1]), (8, 32, [4] * 8)])
+    def test_blocks_of_the_pool_size_and_at_least_four_rows(self, eval_pool, workers, rows, sizes):
+        eval_pool(workers)
+        assert dualprune.model.eval_workers() == workers
+        cuts = dualprune.model.row_blocks(rows)
+        assert [len(range(rows)[r]) for r in cuts] == sizes
+        assert np.array_equal(np.concatenate([np.arange(rows)[r] for r in cuts]), np.arange(rows))
+
+    @pytest.mark.parametrize("batch_size", [7, 8])
+    def test_pretraining_does_not_depend_on_the_pool_size(self, eval_pool, monkeypatch, tmp_path,
+                                                           batch_size):
+        def train(name):
+            model, history = pretrain(init_model(WIDE), self.CORPUS, steps=24, learning_rate=0.3,
+                                      batch_size=batch_size)
+            save_checkpoint(model, tmp_path / name)
+            return (tmp_path / name).read_bytes(), [loss.hex() for _, loss in history], model.meta["converged"]
+
+        eval_pool(1)  # every step one block
+        expected = train("one")
+        eval_pool(2)
+        with monkeypatch.context() as patch:
+            patch.setattr(dualprune.tensor, "_reduce_rows", reduced_per_block)
+            assert train("per-block")[0] != expected[0]
+        for workers in (2, 3, 8):
+            eval_pool(workers)
+            assert train(str(workers)) == expected, workers
+
+    def test_summed_gradients_of_every_parameter_equal_the_unsplit_pass(self, eval_pool, monkeypatch):
+        model = init_model(WIDE)
+        batch = self.CORPUS.sequences[:EVAL_BATCH]
+
+        def gradients():
+            tape = GradientTape()
+            with tape:
+                loss = batch_next_token_loss(model, batch)
+            grads = model.grads_by_name(dualprune.tensor.backward(tape, loss))
+            return loss.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
+
+        eval_pool(1)
+        expected = gradients()
+        assert list(expected[1]) == list(model.params)  # the tied embedding and positions too
+        eval_pool(2)
+        with monkeypatch.context() as patch:
+            patch.setattr(dualprune.tensor, "_reduce_rows", reduced_per_block)
+            assert gradients()[1] != expected[1]
+        for workers in (2, 3, 8):
+            eval_pool(workers)
+            assert gradients() == expected, workers
+
+    def test_a_narrow_model_gets_the_unsplit_gradients_too(self, eval_pool, monkeypatch):
+        # TWO_LAYER's 4-row blocks give the tied head's input-gradient GEMM 60
+        # rows, and OpenBLAS may run so few through its small-matrix kernel
+        model = init_model(TWO_LAYER)
+        batch = self.CORPUS.sequences[:8]
+
+        def gradients():
+            tape = GradientTape()
+            with tape:
+                loss = batch_next_token_loss(model, batch)
+            grads = model.grads_by_name(dualprune.tensor.backward(tape, loss))
+            return {name: g.tobytes() for name, g in grads.items()}
+
+        eval_pool(1)
+        expected = gradients()
+        head = (TWO_LAYER.d_model, TWO_LAYER.vocab_size)
+        if not dualprune.tensor.row_split_exact((60, 60), head):  # this BLAS has such a kernel
+            eval_pool(2)
+            with monkeypatch.context() as patch:
+                patch.setattr(dualprune.tensor, "row_split_exact", lambda counts, shape: True)
+                assert gradients() != expected
+        for workers in (2, 3, 8):
+            eval_pool(workers)
+            assert gradients() == expected, workers
+
+    def test_per_sample_gradients_equal_the_unsplit_pass(self, eval_pool):
+        model = init_model(WIDE)
+        weights = [t for _, _, t in prunable_matrices(model)]
+        batch = self.CORPUS.sequences[:13]
+
+        def gradients(rows):
+            tape = GradientTape()
+            with tape:
+                loss = batch_next_token_loss(model, rows)
+            grads = dualprune.tensor.backward(tape, loss, weights, samples=len(rows))
+            return [grads[w.tid].data.tobytes() for w in weights]
+
+        eval_pool(1)
+        expected = gradients(batch)
+        # blocks joined out of order would show
+        assert gradients(np.concatenate([batch[4:8], batch[:4], batch[8:]])) != expected
+        for workers in (2, 3, 8):
+            eval_pool(workers)
+            assert gradients(batch) == expected, workers
+
+    def test_loss_is_the_mean_of_the_joined_token_losses(self, eval_pool):
+        model = init_model(WIDE)
+        batch = TestEvalPool.SEQS[:EVAL_BATCH]
+        eval_pool(1)
+        whole = float(batch_next_token_loss(model, batch).data)
+        halves = [float(batch_next_token_loss(model, batch[r]).data) for r in (slice(0, 16), slice(16, 32))]
+        assert ((halves[0] + halves[1]) / 2).hex() != whole.hex()  # the blocks' means averaged
+        for workers in (2, 3, 8):
+            eval_pool(workers)
+            assert float(batch_next_token_loss(model, batch).data).hex() == whole.hex(), workers
+
+    def test_a_split_that_would_change_a_gemm_row_runs_whole(self, eval_pool, monkeypatch):
+        model = init_model(WIDE)
+        batch = self.CORPUS.sequences[:8]
+        forwards = []
+        forward = model.forward
+        model.forward = lambda ids: forwards.append(len(ids)) or forward(ids)
+        eval_pool(2)
+        batch_next_token_loss(model, batch)
+        assert forwards == [4, 4]
+        # as if the tied head's GEMM gave some row of a block other bits
+        monkeypatch.setattr(dualprune.tensor, "row_split_exact",
+                            lambda counts, shape: shape != (WIDE.d_model, WIDE.vocab_size))
+        forwards.clear()
+        batch_next_token_loss(model, batch)
+        assert forwards == [8]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pretrain_calls_the_batch_loss_once_per_step_with_the_pool_idle(self, monkeypatch, workers):
+        # the benchmark cuts steps and samples its reference kernel at these calls
+        lock = threading.Lock()
+        running, submitted = [0], [0]
+
+        class TrackedPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args):
+                def tracked():
+                    with lock:
+                        running[0] += 1
+                    try:
+                        return fn(*args)
+                    finally:
+                        with lock:
+                            running[0] -= 1
+
+                submitted[0] += 1
+                return super().submit(tracked)
+
+        calls = []
+        batch_loss = dualprune.model.batch_next_token_loss
+
+        def watched(model, batch):
+            with lock:
+                calls.append((threading.current_thread(), running[0]))
+            return batch_loss(model, batch)
+
+        pool = TrackedPool(workers)
+        claim_workers(monkeypatch, pool, workers)
+        monkeypatch.setattr(dualprune.model, "batch_next_token_loss", watched)
+        try:
+            pretrain(init_model(WIDE), self.CORPUS, steps=12, learning_rate=0.3, batch_size=8)
+        finally:
+            pool.shutdown()
+        assert calls == [(threading.current_thread(), 0)] * 12
+        assert (submitted[0] > 0) == (workers > 1)  # two workers: the steps ran as blocks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_passes_inside_pool_tasks_run_the_blocks_no_worker_started(self, monkeypatch, threads):
+        # the pool claims four workers, so every eval batch and 8-row gradient
+        # chunk, itself a pool task, offers blocks that only the pool's own
+        # `threads` threads could start
+        model = init_model(WIDE)
+        corpus = Corpus("m", TestEvalPool.SEQS)
+        monkeypatch.setattr(dualprune.importance, "GRADIENT_CHUNK", 8)
+
+        def passes():
+            stats = dualprune.importance.next_token_gradients(model, Corpus("g", corpus.sequences[:24]))
+            return (mean_corpus_loss(model, corpus).hex(),
+                    [g.tobytes() for g in (*stats.mean.values(), *stats.mean_square.values())])
+
+        pool = ThreadPoolExecutor(threads)
+        results = []
+        try:
+            claim_workers(monkeypatch, pool, 1)  # no pass is cut
+            expected = passes()
+            claim_workers(monkeypatch, pool, 4)
+            caller = threading.Thread(target=lambda: results.append(passes()), daemon=True)
+            caller.start()
+            caller.join(timeout=120)
+            assert not caller.is_alive()
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        assert results == [expected]
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_a_raise_in_one_block_waits_for_the_others(self, eval_pool, taped):
+        eval_pool(2)
+        model = init_model(WIDE)
+        batch = TestEvalPool.SEQS[:8]  # blocks of 4: the caller's and one on the pool
+        other_started, other_finished = threading.Event(), threading.Event()
+        forward = model.forward
+
+        def forward_failing_in_the_first_block(ids):
+            if np.array_equal(ids[0], batch[0, :-1]):
+                assert other_started.wait(timeout=10)
+                raise NumericError("first block")
+            other_started.set()
+            time.sleep(0.2)
+            logits = forward(ids)
+            other_finished.set()
+            return logits
+
+        model.forward = forward_failing_in_the_first_block
+        with GradientTape() if taped else contextlib.nullcontext():
+            with pytest.raises(NumericError, match="first block"):
+                batch_next_token_loss(model, batch)
+        assert other_finished.is_set()
 
 
 class TestPretrain:
