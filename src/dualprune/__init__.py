@@ -21,7 +21,8 @@ losses or gradients are reduced in corpus order, and a gradient that sums
 over a batch's rows is reduced once on the rows of all its blocks, so the
 results do not depend on the number of workers.  A pass made inside a pool
 task takes back the blocks no worker has started and runs them itself, so
-nested passes cannot deadlock the pool.
+nested passes cannot deadlock the pool; a caller outside the pool waits for
+the workers, so no more passes run at once than the pool has workers.
 """
 
 import ctypes as _ctypes

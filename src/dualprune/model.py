@@ -280,10 +280,10 @@ def batch_next_token_loss(model: TransformerModel, batch: np.ndarray) -> Tensor:
 
     A batch of more rows than one block of `row_blocks` runs as those row
     blocks: the caller runs the first and offers the others to the eval pool
-    (`in_corpus_order`), taking back any that no worker has started by the
-    time it needs them, so a call made inside a pool task runs its blocks
-    inline while the other workers are busy and never waits on a block that
-    cannot start.  Under an active tape the call records one tape record for
+    (`in_corpus_order`).  A call made inside a pool task takes back any
+    block that no worker has started by the time it needs it, so it runs
+    its blocks inline while the other workers are busy and never waits on a
+    block that cannot start.  Under an active tape the call records one tape record for
     the whole batch (`tensor.row_block_cross_entropy`): its reverse pass
     replays the blocks side by side, then reduces every gradient that sums
     over rows once, at full batch, split between the caller and one worker.
@@ -323,6 +323,8 @@ _M_ARENA_MAX = -8
 _eval_pool_lock = threading.Lock()
 _eval_pool_instance: ThreadPoolExecutor | None = None
 _eval_pool_workers = 0  # the worker count `_eval_pool` made its pool with
+# True in the context of a call `in_corpus_order` offered to the pool
+_in_pool_task = contextvars.ContextVar("in_pool_task", default=False)
 
 
 def mallopt(param: int, value: int) -> bool:
@@ -388,12 +390,15 @@ def in_corpus_order(calls: Iterable[tuple], window: int | None = None, *,
     submitted and not yet yielded, so results that hold large buffers wait
     for the caller only that many at a time.
 
-    Take-back rule: a call that no worker has started when the caller gets
-    to its result is withdrawn from the pool and run on the caller, with
-    the caller's tape set aside.  With `caller_first`, the first call is
-    never offered: the caller runs it once the window is filled.  So the
-    caller waits only on calls that are running, and calls made inside pool
-    tasks cannot deadlock the pool.
+    Take-back rule: inside a pool task, a call that no worker has started
+    when the caller gets to its result is withdrawn from the pool and run
+    on the caller, with the caller's tape set aside.  So a pool task waits
+    only on calls that are running, and calls made inside pool tasks cannot
+    deadlock the pool.  A caller outside the pool waits for every call: it
+    would otherwise run a pass beside the workers' and put more passes than
+    workers on the CPUs, at a cost that depends on when the workers wake.
+    With `caller_first`, the first call is never offered: the caller runs
+    it once the window is filled.
 
     A call's exception is raised where its result would be yielded.  On
     exit, including `close()` after a raise in the caller, calls not yet
@@ -413,7 +418,9 @@ def in_corpus_order(calls: Iterable[tuple], window: int | None = None, *,
                 caller_first = False
             else:
                 # a context per call: one context cannot be entered by two threads at once
-                pending.append((pool.submit(contextvars.copy_context().run, *call), call))
+                context = contextvars.copy_context()
+                context.run(_in_pool_task.set, True)
+                pending.append((pool.submit(context.run, *call), call))
         while pending:
             yield _take(*pending.popleft())
     finally:
@@ -422,9 +429,10 @@ def in_corpus_order(calls: Iterable[tuple], window: int | None = None, *,
 
 
 def _take(future: Future | None, call: tuple):
-    """The result of `call`, offered to the pool as `future`: run here, off
-    this thread's tape, unless a worker has started it."""
-    if future is None or future.cancel():
+    """The result of `call`, offered to the pool as `future` (None: not
+    offered).  Inside a pool task it runs here, off this thread's tape,
+    unless a worker has started it; outside the pool it is waited for."""
+    if future is None or (_in_pool_task.get() and future.cancel()):
         fn, *args = call
         with T.active_tape(None):
             return fn(*args)

@@ -350,6 +350,34 @@ class TestEvalPool:
         assert tape.records == []
         assert loss == serial_corpus_loss(model, Corpus("m", self.SEQS))
 
+    def test_a_caller_outside_the_pool_waits_for_the_workers(self, monkeypatch):
+        # both workers are busy when the batches are offered: a caller that
+        # took back the batches no worker had started would run them itself
+        model = init_model(TWO_LAYER)
+        corpus = Corpus("m", self.SEQS)
+        expected = serial_corpus_loss(model, corpus)
+        threads = []
+        batch_loss = dualprune.model.batch_next_token_loss
+
+        def recording_thread(model, batch):
+            threads.append(threading.current_thread())
+            return batch_loss(model, batch)
+
+        monkeypatch.setattr(dualprune.model, "batch_next_token_loss", recording_thread)
+        pool = ThreadPoolExecutor(2)
+        release = threading.Event()
+        try:
+            claim_workers(monkeypatch, pool, 2)
+            for _ in range(2):
+                pool.submit(release.wait, 10)
+            threading.Timer(0.3, release.set).start()
+            assert mean_corpus_loss(model, corpus) == expected
+        finally:
+            release.set()
+            pool.shutdown()
+        assert len(threads) == len(list(corpus.batches(EVAL_BATCH)))
+        assert threading.current_thread() not in threads
+
 
 # `tensor._reduce_rows` as it must not be: each row-summed gradient reduced on
 # every block's rows alone, and the blocks' sums added.
