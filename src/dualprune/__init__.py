@@ -7,22 +7,32 @@ evaluate the pruned model.  The API lives in the submodules (`dualprune.model`,
 `dualprune.importance`, ...): the package root binds only those modules, so each
 public name has one import path.
 
-Results must be reproducible bit-for-bit, and a multi-threaded GEMM sums in
-an order that depends on the thread count.  So every pass, and every GEMM in
-it, stays on one BLAS thread: on import the OpenBLAS that numpy loaded is
-pinned to one thread, and a RuntimeWarning says so when no OpenBLAS thread
-setter is found.  The independent batches of an evaluation pass
-(`model.mean_corpus_loss`), the chunks of a per-sample gradient pass
-(`importance.next_token_gradients`), the row blocks of the exact removal
-oracle's passes (`importance.brute_force_importance`) and the row blocks of
-every batch loss (`model.batch_next_token_loss`, so of every SGD step) run
-concurrently on one thread pool with one worker per usable CPU.  Their
-losses or gradients are reduced in corpus order, and a gradient that sums
-over a batch's rows is reduced once on the rows of all its blocks, so the
-results do not depend on the number of workers.  A pass made inside a pool
-task takes back the blocks no worker has started and runs them itself, so
-nested passes cannot deadlock the pool; a caller outside the pool waits for
-the workers, so no more passes run at once than the pool has workers.
+Importing the package makes three process-wide settings, none of which any
+result depends on; a RuntimeWarning names each of the first two that cannot
+be applied:
+
+* OpenBLAS runs on one thread, since a multi-threaded GEMM sums in an order
+  that depends on the thread count and results must be reproducible
+  bit-for-bit.
+* glibc's malloc keeps one arena and fixes its mmap and trim thresholds at
+  1 GiB (`_MALLOC_POLICY`), so the pool's threads share one heap and the
+  megabyte temporaries of a pass are reused from it rather than mapped and
+  page-faulted afresh each time.
+* `model.EVAL_POOL` is made, with one worker per usable CPU
+  (`model.EVAL_WORKERS`); its threads start on its first task.
+
+The batches of an evaluation pass (`model.mean_corpus_loss`), the chunks of
+a per-sample gradient pass (`importance.next_token_gradients`), the row
+blocks of the exact removal oracle's passes
+(`importance.brute_force_importance`) and the row blocks of every batch loss
+(`model.batch_next_token_loss`, so of every SGD step) run concurrently on
+that pool.  Their losses or gradients are reduced in corpus order, and a
+gradient that sums over a batch's rows is reduced once on the rows of all
+its blocks, so the results do not depend on the number of workers.  A pass
+made inside a pool task takes back the blocks no worker has started and
+runs them itself, so nested passes cannot deadlock the pool; a caller
+outside the pool waits for the workers, so no more passes run at once than
+the pool has workers.
 """
 
 import ctypes as _ctypes
@@ -35,6 +45,13 @@ _BLAS_THREAD_SETTERS = (
     "scipy_openblas_set_num_threads",
     "openblas_set_num_threads64_",
     "openblas_set_num_threads",
+)
+
+# (name, glibc's mallopt parameter, value) of each malloc setting made at import.
+_MALLOC_POLICY = (
+    ("M_ARENA_MAX", -8, 1),
+    ("M_MMAP_THRESHOLD", -3, 1 << 30),
+    ("M_TRIM_THRESHOLD", -1, 1 << 30),
 )
 
 
@@ -67,8 +84,22 @@ def _pin_blas_threads() -> None:
                    stacklevel=2)
 
 
+def _pin_malloc(mallopt) -> None:
+    """Apply `_MALLOC_POLICY` with glibc's `mallopt` (None where the C library
+    has none); a RuntimeWarning names each setting that is missing or refused."""
+    if mallopt is not None:
+        mallopt.argtypes = [_ctypes.c_int, _ctypes.c_int]
+        mallopt.restype = _ctypes.c_int
+    unset = [name for name, param, value in _MALLOC_POLICY if mallopt is None or not mallopt(param, value)]
+    if unset:
+        _warnings.warn(f"dualprune: could not set malloc's {', '.join(unset)}, so passes may run "
+                       "slower or hold more memory, with the same results", RuntimeWarning,
+                       stacklevel=2)
+
+
 from . import container, corpus, errors, evaluation, importance, model, pruning, tensor
 
 __version__ = "0.1.0"
 
 _pin_blas_threads()  # after the imports above have loaded numpy and its BLAS
+_pin_malloc(getattr(_ctypes.CDLL(None), "mallopt", None))  # before the pool's threads start

@@ -22,7 +22,7 @@ from typing import get_type_hints
 from . import evaluation, importance, pruning
 from .corpus import CalibrationSpec, build_calibration, load_corpus_cache, save_corpus_cache
 from .errors import ArtifactError, DualPruneError, NumericError, ValidationError
-from .model import ModelConfig, init_model, load_checkpoint, mallopt, pretrain, save_checkpoint
+from .model import ModelConfig, init_model, load_checkpoint, pretrain, save_checkpoint
 
 ENV_OUTPUT_DIR = "DUALPRUNE_OUTPUT_DIR"
 
@@ -30,12 +30,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ARTIFACT = 3
 EXIT_NUMERIC = 4
-
-# glibc's mallopt parameters for its trim and mmap thresholds, and the value
-# `pin_malloc` fixes both at, as the stage benchmark does.
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MALLOC_THRESHOLD = 1 << 30
 
 
 @dataclass
@@ -380,18 +374,7 @@ def run(argv: list[str] | None = None) -> int:
     return args.handler(config, args)
 
 
-def pin_malloc() -> None:
-    """Fix glibc's mmap and trim thresholds at `MALLOC_THRESHOLD`, so that the
-    megabyte numpy temporaries of a pass are reused from the heap rather than
-    mapped, page-faulted and zeroed afresh each time; one line on stderr where
-    mallopt is missing (not glibc) or refuses.  Results do not depend on it."""
-    if not (mallopt(M_MMAP_THRESHOLD, MALLOC_THRESHOLD) and mallopt(M_TRIM_THRESHOLD, MALLOC_THRESHOLD)):
-        print("dualprune: could not fix malloc's mmap and trim thresholds; "
-              "large temporaries are page-faulted afresh, which is slower", file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
-    pin_malloc()
     try:
         return run(argv)
     except ArtifactError as e:

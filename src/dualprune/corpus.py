@@ -87,6 +87,8 @@ class CalibrationSpec:
             raise ValidationError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.sequence_length < 2:
             raise ValidationError(f"sequence_length must be >= 2, got {self.sequence_length}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         lo, hi = self.region
         if not (0.0 <= lo < hi <= 1.0):
             raise ValidationError(f"region must satisfy 0 <= lo < hi <= 1, got {self.region}")

@@ -6,7 +6,7 @@ Three score families:
   inverse Hessian diagonal approximated as 1 / (H_mm + damping) and H_mm from
   the empirical Fisher (mean squared per-sample gradient) on open-domain data.
   The per-sample gradients come from batched tape passes over chunks of
-  `GRADIENT_CHUNK` sequences, run concurrently on the eval pool and reduced
+  `GRADIENT_CHUNK` sequences, run concurrently on `model.EVAL_POOL` and reduced
   in corpus order, bit-identical to one batch-1 pass per sequence;
 * dual importance: |u + u^2/2| with u = g * W, where g is the next-token
   gradient on domain data plus a closed-form regularizer gradient
@@ -24,8 +24,8 @@ Three score families:
   per call and reruns per weight only the projection, its head (or its
   column of the gated product), the block's output projection and the
   network after it.  Every op of a pass works on each sequence alone, so
-  those reruns go in the row blocks of `model.row_blocks` (one per
-  eval-pool worker, of at least 4 rows), run concurrently and reduced in
+  those reruns go in the row blocks of `model.row_blocks` (one per worker
+  of `model.EVAL_POOL`, of at least 4 rows), run concurrently and reduced in
   corpus order, bit-identical to a full rerun.
 
 Model weights are never updated here; only gradients are read.
@@ -62,7 +62,7 @@ DEFAULT_DAMPING = 1e-4
 DEFAULT_LAMBDA = 0.1
 DEFAULT_ALPHA = 0.03
 # Sequences per batched gradient pass.  A pass holds the activations and
-# per-sample gradients of all its sequences at once, and the eval pool runs
+# per-sample gradients of all its sequences at once, and `model.EVAL_POOL` runs
 # one pass per worker, so peak memory is about workers x 4 sequences of
 # activations.  The size never changes a bit of the results.
 GRADIENT_CHUNK = 4
@@ -157,7 +157,7 @@ def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
     Each block of up to `GRADIENT_CHUNK` consecutive rows goes through one
     batched tape pass, whose reverse pass returns every sequence's gradient
     of its own loss for the prunable matrices only.  The chunks' passes run
-    concurrently on the process-wide eval pool (`model.in_corpus_order`), and
+    concurrently on `model.EVAL_POOL` (`model.in_corpus_order`), and
     their samples are reduced one at a time in corpus order.  A pass repeats
     the arithmetic of a batch-1 pass per sequence, so the squared-gradient
     accumulator is the empirical Fisher diagonal and the results are
@@ -375,9 +375,10 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
       for s = 0), the block's normed input, its branch outputs and their
       mix; the base loss runs only the head on the final streams.
     * once per weight and row block: each eval batch is cut into the row
-      blocks of `model.row_blocks`, and each block is one call on the eval
-      pool (`model.in_corpus_order`), at most one per worker in flight.  Zeroing a weight in column c of a branch (q, k, v,
-      gate, up) changes only that branch and the columns
+      blocks of `model.row_blocks`, and each block is one call on
+      `model.EVAL_POOL` (`model.in_corpus_order`), at most one per worker
+      in flight.  Zeroing a weight in column c of a branch (q, k, v, gate,
+      up) changes only that branch and the columns
       `mixed_columns(s, c)` of the mix, so the call reruns that branch on
       its rows, mixes only those columns (one attention head, or one column
       of the gated product) into a copy of the cached mix, and applies the

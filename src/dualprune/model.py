@@ -8,11 +8,9 @@ head are never part of the prunable set.
 from __future__ import annotations
 
 import contextvars
-import ctypes
 import hashlib
 import math
 import os
-import threading
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -49,6 +47,8 @@ class ModelConfig:
                 raise ValidationError(f"ModelConfig.{field} must be >= 1, got {getattr(self, field)}")
         if self.context_length < 2:
             raise ValidationError(f"ModelConfig.context_length must be >= 2, got {self.context_length}")
+        if self.seed < 0:
+            raise ValidationError(f"ModelConfig.seed must be >= 0, got {self.seed}")
         if self.d_model % self.num_heads != 0:
             raise ValidationError(
                 f"d_model ({self.d_model}) must be divisible by num_heads ({self.num_heads})"
@@ -279,7 +279,7 @@ def batch_next_token_loss(model: TransformerModel, batch: np.ndarray) -> Tensor:
     """Mean cross-entropy over a (batch, length) array of same-length sequences.
 
     A batch of more rows than one block of `row_blocks` runs as those row
-    blocks: the caller runs the first and offers the others to the eval pool
+    blocks: the caller runs the first and offers the others to `EVAL_POOL`
     (`in_corpus_order`).  A call made inside a pool task takes back any
     block that no worker has started by the time it needs it, so it runs
     its blocks inline while the other workers are busy and never waits on a
@@ -318,67 +318,29 @@ EVAL_BATCH = 32
 # sequence than a 4-row one, so the 4-sequence gradient chunks stay whole.
 MIN_BLOCK_ROWS = 4
 
-# glibc's mallopt parameter for the most malloc arenas the process may create.
-_M_ARENA_MAX = -8
-_eval_pool_lock = threading.Lock()
-_eval_pool_instance: ThreadPoolExecutor | None = None
-_eval_pool_workers = 0  # the worker count `_eval_pool` made its pool with
+# The process-wide pool that runs the passes of `mean_corpus_loss`,
+# `importance.next_token_gradients` and the exact removal oracle, and the row
+# blocks of `batch_next_token_loss` (see `in_corpus_order`), with one worker
+# per CPU this process may run on.  Its threads start on its first task.
+try:
+    EVAL_WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    EVAL_WORKERS = os.cpu_count() or 1
+EVAL_POOL = ThreadPoolExecutor(EVAL_WORKERS, thread_name_prefix="dualprune-eval")
 # True in the context of a call `in_corpus_order` offered to the pool
 _in_pool_task = contextvars.ContextVar("in_pool_task", default=False)
 
 
-def mallopt(param: int, value: int) -> bool:
-    """glibc's mallopt(param, value); False where there is none (not glibc) or it refuses."""
-    fn = getattr(ctypes.CDLL(None), "mallopt", None)
-    if fn is None:
-        return False
-    fn.argtypes = [ctypes.c_int, ctypes.c_int]
-    fn.restype = ctypes.c_int
-    return bool(fn(param, value))
-
-
-def _eval_pool() -> ThreadPoolExecutor:
-    """The process-wide pool that runs the passes of `mean_corpus_loss`,
-    `importance.next_token_gradients` and the exact removal oracle
-    `importance.brute_force_importance`, and the row blocks of
-    `batch_next_token_loss` (see `in_corpus_order`), made on first use with
-    one worker per CPU this process may run on.  The worker count is kept
-    beside it, for `eval_workers`.
-
-    Before its threads start, glibc is held to one malloc arena: a thread
-    with an arena of its own would keep that arena's batch-32 high-water mark
-    mapped beside the main one.  Where there is no `mallopt` (not glibc) the
-    threads keep their own arenas; that changes memory use, never results.
-    """
-    global _eval_pool_instance, _eval_pool_workers
-    with _eval_pool_lock:
-        if _eval_pool_instance is None:
-            mallopt(_M_ARENA_MAX, 1)
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call on this platform
-                workers = os.cpu_count() or 1
-            _eval_pool_instance = ThreadPoolExecutor(workers, thread_name_prefix="dualprune-eval")
-            _eval_pool_workers = workers
-        return _eval_pool_instance
-
-
-def eval_workers() -> int:
-    """The eval pool's worker count."""
-    _eval_pool()
-    return _eval_pool_workers
-
-
 def row_blocks(rows: int) -> list[slice]:
     """`rows` rows cut in order into blocks of max(`MIN_BLOCK_ROWS`,
-    ceil(rows / eval-pool workers)) rows, the last possibly shorter."""
-    size = max(MIN_BLOCK_ROWS, -(-rows // eval_workers()))
+    ceil(rows / `EVAL_WORKERS`)) rows, the last possibly shorter."""
+    size = max(MIN_BLOCK_ROWS, -(-rows // EVAL_WORKERS))
     return [slice(a, a + size) for a in range(0, rows, size)]
 
 
 def in_corpus_order(calls: Iterable[tuple], window: int | None = None, *,
                     caller_first: bool = False) -> Iterator:
-    """Run each `(fn, *args)` of `calls` on the eval pool and yield the
+    """Run each `(fn, *args)` of `calls` on `EVAL_POOL` and yield the
     results in the order of `calls`: the batches of `mean_corpus_loss`, the
     chunks of `importance.next_token_gradients`, the row blocks of the exact
     removal oracle's resumed passes, and the row blocks of
@@ -386,7 +348,7 @@ def in_corpus_order(calls: Iterable[tuple], window: int | None = None, *,
 
     Each call runs under the caller's context (a copy of it on a worker),
     so under its `np.errstate`, and never records onto the caller's tape.
-    At most `window` calls (default: as many as the pool has workers) are
+    At most `window` calls (default `EVAL_WORKERS`) are
     submitted and not yet yielded, so results that hold large buffers wait
     for the caller only that many at a time.
 
@@ -405,9 +367,8 @@ def in_corpus_order(calls: Iterable[tuple], window: int | None = None, *,
     started are withdrawn and running ones waited for; use it under
     `contextlib.closing`, so that no call outlives the caller's loop.
     """
-    pool = _eval_pool()
     if window is None:
-        window = eval_workers()
+        window = EVAL_WORKERS
     pending: deque[tuple[Future | None, tuple]] = deque()
     try:
         for call in calls:
@@ -420,7 +381,7 @@ def in_corpus_order(calls: Iterable[tuple], window: int | None = None, *,
                 # a context per call: one context cannot be entered by two threads at once
                 context = contextvars.copy_context()
                 context.run(_in_pool_task.set, True)
-                pending.append((pool.submit(context.run, *call), call))
+                pending.append((EVAL_POOL.submit(context.run, *call), call))
         while pending:
             yield _take(*pending.popleft())
     finally:
@@ -441,7 +402,7 @@ def _take(future: Future | None, call: tuple):
 
 def _in_blocks(calls: list[tuple]) -> list:
     """The results of `calls`: the first run by the caller, the others
-    offered to the eval pool (`in_corpus_order`)."""
+    offered to `EVAL_POOL` (`in_corpus_order`)."""
     with closing(in_corpus_order(calls, window=len(calls), caller_first=True)) as results:
         return list(results)
 
@@ -473,7 +434,7 @@ def mean_corpus_loss(model: TransformerModel, corpus) -> float:
 
     The rows are batched in corpus order, `EVAL_BATCH` at a time (the last
     batch may be smaller).  The batches' forward passes run concurrently on
-    the process-wide eval pool (`in_corpus_order`), and their losses are
+    `EVAL_POOL` (`in_corpus_order`), and their losses are
     summed in corpus order (`token_weighted_mean`), so the result is
     bit-for-bit that of passing them one by one.  A non-finite batch loss
     raises `NumericError` naming the rows of the first such batch; no pass of

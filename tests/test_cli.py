@@ -4,13 +4,16 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from dualprune import cli
+import dualprune
 from dualprune.cli import RunConfig, build_parser, main
 from dualprune.container import FORMAT_VERSION, MAGIC, read_container, write_container
 from dualprune.corpus import load_corpus_cache
@@ -108,6 +111,12 @@ class TestPretrain:
         assert main(["pretrain", "--config", str(workspace["config"]), flag, value,
                      "--output-dir", str(tmp_path)]) == 2
         assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_negative_seed_exit_2(self, workspace, tmp_path, capsys):
+        assert main(["pretrain", "--config", str(workspace["config"]), "--seed", "-1",
+                     "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: ModelConfig.seed must be >= 0, got -1\n"
         assert not (tmp_path / "model.ckpt").exists()
 
 
@@ -551,21 +560,38 @@ class TestSurface:
                                *COMMAND_OPTIONS[command]], command
 
 
-class TestMallocPin:
-    @pytest.mark.parametrize("accepted", [True, False])
-    def test_main_fixes_both_thresholds_or_says_it_could_not(self, monkeypatch, capsys, tmp_path,
-                                                             accepted):
-        calls = []
+def run_python(args, cwd, env, preexec_fn=None) -> str:
+    """The stdout of `python *args` run in `cwd`."""
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, preexec_fn=preexec_fn,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, (args, done.stderr)
+    return done.stdout
 
-        def fake_mallopt(param, value):
-            calls.append((param, value))
-            return accepted
 
-        monkeypatch.setattr(cli, "mallopt", fake_mallopt)
-        assert main(["pretrain", "--config", str(tmp_path / "missing.cfg")]) == 2
-        pinned = [(cli.M_MMAP_THRESHOLD, 1 << 30), (cli.M_TRIM_THRESHOLD, 1 << 30)]
-        assert calls == (pinned if accepted else pinned[:1])  # a refusal stops at the first
-        warnings = [line for line in capsys.readouterr().err.splitlines() if "malloc" in line]
-        assert warnings == ([] if accepted else [
-            "dualprune: could not fix malloc's mmap and trim thresholds; "
-            "large temporaries are page-faulted afresh, which is slower"])
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs and an affinity call")
+class TestPoolSize:
+    def test_artifacts_do_not_depend_on_the_worker_count(self, workspace, tmp_path, package_env):
+        config = ["--config", str(workspace["config"]), "--batch-size", "8", "--output-dir", "run"]
+        stages = [["pretrain", *config],
+                  ["general-importance", *config, "--checkpoint", "run/model.ckpt"],
+                  ["prune", *config, "--checkpoint", "run/model.ckpt",
+                   "--general-scores", "run/general_scores.bin"]]
+        one_cpu = {min(os.sched_getaffinity(0))}
+        workers = []
+        for name, preexec_fn in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
+            (tmp_path / name).mkdir()
+            workers.append(int(run_python(["-c", "from dualprune import model; print(model.EVAL_WORKERS)"],
+                                          tmp_path / name, package_env, preexec_fn)))
+            for argv in stages:
+                run_python(["-m", "dualprune.cli", *argv], tmp_path / name, package_env, preexec_fn)
+        assert workers[0] == 1 and workers[1] >= 2
+        # more workers cut each batch of 8 windows of 32 tokens into two
+        # blocks of 4, whose GEMMs give each row the whole batch's bits
+        model = load_checkpoint(tmp_path / "all" / "run" / "model.ckpt")
+        assert dualprune.model._splits_exactly(model, [slice(0, 4), slice(4, 8)], np.zeros((8, 31), int))
+        names = sorted(p.name for p in (tmp_path / "one" / "run").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "all" / "run").iterdir())
+        for name in names:
+            assert (tmp_path / "one" / "run" / name).read_bytes() == \
+                (tmp_path / "all" / "run" / name).read_bytes(), name

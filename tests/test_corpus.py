@@ -104,6 +104,10 @@ class TestBuildCalibration:
         with pytest.raises(ValidationError, match="sample_count"):
             build_calibration(CalibrationSpec([str(text_file)], 0, 64, seed=0))
 
+    def test_negative_seed_rejected(self, text_file):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            build_calibration(CalibrationSpec([str(text_file)], 2, 64, seed=-1))
+
     def test_multiple_sources_concatenate(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

@@ -1,6 +1,7 @@
 """Toy transformer: layout, loss, causality, pretraining, checkpoints."""
 
 import contextlib
+import ctypes
 import functools
 import math
 import os
@@ -10,7 +11,6 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +55,10 @@ class TestConfig:
     def test_counts_minimum(self):
         with pytest.raises(ValidationError, match="num_layers"):
             ModelConfig(num_layers=0).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match=r"ModelConfig\.seed must be >= 0, got -1"):
+            init_model(ModelConfig(seed=-1))
 
 
 class TestInit:
@@ -350,7 +354,7 @@ class TestEvalPool:
         assert tape.records == []
         assert loss == serial_corpus_loss(model, Corpus("m", self.SEQS))
 
-    def test_a_caller_outside_the_pool_waits_for_the_workers(self, monkeypatch):
+    def test_a_caller_outside_the_pool_waits_for_the_workers(self, eval_pool, monkeypatch):
         # both workers are busy when the batches are offered: a caller that
         # took back the batches no worker had started would run them itself
         model = init_model(TWO_LAYER)
@@ -364,17 +368,15 @@ class TestEvalPool:
             return batch_loss(model, batch)
 
         monkeypatch.setattr(dualprune.model, "batch_next_token_loss", recording_thread)
-        pool = ThreadPoolExecutor(2)
+        pool = eval_pool(2)
         release = threading.Event()
         try:
-            claim_workers(monkeypatch, pool, 2)
             for _ in range(2):
                 pool.submit(release.wait, 10)
             threading.Timer(0.3, release.set).start()
             assert mean_corpus_loss(model, corpus) == expected
         finally:
             release.set()
-            pool.shutdown()
         assert len(threads) == len(list(corpus.batches(EVAL_BATCH)))
         assert threading.current_thread() not in threads
 
@@ -392,12 +394,6 @@ def reduced_per_block(deferred, run):
     return REDUCE_ROWS([per_block], run)
 
 
-def claim_workers(monkeypatch, pool, workers):
-    """Make `pool` the eval pool, reporting `workers` workers."""
-    monkeypatch.setattr(dualprune.model, "_eval_pool", lambda: pool)
-    monkeypatch.setattr(dualprune.model, "_eval_pool_workers", workers)
-
-
 # Wide enough that OpenBLAS gives the rows of a 4-row block's GEMMs the bits of
 # the whole batch's, so that its passes split (`tensor.row_split_exact`).
 WIDE = ModelConfig(vocab_size=32, context_length=16, num_layers=2, d_model=32, num_heads=2,
@@ -412,7 +408,6 @@ class TestRowBlocks:
         (8, 9, [4, 4, 1]), (8, 32, [4] * 8)])
     def test_blocks_of_the_pool_size_and_at_least_four_rows(self, eval_pool, workers, rows, sizes):
         eval_pool(workers)
-        assert dualprune.model.eval_workers() == workers
         cuts = dualprune.model.row_blocks(rows)
         assert [len(range(rows)[r]) for r in cuts] == sizes
         assert np.array_equal(np.concatenate([np.arange(rows)[r] for r in cuts]), np.arange(rows))
@@ -531,7 +526,8 @@ class TestRowBlocks:
         assert forwards == [8]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pretrain_calls_the_batch_loss_once_per_step_with_the_pool_idle(self, monkeypatch, workers):
+    def test_pretrain_calls_the_batch_loss_once_per_step_with_the_pool_idle(self, eval_pool, monkeypatch,
+                                                                            workers):
         # the benchmark cuts steps and samples its reference kernel at these calls
         lock = threading.Lock()
         running, submitted = [0], [0]
@@ -559,7 +555,7 @@ class TestRowBlocks:
             return batch_loss(model, batch)
 
         pool = TrackedPool(workers)
-        claim_workers(monkeypatch, pool, workers)
+        eval_pool(workers, pool)
         monkeypatch.setattr(dualprune.model, "batch_next_token_loss", watched)
         try:
             pretrain(init_model(WIDE), self.CORPUS, steps=12, learning_rate=0.3, batch_size=8)
@@ -569,7 +565,8 @@ class TestRowBlocks:
         assert (submitted[0] > 0) == (workers > 1)  # two workers: the steps ran as blocks
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_passes_inside_pool_tasks_run_the_blocks_no_worker_started(self, monkeypatch, threads):
+    def test_passes_inside_pool_tasks_run_the_blocks_no_worker_started(self, eval_pool, monkeypatch,
+                                                                        threads):
         # the pool claims four workers, so every eval batch and 8-row gradient
         # chunk, itself a pool task, offers blocks that only the pool's own
         # `threads` threads could start
@@ -585,9 +582,9 @@ class TestRowBlocks:
         pool = ThreadPoolExecutor(threads)
         results = []
         try:
-            claim_workers(monkeypatch, pool, 1)  # no pass is cut
+            eval_pool(1, pool)  # no pass is cut
             expected = passes()
-            claim_workers(monkeypatch, pool, 4)
+            eval_pool(4, pool)
             caller = threading.Thread(target=lambda: results.append(passes()), daemon=True)
             caller.start()
             caller.join(timeout=120)
@@ -698,12 +695,10 @@ print(score_content_fingerprint(G.scores))
 
 class TestBlasPin:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores to run BLAS on two threads")
-    def test_checkpoint_independent_of_blas_threads(self):
-        src = str(Path(dualprune.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    def test_checkpoint_independent_of_blas_threads(self, package_env):
         fingerprints = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            env = dict(package_env, OPENBLAS_NUM_THREADS=threads)
             done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
                                    PRETRAIN_SCRIPT], env=env, capture_output=True, text=True,
                                   timeout=300)
@@ -716,6 +711,53 @@ class TestBlasPin:
         monkeypatch.setattr(dualprune, "_loaded_openblas", lambda: [])
         with pytest.warns(RuntimeWarning, match="not pinned"):
             dualprune._pin_blas_threads()
+
+
+# Minor page faults of 20 default-config steps, after one step has grown the heap.
+FAULT_SCRIPT = """
+import resource
+import numpy as np
+import dualprune
+from dualprune.corpus import Corpus
+from dualprune.model import ModelConfig, init_model, pretrain
+corpus = Corpus("rand", np.random.default_rng(0).integers(0, 256, size=(32, 64)))
+pretrain(init_model(ModelConfig()), corpus, steps=1, learning_rate=0.3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+pretrain(init_model(ModelConfig()), corpus, steps=20, learning_rate=0.3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestMallocPin:
+    @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                        reason="the C library has no mallopt")
+    def test_steps_reuse_the_heap_after_import(self, package_env):
+        # unpinned, the step's megabyte temporaries are mapped afresh: about
+        # 9,000 faults against a few hundred pinned
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", FAULT_SCRIPT],
+                              env=package_env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 2000
+
+    @pytest.mark.parametrize("refuses,unset", [
+        (None, "M_ARENA_MAX, M_MMAP_THRESHOLD, M_TRIM_THRESHOLD"),  # no mallopt
+        ({-3}, "M_MMAP_THRESHOLD"),
+        ({-8, -1}, "M_ARENA_MAX, M_TRIM_THRESHOLD"),
+        (set(), None)], ids=["missing", "refuses-mmap", "refuses-arena-and-trim", "accepts"])
+    def test_one_warning_names_each_setting_not_applied(self, refuses, unset):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return int(param not in refuses)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dualprune._pin_malloc(None if refuses is None else mallopt)
+        assert calls == ([] if refuses is None else [(-8, 1), (-3, 1 << 30), (-1, 1 << 30)])
+        assert [(w.category, str(w.message)) for w in caught] == ([] if unset is None else [
+            (RuntimeWarning, f"dualprune: could not set malloc's {unset}, so passes may run "
+                             "slower or hold more memory, with the same results")])
 
 
 class TestCheckpoint:

@@ -18,7 +18,6 @@
 
 import ast
 import importlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -118,16 +117,14 @@ def test_no_unused_imports():
     assert unused == [], f"unused imports: {unused}"
 
 
-def test_package_root_binds_only_submodules():
+def test_package_root_binds_only_submodules(package_env):
     public = {name: value for name, value in vars(dualprune).items() if not name.startswith("_")}
     assert {name: getattr(value, "__name__", None) for name, value in public.items()} == {
         name: f"dualprune.{name}" for name in public}
     fresh = subprocess.run(
         [sys.executable, "-c", "import dualprune; "
          "print(*sorted(n for n in vars(dualprune) if not n.startswith('_')))"],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))),
-        capture_output=True, text=True, timeout=60)
+        env=package_env, capture_output=True, text=True, timeout=60)
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout.split() == ["container", "corpus", "errors", "evaluation", "importance",
                                     "model", "pruning", "tensor"]
