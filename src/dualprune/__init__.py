@@ -22,17 +22,17 @@ be applied:
   (`model.EVAL_WORKERS`); its threads start on its first task.
 
 The batches of an evaluation pass (`model.mean_corpus_loss`), the chunks of
-a per-sample gradient pass (`importance.next_token_gradients`), the row
-blocks of the exact removal oracle's passes
+a per-sample gradient pass (`importance.next_token_gradients`), the eval
+batches of the exact removal oracle's passes
 (`importance.brute_force_importance`) and the row blocks of every batch loss
-(`model.batch_next_token_loss`, so of every SGD step) run concurrently on
-that pool.  Their losses or gradients are reduced in corpus order, and a
-gradient that sums over a batch's rows is reduced once on the rows of all
-its blocks, so the results do not depend on the number of workers.  A pass
-made inside a pool task takes back the blocks no worker has started and
-runs them itself, so nested passes cannot deadlock the pool; a caller
-outside the pool waits for the workers, so no more passes run at once than
-the pool has workers.
+(`model.row_block_loss`, so of every SGD step and oracle pass) run
+concurrently on that pool.  Their losses or gradients are reduced in corpus
+order, and a gradient that sums over a batch's rows is reduced once on the
+rows of all its blocks, so the results do not depend on the number of
+workers.  A pass made inside a pool task takes back the blocks no worker
+has started and runs them itself, so nested passes cannot deadlock the
+pool; a caller outside the pool waits for the workers, so no more passes
+run at once than the pool has workers.
 """
 
 import ctypes as _ctypes

@@ -48,15 +48,22 @@ def perplexity(model: TransformerModel, corpus) -> EvalReport:
     )
 
 
-def _split_matrix_name(name: str) -> tuple[int, str]:
-    _, layer, kind = name.split(".")
-    return int(layer), kind
-
-
 def mask_similarity(mask_a: Mask, mask_b: Mask) -> SimilarityReport:
-    """Per matrix: shared kept ("1") weights divided by the matrix size."""
+    """Per matrix: shared kept ("1") weights divided by the matrix size.
+
+    The masks must cover the same matrices, every projection of layers
+    0 .. L-1 for some L and nothing else; the first foreign or missing
+    matrix is named."""
     if set(mask_a.masks) != set(mask_b.masks):
         raise ValidationError("mask_similarity: masks cover different matrices")
+    layers = max(1, -(-len(mask_a.masks) // len(PROJECTIONS)))
+    expected = {f"layers.{i}.{kind}": (i, kind) for i in range(layers) for kind in PROJECTIONS}
+    foreign = [name for name in mask_a.masks if name not in expected]
+    if foreign:
+        raise ValidationError(f"mask_similarity: {foreign[0]} is not a projection of layers 0..{layers - 1}")
+    missing = [name for name in expected if name not in mask_a.masks]
+    if missing:
+        raise ValidationError(f"mask_similarity: masks lack {missing[0]}")
     per_matrix: dict[str, float] = {}
     for name, a in mask_a.masks.items():
         b = mask_b.masks[name]
@@ -69,7 +76,7 @@ def mask_similarity(mask_a: Mask, mask_b: Mask) -> SimilarityReport:
     by_kind: dict[str, list[float]] = {}
     by_layer: dict[int, list[float]] = {}
     for name, frac in per_matrix.items():
-        layer, kind = _split_matrix_name(name)
+        layer, kind = expected[name]
         by_kind.setdefault(kind, []).append(frac)
         by_layer.setdefault(layer, []).append(frac)
     return SimilarityReport(

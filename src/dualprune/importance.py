@@ -23,10 +23,8 @@ Three score families:
   own its column, so the oracle computes the block's branches and mix once
   per call and reruns per weight only the projection, its head (or its
   column of the gated product), the block's output projection and the
-  network after it.  Every op of a pass works on each sequence alone, so
-  those reruns go in the row blocks of `model.row_blocks` (one per worker
-  of `model.EVAL_POOL`, of at least 4 rows), run concurrently and reduced in
-  corpus order, bit-identical to a full rerun.
+  network after it, one eval batch per call on `model.EVAL_POOL`,
+  bit-identical to a full rerun.
 
 Model weights are never updated here; only gradients are read.
 """
@@ -51,7 +49,7 @@ from .model import (
     in_corpus_order,
     next_token_split,
     prunable_names,
-    row_blocks,
+    row_block_loss,
     token_weighted_mean,
 )
 # unused here; kept because the stage benchmark patches importance.next_token_loss
@@ -324,35 +322,6 @@ def _residual_streams(model: TransformerModel, corpus) -> list[list[T.Tensor]]:
     return memo[1]
 
 
-def _rows(t: T.Tensor, r: slice) -> T.Tensor:
-    return T.Tensor(t.data[r])
-
-
-def _resumed_nll(model: TransformerModel, start: int, inputs: np.ndarray, targets: np.ndarray,
-                 h: T.Tensor) -> np.ndarray:
-    """Per-token NLL of `targets` from `model`'s pass on `inputs` resumed at
-    sublayer `start` from the stream `h`."""
-    return T.token_nll(model.forward(inputs, (start, h)).data, targets)
-
-
-def _removal_nll(model: TransformerModel, s: int, proj: str, cols: slice | None, block) -> np.ndarray:
-    """Per-token NLL of one row block of an eval batch for `model`, whose
-    matrix `proj` of sublayer `s` has one weight zeroed.
-
-    `block` holds the block's inputs and targets and the dense pass's stream
-    entering `s`, block input, branch outputs and mix for its rows.  For a
-    branch, `cols` are the mix columns its zeroed weight reaches: the branch
-    is rerun and those columns remixed into a copy of the mix."""
-    inputs, targets, h, x, branches, mixed = block
-    if cols is not None:
-        names = BLOCK_PROJECTIONS[s % 2][:-1]
-        changed = [model.branch(s, name, x) if name == proj else y for name, y in zip(names, branches)]
-        spliced = mixed.data.copy()
-        spliced[..., cols] = model.mix(s, [T.Tensor(y.data[..., cols]) for y in changed]).data
-        mixed = T.Tensor(spliced)
-    return _resumed_nll(model, s + 1, inputs, targets, model.block_output(s, h, mixed))
-
-
 def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int, str],
                            weight_indices=None) -> np.ndarray:
     """Exact |loss(zeroed) - loss(base)| for single-weight removals.
@@ -374,24 +343,20 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     * once per call: per eval batch, the stream h entering s (the embedding
       for s = 0), the block's normed input, its branch outputs and their
       mix; the base loss runs only the head on the final streams.
-    * once per weight and row block: each eval batch is cut into the row
-      blocks of `model.row_blocks`, and each block is one call on
-      `model.EVAL_POOL` (`model.in_corpus_order`), at most one per worker
-      in flight.  Zeroing a weight in column c of a branch (q, k, v, gate,
-      up) changes only that branch and the columns
-      `mixed_columns(s, c)` of the mix, so the call reruns that branch on
-      its rows, mixes only those columns (one attention head, or one column
-      of the gated product) into a copy of the cached mix, and applies the
-      output projection; for a weight of `o` or `down` it reruns only the
-      output projection.  The pass then resumes at sublayer s + 1 from h
-      plus that block output and returns the per-token NLL.  The caller
-      joins each batch's blocks and reduces the batches as
-      `mean_corpus_loss` does (`model.token_weighted_mean`); the base loss
-      takes the same path.
+    * once per weight and eval batch: one call on `model.EVAL_POOL`
+      (`model.in_corpus_order`, one weight's batches at a time), whose loss
+      comes from `model.row_block_loss`.
+      Zeroing a weight in column c of a branch (q, k, v, gate, up) changes
+      only that branch and the columns `mixed_columns(s, c)` of the mix, so
+      the pass reruns that branch, remixes those columns (one attention
+      head, or one column of the gated product) into a copy of the cached
+      mix and applies the output projection; for `o` or `down` it reruns
+      only the output projection.  It resumes at sublayer s + 1 from h plus
+      that output.  The batch losses are reduced as in `mean_corpus_loss`.
 
-    Every op of a pass works on each row alone, and every step runs the same
-    primitives on operands of the same values and layout as a full pass, so
-    every delta is bit-identical to a full rerun for any worker count.
+    Every step runs the same primitives on operands of the same values and
+    layout as a full pass, so every delta is bit-identical to a full rerun
+    for any worker count.
     """
     layer, proj = matrix_id
     key = f"layers.{layer}.{proj}"
@@ -410,38 +375,52 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     n_sublayers = 2 * model.config.num_layers
     streams = _residual_streams(model, corpus)
     batches = list(corpus.batches(EVAL_BATCH))
-    # per eval batch, per row block: the block's rows of (inputs, targets, h,
-    # block input, branch outputs, mix) and of the final stream
-    blocks = []
+    # per eval batch: (inputs, targets, h, block input, branch outputs, mix, final stream)
+    cached = []
     for batch, states in zip(batches, streams):
         inputs, targets = next_token_split(batch)
         h = states[s - 1] if s else model.embed(inputs)
         x = model.block_input(s, h)
         branches = [model.branch(s, name, x) for name in branch_names]
-        mixed = model.mix(s, branches)
-        blocks.append([((inputs[r], targets[r], _rows(h, r), _rows(x, r), [_rows(y, r) for y in branches],
-                         _rows(mixed, r)), _rows(states[-1], r)) for r in row_blocks(len(batch))])
+        cached.append((inputs, targets, h, x, branches, model.mix(s, branches), states[-1]))
+
+    def base_loss(batch):
+        inputs, targets, *_, final = batch
+        return row_block_loss(
+            model, lambda r: model.forward(inputs[r], (n_sublayers, T.Tensor(final.data[r]))), targets)
+
+    def removal_loss(removed, cols, batch):
+        inputs, targets, h, x, branches, mixed, _ = batch
+
+        def logits_of(r):
+            block_mix = mixed.data[r]
+            if cols is not None:
+                changed = [removed.branch(s, name, T.Tensor(x.data[r])).data if name == proj else y.data[r]
+                           for name, y in zip(branch_names, branches)]
+                block_mix = block_mix.copy()
+                block_mix[..., cols] = removed.mix(s, [T.Tensor(y[..., cols]) for y in changed]).data
+            stream = removed.block_output(s, T.Tensor(h.data[r]), T.Tensor(block_mix))
+            return removed.forward(inputs[r], (s + 1, stream))
+
+        return row_block_loss(removed, logits_of, targets)
 
     def calls():
-        for batch_blocks in blocks:
-            for (inputs, targets, *_), final in batch_blocks:
-                yield _resumed_nll, model, n_sublayers, inputs, targets, final
+        for batch in cached:
+            yield base_loss, batch
         for i in indices:
             zeroed = matrix.copy()
             zeroed.reshape(-1)[i] = 0.0
             removed = TransformerModel(model.config, {**model.params, key: T.param(zeroed, key)})
             cols = model.mixed_columns(s, i % matrix.shape[1]) if proj in branch_names else None
-            for batch_blocks in blocks:
-                for block, _ in batch_blocks:
-                    yield _removal_nll, removed, s, proj, cols, block
+            for batch in cached:
+                yield removal_loss, removed, cols, batch
 
-    with closing(in_corpus_order(calls())) as nlls:
-        def batch_losses():
-            for batch_blocks in blocks:
-                yield np.concatenate([next(nlls) for _ in batch_blocks]).mean()
-
-        base = token_weighted_mean("brute_force_importance", batches, batch_losses())
-        return np.array([abs(token_weighted_mean("brute_force_importance", batches, batch_losses()) - base)
+    # one weight's batches in flight: a single-batch pass then has the pool
+    # to itself, where beside a second pass it would run its blocks in turn
+    with closing(in_corpus_order(calls(), window=len(cached))) as results:
+        losses = (loss.data for loss in results)
+        base = token_weighted_mean("brute_force_importance", batches, losses)
+        return np.array([abs(token_weighted_mean("brute_force_importance", batches, losses) - base)
                          for _ in indices], dtype=np.float64)
 
 

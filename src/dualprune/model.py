@@ -12,7 +12,7 @@ import hashlib
 import math
 import os
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields
@@ -276,36 +276,42 @@ def next_token_split(batch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_next_token_loss(model: TransformerModel, batch: np.ndarray) -> Tensor:
-    """Mean cross-entropy over a (batch, length) array of same-length sequences.
-
-    A batch of more rows than one block of `row_blocks` runs as those row
-    blocks: the caller runs the first and offers the others to `EVAL_POOL`
-    (`in_corpus_order`).  A call made inside a pool task takes back any
-    block that no worker has started by the time it needs it, so it runs
-    its blocks inline while the other workers are busy and never waits on a
-    block that cannot start.  Under an active tape the call records one tape record for
-    the whole batch (`tensor.row_block_cross_entropy`): its reverse pass
-    replays the blocks side by side, then reduces every gradient that sums
-    over rows once, at full batch, split between the caller and one worker.
-    Every op works on each row alone, so the loss and every gradient, summed
-    or per sample, are bit-identical to one pass on the whole batch, for any
-    worker count; where OpenBLAS would give some row of a block's GEMM other
-    bits (`tensor.row_split_exact`, for blocks of few short rows) the batch
-    runs as one block.  No block outlives the call or its reverse pass.
-    """
+    """Mean cross-entropy over a (batch, length) array of same-length sequences (`row_block_loss`)."""
     inputs, targets = next_token_split(batch)
-    cuts = row_blocks(len(inputs))
-    if len(cuts) == 1 or not _splits_exactly(model, cuts, inputs):
-        return T.cross_entropy(model.forward(inputs), targets)
-    return T.row_block_cross_entropy(lambda r: model.forward(inputs[r]), targets, cuts, _in_blocks)
+    return row_block_loss(model, lambda r: model.forward(inputs[r]), targets)
 
 
-def _splits_exactly(model: TransformerModel, cuts: list[slice], inputs: np.ndarray) -> bool:
-    """Whether every weight matmul of `model`'s pass on `inputs`, the tied
-    head's included, gives each row the bits of the whole batch's GEMM when
-    its input gradient is computed in the row blocks `cuts`
+def row_block_loss(model: TransformerModel, logits_of: Callable[[slice], Tensor],
+                   targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy of the (batch, length) `targets` under `model`'s
+    logits, `logits_of(r)` giving those of rows `r`: the one place where a
+    pass is cut into row blocks.
+
+    A batch of more rows than one block of `row_blocks` runs as those
+    blocks: the caller runs the first and offers the others to `EVAL_POOL`
+    (`in_corpus_order`, whose take-back rule lets a pass inside a pool task
+    run its blocks itself).  Under an active tape the call records one
+    record for the whole batch (`tensor.row_block_cross_entropy`), whose
+    reverse pass replays the blocks side by side and reduces every gradient
+    that sums over rows once, at full batch.  Every op works on each row
+    alone, so the loss and every gradient, summed or per sample, are
+    bit-identical to one pass on the whole batch, for any worker count;
+    where OpenBLAS would give some row of a block's GEMM other bits
+    (`tensor.row_split_exact`, for blocks of few short rows) the batch runs
+    as one block.  No block outlives the call or its reverse pass.
+    """
+    cuts = row_blocks(len(targets))
+    if len(cuts) == 1 or not _splits_exactly(model, cuts, targets):
+        return T.cross_entropy(logits_of(slice(None)), targets)
+    return T.row_block_cross_entropy(logits_of, targets, cuts, _in_blocks)
+
+
+def _splits_exactly(model: TransformerModel, cuts: list[slice], rows: np.ndarray) -> bool:
+    """Whether every weight matmul of `model`'s pass on the (batch, length)
+    `rows`, the tied head's included, gives each row the bits of the whole
+    batch's GEMM when its input gradient is computed in the row blocks `cuts`
     (`tensor.row_split_exact`)."""
-    n_rows, n_tok = inputs.shape
+    n_rows, n_tok = rows.shape
     counts = tuple(len(range(n_rows)[r]) * n_tok for r in cuts)
     shapes = {w.shape for _, _, w in prunable_matrices(model)}
     shapes.add((model.config.d_model, model.config.vocab_size))
@@ -320,7 +326,7 @@ MIN_BLOCK_ROWS = 4
 
 # The process-wide pool that runs the passes of `mean_corpus_loss`,
 # `importance.next_token_gradients` and the exact removal oracle, and the row
-# blocks of `batch_next_token_loss` (see `in_corpus_order`), with one worker
+# blocks of `row_block_loss` (see `in_corpus_order`), with one worker
 # per CPU this process may run on.  Its threads start on its first task.
 try:
     EVAL_WORKERS = len(os.sched_getaffinity(0))
@@ -342,9 +348,9 @@ def in_corpus_order(calls: Iterable[tuple], window: int | None = None, *,
                     caller_first: bool = False) -> Iterator:
     """Run each `(fn, *args)` of `calls` on `EVAL_POOL` and yield the
     results in the order of `calls`: the batches of `mean_corpus_loss`, the
-    chunks of `importance.next_token_gradients`, the row blocks of the exact
-    removal oracle's resumed passes, and the row blocks of
-    `batch_next_token_loss` and of its reverse pass.
+    chunks of `importance.next_token_gradients`, the eval batches of the
+    exact removal oracle's passes, and the row blocks of `row_block_loss`
+    and of its reverse pass.
 
     Each call runs under the caller's context (a copy of it on a worker),
     so under its `np.errstate`, and never records onto the caller's tape.

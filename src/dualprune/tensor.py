@@ -19,15 +19,13 @@ weights, can return one gradient per sample of a batch, and drops each tape
 record once it has replayed it (see `backward`).
 
 `row_block_cross_entropy` runs one batch as row blocks, possibly in
-concurrent threads, each block's ops on a tape of its own nested under the
-caller's, and records one record for the whole batch.  Its reverse pass
-replays each block's tape for the gradients that stay within a row, while
-every gradient that sums over rows (a weight's x^T g, a broadcast scale's or
-position row's sum, an embedding table's scatter) comes back unreduced
-(`ROWS`) and is reduced once, on all blocks' rows joined in batch order: the
-same reduction over the same values as the unsplit pass, so the gradients
-are bit-identical to it wherever the row-wise GEMMs give a block's rows the
-bits of the whole batch's (`row_split_exact`).
+concurrent threads, each on a tape of its own, and records one record for
+the whole batch.  Its reverse pass leaves every gradient that sums over
+rows (a weight's x^T g, a broadcast scale's or position row's sum, an
+embedding table's scatter) unreduced (`ROWS`), also through the records
+only it reaches, and reduces it once on all blocks' rows in batch order:
+bit-identical to the unsplit pass wherever the row-wise GEMMs give a
+block's rows the bits of the whole batch's (`row_split_exact`).
 """
 
 from __future__ import annotations
@@ -152,6 +150,15 @@ class Rows:
     def __init__(self, reduce: Callable, *parts: np.ndarray):
         self.reduce = reduce
         self.parts = parts
+
+    def through(self, backward_fn: Callable, need: tuple[int, ...]) -> list["Rows | None"]:
+        """Per input that `need` asks for, this gradient of a record's output
+        with the record's `backward_fn` for that input applied after `reduce`."""
+        def reduce(k, *parts):
+            alone = tuple(SUMMED if j == k else SKIP for j in range(len(need)))
+            return backward_fn(self.reduce(*parts), alone)[k]
+
+        return [Rows(functools.partial(reduce, k), *self.parts) if n else None for k, n in enumerate(need)]
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
@@ -419,12 +426,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     return _record(out, (q, k, v), backward_fn)
 
 
-def token_nll(logits: np.ndarray, targets) -> np.ndarray:
-    """Negative log-likelihood of each of `targets` under its `logits` row,
-    with no gradient: the per-token losses `cross_entropy` averages."""
-    return _softmax_nll(logits, targets)[0]
-
-
 def _softmax_nll(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(per-token NLL, exp of the max-shifted logits, their row sums)."""
     targets = np.asarray(targets)
@@ -501,10 +502,18 @@ def row_block_cross_entropy(logits_of: Callable[[slice], Tensor], targets, cuts:
     batch's token count.  A per-sample pass joins the blocks' per-sample
     gradients.  A summed pass leaves every gradient that sums over rows to
     `ROWS` and reduces it once on the rows of all blocks, the reductions
-    shared out between the two calls of one `run`; the records that only
-    those gradients reach (the tied head's transpose, the position lookup)
-    are replayed once, on the reduced gradients, in the unsplit pass's
-    order.  When a row's logits depend on no other row, and every GEMM of
+    shared out between the two calls of one `run`; a record that only such
+    a gradient reaches (the tied head's transpose, the position lookup)
+    runs its backward inside that reduction (`Rows.through`).  The
+    results are accumulated in the unsplit pass's order.
+
+    The per-sample branch keeps `backward(samples=n)` independent of the
+    worker count: without it, a per-sample pass on a batch that splits (more
+    than `model.MIN_BLOCK_ROWS` rows, at two or more workers) would fail
+    where one worker succeeds.  `importance.next_token_gradients`' chunks
+    never split, but a larger `GRADIENT_CHUNK` or per-sample batch does.
+
+    When a row's logits depend on no other row, and every GEMM of
     the pass gives each row the bits it gives in the whole batch (see
     `row_split_exact` for the one GEMM whose rows a split can change), the
     loss and every gradient are bit-identical to `cross_entropy` on the
@@ -515,7 +524,7 @@ def row_block_cross_entropy(logits_of: Callable[[slice], Tensor], targets, cuts:
 
     def forward(r):
         if not recording:
-            return token_nll(logits_of(r).data, targets[r])
+            return _softmax_nll(logits_of(r).data, targets[r])[0]
         tape = GradientTape()
         with active_tape(tape):
             logits = logits_of(r)
@@ -536,12 +545,12 @@ def row_block_cross_entropy(logits_of: Callable[[slice], Tensor], targets, cuts:
         def replay(block, r):
             tape, logits, _, e, denom = block
             grads = {logits.tid: _nll_gradient(e, denom, targets[r], float(g) / count)}
-            deferred = _replay(tape.records, grads, _live(tape.records, wanted), ask)
+            summed = _replay(tape.records, grads, _live(tape.records, wanted), ask)
             if ask == PER_SAMPLE:
                 return grads
             if any(tid in grads for tid in wanted):
                 raise ShapeError("row blocks: a parameter gradient that does not sum over rows")
-            return deferred
+            return summed
 
         replayed = run([(replay, block, r) for block, r in zip(blocks, cuts)])
         blocks.clear()  # the spent tapes and their activations
@@ -640,71 +649,64 @@ def _accumulate(grads: dict, tid: int, g: np.ndarray) -> None:
     grads[tid] = g if acc is None else acc + g
 
 
-def _replay(records: list, grads: dict, live: set[int], ask: int) -> list:
+def _replay(records: list, grads: dict, live: set[int], ask: int) -> list[tuple[int, "Rows"]]:
     """Replay `records` in reverse from the output gradients in `grads`,
     accumulating into `grads` the gradients of the tensors in `live`.
 
     Popping each record as it is replayed frees the activations that only it
     holds, so they do not pile up under the gradients; the records are spent.
-    Under ROWS, a `Rows` gradient is not accumulated, and a record whose
-    output received one is not replayed here: both go, in replay order, into
-    the list returned, a `Rows` as (input, Rows) and a record as (record,
-    its SUMMED need), for `_reduce_rows`.
+    Under ROWS, a gradient that sums over rows comes back as a `Rows` and is
+    not accumulated.  A record whose output received one passes it on to its
+    inputs (`Rows.through`).  One whose output received more than one, or one
+    and a gradient of its rows, raises `ShapeError`: the unsplit pass sums
+    those before the record's backward, and a `Rows` carries one reduction.
+    The `Rows` that reach tensors no record produced are returned as (tensor
+    id, Rows), each tensor's in replay order, for `_reduce_rows`.
     """
-    deferred: list = []
-    row_summed: set[int] = set()
+    summed: dict[int, list[Rows]] = {}
     while records:
-        record = records.pop()
-        out, inputs, backward_fn = record
-        if out.tid in row_summed:
-            deferred.append((record, tuple(SUMMED if inp.tid in live else SKIP for inp in inputs)))
-            continue
+        out, inputs, backward_fn = records.pop()
         g_out = grads.pop(out.tid, None)
-        if g_out is None:
+        rows = summed.pop(out.tid, None)
+        if g_out is None and rows is None:
             continue
         need = tuple(ask if inp.tid in live else SKIP for inp in inputs)
-        for inp, g in zip(inputs, backward_fn(g_out, need)):
+        if rows is None:
+            g_in = backward_fn(g_out, need)
+        elif g_out is None and len(rows) == 1:
+            g_in = rows[0].through(backward_fn, need)
+        else:
+            raise ShapeError("row blocks: a recorded tensor's gradient sums over rows in more than one place")
+        for inp, g in zip(inputs, g_in):
             if g is None or inp.tid not in live:
                 continue
             if isinstance(g, Rows):
-                row_summed.add(inp.tid)
-                deferred.append((inp, g))
+                summed.setdefault(inp.tid, []).append(g)
             else:
                 _accumulate(grads, inp.tid, g)
-    return deferred
+    return [(tid, g) for tid, rows in summed.items() for g in rows]
 
 
-def _reduce_rows(deferred: list[list], run: Callable[[list[tuple]], list]) -> dict[int, np.ndarray]:
-    """The gradients the row blocks' ROWS replays left in `deferred` (one
-    `_replay` list per block, in batch order), keyed by the first block's ids.
+def _reduce_rows(summed: list[list], run: Callable[[list[tuple]], list]) -> dict[int, np.ndarray]:
+    """The gradients the row blocks' ROWS replays left unreduced in `summed`
+    (one `_replay` list per block, in batch order), keyed by tensor id.
 
-    Every block ran the same ops, so their lists match entry by entry.  Each
-    `Rows` is reduced once on its parts joined over the blocks, the
-    reductions shared out between the two calls of one `run`; then the
-    first block's list is walked in order, accumulating the reduced
-    gradients and replaying its deferred records, as the unsplit pass would
-    have.
+    Every block ran the same ops on the same parameters, so their lists
+    match entry by entry.  Each `Rows` is reduced once on its parts joined
+    over the blocks, the reductions shared out between the two calls of one
+    `run`, and the results are accumulated in the order of the lists, as
+    the unsplit pass would have.
     """
-    first = deferred[0]
-    jobs = [k for k, (_, how) in enumerate(first) if isinstance(how, Rows)]
+    first = summed[0]
 
     def reduce(ks):
-        return [first[k][1].reduce(*map(np.concatenate, zip(*(d[k][1].parts for d in deferred))))
-                for k in ks]
+        return [first[k][1].reduce(*map(np.concatenate, zip(*(s[k][1].parts for s in summed)))) for k in ks]
 
     # two calls of about equal work: the reductions dealt out largest first
-    ranked = sorted(jobs, key=lambda k: sum(p.size for p in first[k][1].parts), reverse=True)
+    ranked = sorted(range(len(first)), key=lambda k: sum(p.size for p in first[k][1].parts), reverse=True)
     halves = [ranked[0::2], ranked[1::2]]
     reduced = dict(zip(halves[0] + halves[1], itertools.chain(*run([(reduce, ks) for ks in halves]))))
     grads: dict[int, np.ndarray] = {}
-    for k, (what, how) in enumerate(first):
-        if k in reduced:
-            _accumulate(grads, what.tid, reduced[k])
-            continue
-        (out, inputs, backward_fn), need = what, how
-        g_out = grads.pop(out.tid, None)
-        if g_out is not None:
-            for inp, n, g in zip(inputs, need, backward_fn(g_out, need)):
-                if n and g is not None:
-                    _accumulate(grads, inp.tid, g)
+    for k, (tid, _) in enumerate(first):
+        _accumulate(grads, tid, reduced[k])
     return grads

@@ -9,7 +9,7 @@ import pytest
 import dualprune
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def package_env():
     """The environment for a subprocess that imports this package from this checkout."""
     src = str(Path(dualprune.__file__).resolve().parents[1])

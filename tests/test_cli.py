@@ -2,12 +2,15 @@
 
 import argparse
 import csv
+import ctypes
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -19,7 +22,7 @@ from dualprune.container import FORMAT_VERSION, MAGIC, read_container, write_con
 from dualprune.corpus import load_corpus_cache
 from dualprune.importance import load_dual_scores, load_general_scores
 from dualprune.model import load_checkpoint, save_checkpoint
-from dualprune.pruning import load_mask, select_mask_blocked
+from dualprune.pruning import Mask, load_mask, save_mask, select_mask_blocked
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +344,21 @@ class TestEvalMasksimSweep:
         assert "block layers.0.q has 3 bytes, but b1 shape (3, 9) takes 6" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("blocks,message", [
+        ({"embed": (256, 32)}, "embed is not a projection of layers 0..0"),
+        ({"layers.0.q": (32, 32)}, "masks lack layers.0.k"),
+    ], ids=["foreign", "missing"])
+    def test_masksim_of_a_mask_without_every_projection_exit_2(self, workspace, tmp_path, capsys,
+                                                                blocks, message):
+        path = tmp_path / "partial_mask.bin"
+        save_mask(Mask({name: np.ones(shape, dtype=np.uint8) for name, shape in blocks.items()},
+                       sparsity=0.0, mode="per-matrix"), path)
+        out = tmp_path / "out"
+        assert main(["masksim", "--config", str(workspace["config"]), "--output-dir", str(out),
+                     str(path), str(path)]) == 2
+        assert capsys.readouterr().err == f"error: mask_similarity: {message}\n"
+        assert not out.exists()
+
     def test_sweep_csv_rows(self, workspace):
         assert main(["sweep", "--config", str(workspace["config"]),
                      "--checkpoint", str(workspace["out"] / "model.ckpt"),
@@ -568,30 +586,75 @@ def run_python(args, cwd, env, preexec_fn=None) -> str:
     return done.stdout
 
 
+# sha256 of each artifact of `recipe_runs`, with the numpy version and the
+# OpenBLAS core that wrote them: their bits depend on both.
+MANIFEST = Path(__file__).with_name("artifacts.sha256.json")
+# openblas_get_corename under the symbol names of the builds numpy ships with.
+CORENAME_GETTERS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                    "openblas_get_corename64_", "openblas_get_corename")
+
+
+def openblas_core() -> str:
+    """The name of the core the loaded OpenBLAS runs its kernels for."""
+    for path in dualprune._loaded_openblas():
+        lib = ctypes.CDLL(path)
+        for symbol in CORENAME_GETTERS:
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_char_p
+                return getter().decode()
+    return "unknown"
+
+
+@pytest.fixture(scope="class")
+def recipe_runs(workspace, tmp_path_factory, package_env):
+    """pretrain -> general-importance -> prune at batch size 8 through
+    `python -m dualprune.cli`, once on one CPU (1 worker) and once
+    unrestricted: {run: (workers, output directory)}."""
+    config = ["--config", str(workspace["config"]), "--batch-size", "8", "--output-dir", "run"]
+    stages = [["pretrain", *config],
+              ["general-importance", *config, "--checkpoint", "run/model.ckpt"],
+              ["prune", *config, "--checkpoint", "run/model.ckpt",
+               "--general-scores", "run/general_scores.bin"]]
+    one_cpu = {min(os.sched_getaffinity(0))}
+    runs = {}
+    for name, preexec_fn in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
+        cwd = tmp_path_factory.mktemp(name)
+        workers = int(run_python(["-c", "from dualprune import model; print(model.EVAL_WORKERS)"],
+                                 cwd, package_env, preexec_fn))
+        for argv in stages:
+            run_python(["-m", "dualprune.cli", *argv], cwd, package_env, preexec_fn)
+        runs[name] = workers, cwd / "run"
+    return runs
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two usable CPUs and an affinity call")
 class TestPoolSize:
-    def test_artifacts_do_not_depend_on_the_worker_count(self, workspace, tmp_path, package_env):
-        config = ["--config", str(workspace["config"]), "--batch-size", "8", "--output-dir", "run"]
-        stages = [["pretrain", *config],
-                  ["general-importance", *config, "--checkpoint", "run/model.ckpt"],
-                  ["prune", *config, "--checkpoint", "run/model.ckpt",
-                   "--general-scores", "run/general_scores.bin"]]
-        one_cpu = {min(os.sched_getaffinity(0))}
-        workers = []
-        for name, preexec_fn in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
-            (tmp_path / name).mkdir()
-            workers.append(int(run_python(["-c", "from dualprune import model; print(model.EVAL_WORKERS)"],
-                                          tmp_path / name, package_env, preexec_fn)))
-            for argv in stages:
-                run_python(["-m", "dualprune.cli", *argv], tmp_path / name, package_env, preexec_fn)
-        assert workers[0] == 1 and workers[1] >= 2
+    def test_artifacts_do_not_depend_on_the_worker_count(self, recipe_runs):
+        (one, one_dir), (all_, all_dir) = recipe_runs["one"], recipe_runs["all"]
+        assert one == 1 and all_ >= 2
         # more workers cut each batch of 8 windows of 32 tokens into two
         # blocks of 4, whose GEMMs give each row the whole batch's bits
-        model = load_checkpoint(tmp_path / "all" / "run" / "model.ckpt")
+        model = load_checkpoint(all_dir / "model.ckpt")
         assert dualprune.model._splits_exactly(model, [slice(0, 4), slice(4, 8)], np.zeros((8, 31), int))
-        names = sorted(p.name for p in (tmp_path / "one" / "run").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "all" / "run").iterdir())
+        names = sorted(p.name for p in one_dir.iterdir())
+        assert names == sorted(p.name for p in all_dir.iterdir())
         for name in names:
-            assert (tmp_path / "one" / "run" / name).read_bytes() == \
-                (tmp_path / "all" / "run" / name).read_bytes(), name
+            assert (one_dir / name).read_bytes() == (all_dir / name).read_bytes(), name
+
+    def test_artifacts_match_the_manifest(self, recipe_runs):
+        """Skipped, not failed, in another environment: tier-1 may run on
+        another CPU core, whose OpenBLAS kernels may round differently."""
+        manifest = json.loads(MANIFEST.read_text())
+        here = {"numpy": np.__version__, "openblas_core": openblas_core()}
+        hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(recipe_runs["all"][1].iterdir())}
+        rewritten = json.dumps({**manifest, **here, "sha256": hashes}, indent=2) + "\n"
+        recorded = {key: manifest[key] for key in here}
+        if recorded != here:
+            pytest.skip(f"{MANIFEST.name} was written under {recorded}, this is {here}; "
+                        f"here it would read:\n{rewritten}")
+        assert hashes == manifest["sha256"], \
+            f"artifacts differ from {MANIFEST.name}; if the change is meant, write:\n{rewritten}"

@@ -92,10 +92,10 @@ class TestMaskSimilarity:
 
     def test_independent_random_masks_expectation(self):
         rng = np.random.default_rng(7)
-        a = select_mask_per_matrix({"layers.0.q": rng.random((128, 128))}, 0.5)
-        b = select_mask_per_matrix({"layers.0.q": rng.random((128, 128))}, 0.5)
-        sim = mask_similarity(a, b).per_matrix["layers.0.q"]
-        assert abs(sim - 0.25) < 0.05  # expectation (1 - s)^2
+        a, b = (select_mask_per_matrix({name: rng.random((128, 128)) for name in prunable_names(TINY)}, 0.5)
+                for _ in range(2))
+        for name, sim in mask_similarity(a, b).per_matrix.items():
+            assert abs(sim - 0.25) < 0.05, name  # expectation (1 - s)^2
 
     def test_similarity_bounds(self):
         for seed in range(5):
@@ -136,6 +136,19 @@ class TestMaskSimilarity:
         c.masks["layers.0.q"] = c.masks["layers.0.q"][:, :-1]
         with pytest.raises(ValidationError, match="shape"):
             mask_similarity(a, c)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda masks: masks.pop("layers.0.k"), "masks lack layers.0.k"),
+        (lambda masks: masks.update(embed=masks.pop("layers.0.q")),
+         "embed is not a projection of layers 0..0"),
+        (lambda masks: masks.update({k.replace(".0.", ".2."): v for k, v in list(masks.items())}),
+         "layers.2.q is not a projection of layers 0..1"),
+    ], ids=["missing", "foreign", "layer-gap"])
+    def test_masks_without_every_projection_of_layers_0_to_l_rejected(self, edit, message):
+        mask = make_mask(TINY, 0.5, 19)
+        edit(mask.masks)
+        with pytest.raises(ValidationError, match=f"^mask_similarity: {message}$"):
+            mask_similarity(mask, mask)
 
 
 class TestSweep:

@@ -596,13 +596,16 @@ class TestOracleIsExact:
         """Row blocks of 32, 16 + 16 or 11 + 11 + 10 rows, then 3 for the partial batch."""
         model = init_model(TWO_LAYER)
         block_rows = []
-        removal_nll = importance._removal_nll
+        row_block_loss = importance.row_block_loss
 
-        def recording_removal_nll(model, s, proj, cols, block):
-            block_rows.append(len(block[0]))
-            return removal_nll(model, s, proj, cols, block)
+        def recording_row_block_loss(model, logits_of, targets):
+            def recorded(r):
+                block_rows.append(len(targets[r]))
+                return logits_of(r)
 
-        monkeypatch.setattr(importance, "_removal_nll", recording_removal_nll)
+            return row_block_loss(model, recorded, targets)
+
+        monkeypatch.setattr(importance, "row_block_loss", recording_row_block_loss)
         eval_pool(workers)
         base = mean_corpus_loss(model, three_batch_corpus)
         rng = np.random.default_rng(11)
@@ -621,7 +624,8 @@ class TestOracleIsExact:
                 got = brute_force_importance(model, three_batch_corpus, (int(layer), proj), indices)
                 assert np.array_equal(got, expected), (workers, name)
                 split = {1: [32, 3], 2: [16, 16, 3], 3: [11, 11, 10, 3]}[workers]
-                assert sorted(block_rows) == sorted(split * len(indices))  # workers append in any order
+                # the base pass and each weight's; workers append in any order
+                assert sorted(block_rows) == sorted(split * (1 + len(indices)))
         finally:
             sys.setswitchinterval(interval)
 
@@ -669,6 +673,39 @@ class TestOracleIsExact:
             for matrix_id in [(0, "q"), (1, "down")]:
                 with pytest.raises(NumericError, match=r"non-finite loss nan on sequences 0\.\.31$"):
                     brute_force_importance(model, three_batch_corpus, matrix_id, [0])
+
+    def test_a_raise_leaves_no_pass_running(self, three_batch_corpus, eval_pool, monkeypatch):
+        """The passes run as pool tasks that offer their row blocks to the pool
+        in turn; when a batch's loss raises, the call returns only after every
+        pass has ended, and starts none after."""
+        lock = threading.Lock()
+        running, started = [0], [0]
+        forward = model_lib.TransformerModel.forward
+
+        def counted_forward(self, ids, resume=None):
+            with lock:
+                running[0] += 1
+                started[0] += 1
+            try:
+                if len(ids) == 3:  # the partial batch is still running when batch 0 raises
+                    time.sleep(0.3)
+                return forward(self, ids, resume)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(model_lib.TransformerModel, "forward", counted_forward)
+        model = init_model(TWO_LAYER)
+        model.params["layers.0.gate"].data[1, 2] = np.nan
+        eval_pool(2)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match=r"non-finite loss nan on sequences 0\.\.31$"):
+                brute_force_importance(model, three_batch_corpus, (0, "q"), [0, 1, 2])
+        with lock:
+            assert running[0] == 0
+            at_raise = started[0]
+        time.sleep(0.5)
+        assert started[0] == at_raise
 
     @pytest.mark.parametrize("lengths", [[TWO_LAYER.context_length + 2]], ids=["over-long"])
     def test_bad_corpus_raises_what_mean_corpus_loss_raises(self, lengths):

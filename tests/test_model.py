@@ -386,11 +386,10 @@ class TestEvalPool:
 REDUCE_ROWS = dualprune.tensor._reduce_rows
 
 
-def reduced_per_block(deferred, run):
-    per_block = [(what, dualprune.tensor.Rows(
-        lambda k=k: functools.reduce(np.add, [d[k][1].reduce(*d[k][1].parts) for d in deferred])))
-        if isinstance(how, dualprune.tensor.Rows) else (what, how)
-        for k, (what, how) in enumerate(deferred[0])]
+def reduced_per_block(summed, run):
+    per_block = [(tid, dualprune.tensor.Rows(
+        lambda k=k: functools.reduce(np.add, [s[k][1].reduce(*s[k][1].parts) for s in summed])))
+        for k, (tid, _) in enumerate(summed[0])]
     return REDUCE_ROWS([per_block], run)
 
 

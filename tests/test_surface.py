@@ -13,6 +13,8 @@
   submodule imports in `__init__.py` and lines marked `# noqa: F401` are exempt.
 * The package root binds no public name but its submodules, so every public
   function and class has one import path: `dualprune.<module>.<name>`.
+* Only `model.row_block_loss` reaches `row_blocks` and
+  `row_block_cross_entropy`, so every pass is cut into row blocks one way.
 * The stage benchmark's hooks install on the package and come off again.
 """
 
@@ -128,6 +130,28 @@ def test_package_root_binds_only_submodules(package_env):
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout.split() == ["container", "corpus", "errors", "evaluation", "importance",
                                     "model", "pruning", "tensor"]
+
+
+ROW_CUTTING = {"row_blocks", "row_block_cross_entropy"}
+
+
+def test_only_the_row_block_helper_cuts_rows():
+    """A name, attribute or import of `ROW_CUTTING` in `src/` counts as a
+    reference; the helper must hold one of each, and nothing else any."""
+    inside, outside = set(), []
+    for path, tree in _trees(PACKAGE):
+        helper = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef)
+                  and f"{path.stem}.{top.name}" == "model.row_block_loss" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if not isinstance(node, (ast.Name, ast.Attribute, ast.alias)) or name not in ROW_CUTTING:
+                continue
+            if id(node) in helper:
+                inside.add(name)
+            else:
+                outside.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert inside == ROW_CUTTING, "model.row_block_loss no longer cuts rows; the rule is stale"
+    assert outside == [], f"row blocks cut outside model.row_block_loss: {outside}"
 
 
 def _package_bindings():

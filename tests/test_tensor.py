@@ -276,6 +276,54 @@ class TestTape:
             T.backward(tape, loss, [scale], samples=2)
 
 
+def serial(calls):
+    return [fn(*args) for fn, *args in calls]
+
+
+class TestRowBlockReduction:
+    """`row_block_cross_entropy`'s reverse pass on hand-built blocks: a
+    gradient that sums over rows passes through the records it alone
+    reaches; one the reduction cannot make bit-identical is refused."""
+
+    X = np.random.default_rng(5).standard_normal((4, 3, 5))
+    TARGETS = np.random.default_rng(6).integers(0, 5, size=(4, 3))
+    HALVES = [slice(0, 2), slice(2, 4)]
+
+    def gradient(self, logits_of, wrt, cuts=None):
+        """`wrt`'s gradient from the pass in row blocks `cuts` (None: unsplit)."""
+        tape = T.GradientTape()
+        with tape:
+            if cuts is None:
+                loss = T.cross_entropy(logits_of(slice(None)), self.TARGETS)
+            else:
+                loss = T.row_block_cross_entropy(logits_of, self.TARGETS, cuts, serial)
+        return T.backward(tape, loss, [wrt])[wrt.tid].data
+
+    def test_a_record_reached_only_by_a_row_sum_runs_on_the_reduced_gradient(self):
+        w = T.param(np.linspace(-1.0, 1.0, 5), "w")
+
+        def logits_of(r):
+            return T.mul(T.Tensor(self.X[r]), T.silu(w))
+
+        assert np.array_equal(self.gradient(logits_of, w, self.HALVES), self.gradient(logits_of, w))
+
+    def test_a_recorded_tensor_summed_over_rows_twice_is_refused(self):
+        w = T.param(np.linspace(-1.0, 1.0, 5), "w")
+
+        def logits_of(r):
+            v = T.silu(w)
+            return T.add(T.mul(T.Tensor(self.X[r]), v), T.mul(T.Tensor(self.X[r] ** 2), v))
+
+        self.gradient(logits_of, w)
+        with pytest.raises(ShapeError, match="sums over rows in more than one place"):
+            self.gradient(logits_of, w, self.HALVES)
+
+    def test_a_parameter_gradient_summed_within_a_block_is_refused(self):
+        p = T.param(np.ones((1, 3, 5)), "p")
+        with pytest.raises(ShapeError, match="does not sum over rows"):
+            self.gradient(lambda r: T.add(T.Tensor(self.X[r]), p), p, self.HALVES)
+
+
 def composed_attention(q, k, v, num_heads):
     """Causal attention as the chain of primitives that `causal_attention` fuses."""
     n_batch, n_tok, width = q.shape
