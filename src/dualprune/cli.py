@@ -173,7 +173,10 @@ def _out_dir(config: RunConfig) -> Path:
     once they have a result to write, so a stage that fails before that
     leaves no directory behind."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValidationError(f"cannot create output directory {out}: {e.strerror}") from None
     return out
 
 
@@ -266,6 +269,8 @@ def _load_eval_corpus(config: RunConfig, args):
 
 
 def cmd_eval(config: RunConfig, args) -> int:
+    if args.tag and any(sep in args.tag for sep in "/\\\0"):
+        raise ValidationError(f"--tag must be a plain file name, got {args.tag!r}")
     model = load_checkpoint(args.checkpoint)
     corpus = _load_eval_corpus(config, args)
     report = evaluation.perplexity(model, corpus)

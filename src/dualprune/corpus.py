@@ -172,6 +172,9 @@ def load_corpus_cache(path) -> Corpus:
     for key in ("name", "sources", "seed", "sequence_length", "offsets"):
         if key not in info:
             raise bad(f"missing key {key!r}")
+    name = info["name"]
+    if not isinstance(name, str) or not name or any(sep in name for sep in "/\\\0"):
+        raise bad(f"name must be a non-empty string free of path separators, got {name!r}")
     if not isinstance(info["sources"], list) or not all(
             isinstance(s, dict) and {"path", "sha256"} <= s.keys() for s in info["sources"]):
         raise bad("every source needs a 'path' and a 'sha256'")
@@ -188,4 +191,4 @@ def load_corpus_cache(path) -> Corpus:
     for o in offsets:
         if type(o) is not int or not 0 <= o <= len(tokens) - length:
             raise bad(f"window offset {o!r} outside [0, {len(tokens) - length}]")
-    return Corpus(name=info["name"], sequences=_windows(tokens, offsets, length), provenance=info)
+    return Corpus(name=name, sequences=_windows(tokens, offsets, length), provenance=info)

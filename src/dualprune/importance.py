@@ -23,8 +23,9 @@ Three score families:
   own its column, so the oracle computes the block's branches and mix once
   per call and reruns per weight only the projection, its head (or its
   column of the gated product), the block's output projection and the
-  network after it, one eval batch per call on `model.EVAL_POOL`,
-  bit-identical to a full rerun.
+  network after it, bit-identical to a full rerun.  The oracle's passes run
+  on the caller, one after another; each splits its eval batch into row
+  blocks on `model.EVAL_POOL` as every batch loss does.
 
 Model weights are never updated here; only gradients are read.
 """
@@ -170,7 +171,7 @@ def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
     acc_g2 = _PairwiseSum()
     j = 0
     calls = ((_sample_gradients, model, weights, batch) for batch in corpus.batches(GRADIENT_CHUNK))
-    with closing(in_corpus_order(calls)) as chunks:
+    with closing(in_corpus_order(calls, model_lib.EVAL_WORKERS)) as chunks:
         for per_sample, squares, finite in chunks:
             if not finite.all():
                 b, m = np.argwhere(~finite)[0]
@@ -343,15 +344,14 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     * once per call: per eval batch, the stream h entering s (the embedding
       for s = 0), the block's normed input, its branch outputs and their
       mix; the base loss runs only the head on the final streams.
-    * once per weight and eval batch: one call on `model.EVAL_POOL`
-      (`model.in_corpus_order`, one weight's batches at a time), whose loss
-      comes from `model.row_block_loss`.
-      Zeroing a weight in column c of a branch (q, k, v, gate, up) changes
-      only that branch and the columns `mixed_columns(s, c)` of the mix, so
-      the pass reruns that branch, remixes those columns (one attention
-      head, or one column of the gated product) into a copy of the cached
-      mix and applies the output projection; for `o` or `down` it reruns
-      only the output projection.  It resumes at sublayer s + 1 from h plus
+    * once per weight and eval batch: one pass on the caller, whose loss
+      comes from `model.row_block_loss`, so its row blocks run beside it on
+      `model.EVAL_POOL`.  Zeroing a weight in column c of a branch (q, k,
+      v, gate, up) changes only that branch and the columns
+      `mixed_columns(s, c)` of the mix, so the pass reruns that branch,
+      remixes those columns (one attention head, or one column of the
+      gated product) into a copy of the cached mix and applies the output
+      projection; for `o` or `down` it reruns only the output projection.  It resumes at sublayer s + 1 from h plus
       that output.  The batch losses are reduced as in `mean_corpus_loss`.
 
     Every step runs the same primitives on operands of the same values and
@@ -404,24 +404,19 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
 
         return row_block_loss(removed, logits_of, targets)
 
-    def calls():
-        for batch in cached:
-            yield base_loss, batch
-        for i in indices:
-            zeroed = matrix.copy()
-            zeroed.reshape(-1)[i] = 0.0
-            removed = TransformerModel(model.config, {**model.params, key: T.param(zeroed, key)})
-            cols = model.mixed_columns(s, i % matrix.shape[1]) if proj in branch_names else None
-            for batch in cached:
-                yield removal_loss, removed, cols, batch
+    def mean_loss(loss, *args):
+        return token_weighted_mean("brute_force_importance", batches,
+                                   (loss(*args, batch).data for batch in cached))
 
-    # one weight's batches in flight: a single-batch pass then has the pool
-    # to itself, where beside a second pass it would run its blocks in turn
-    with closing(in_corpus_order(calls(), window=len(cached))) as results:
-        losses = (loss.data for loss in results)
-        base = token_weighted_mean("brute_force_importance", batches, losses)
-        return np.array([abs(token_weighted_mean("brute_force_importance", batches, losses) - base)
-                         for _ in indices], dtype=np.float64)
+    base = mean_loss(base_loss)
+    deltas = []
+    for i in indices:
+        zeroed = matrix.copy()
+        zeroed.reshape(-1)[i] = 0.0
+        removed = TransformerModel(model.config, {**model.params, key: T.param(zeroed, key)})
+        cols = model.mixed_columns(s, i % matrix.shape[1]) if proj in branch_names else None
+        deltas.append(abs(mean_loss(removal_loss, removed, cols) - base))
+    return np.array(deltas, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,45 @@ class TestPrune:
             assert np.array_equal(mask_a.masks[name], mask_b.masks[name]), name
 
 
+class TestEvalMisuse:
+    """Each misuse exits with one line on stderr and writes nothing."""
+
+    def run_eval(self, workspace, out, capsys, *flags):
+        code = main(["eval", "--config", str(workspace["config"]),
+                     "--checkpoint", str(workspace["out"] / "model.ckpt"), "--output-dir", str(out),
+                     *flags])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        return code, err
+
+    def test_tag_with_a_path_separator_exit_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        code, err = self.run_eval(workspace, out, capsys, "--tag", "sub/x")
+        assert (code, err) == (2, "error: --tag must be a plain file name, got 'sub/x'\n")
+        assert list(out.rglob("*")) == [out / "sub"]
+
+    def test_cache_named_with_a_path_separator_exit_3(self, workspace, tmp_path, capsys):
+        assert main(["calibrate", "--config", str(workspace["config"])]) == 0
+        info = json.loads((workspace["out"] / "test.corpus.json").read_text())
+        info["name"] = "a/b"
+        cache = tmp_path / "c.json"
+        cache.write_text(json.dumps(info))
+        out = tmp_path / "out"
+        code, err = self.run_eval(workspace, out, capsys, "--corpus-cache", str(cache))
+        assert code == 3
+        assert "name must be a non-empty string free of path separators, got 'a/b'" in err
+        assert not out.exists()
+
+    def test_output_dir_naming_a_file_exit_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("kept\n")
+        code, err = self.run_eval(workspace, out, capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert out.read_text() == "kept\n"
+
+
 class TestEvalMasksimSweep:
     def test_eval_reports(self, workspace):
         ckpt = workspace["out"] / "model.ckpt"

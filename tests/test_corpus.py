@@ -194,8 +194,11 @@ class TestCache:
         (lambda info: info["sources"][0].pop("sha256"), "'sha256'"),
         (lambda info: info.__setitem__("sequence_length", "x"), "sequence_length"),
         (lambda info: info.__setitem__("offsets", []), "offsets must be a non-empty list"),
+        (lambda info: info.__setitem__("name", "a/b"), "name must be .* got 'a/b'"),
+        (lambda info: info.__setitem__("name", ""), "name must be .* got ''"),
+        (lambda info: info.__setitem__("name", 7), "name must be .* got 7"),
     ], ids=["negative-offset", "string-offset", "source-without-sha256", "string-length",
-            "no-offsets"])
+            "no-offsets", "name-with-separator", "empty-name", "int-name"])
     def test_bad_field_is_an_artifact_error(self, text_file, tmp_path, edit, message):
         corpus = build_calibration(CalibrationSpec([str(text_file)], 4, 64, seed=9))
         cache = tmp_path / "c.json"

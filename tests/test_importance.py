@@ -675,19 +675,21 @@ class TestOracleIsExact:
                     brute_force_importance(model, three_batch_corpus, matrix_id, [0])
 
     def test_a_raise_leaves_no_pass_running(self, three_batch_corpus, eval_pool, monkeypatch):
-        """The passes run as pool tasks that offer their row blocks to the pool
-        in turn; when a batch's loss raises, the call returns only after every
-        pass has ended, and starts none after."""
+        """The passes run on the caller and offer their row blocks to the pool;
+        when a batch's loss raises, the call returns only after every block
+        has ended, and starts none after."""
         lock = threading.Lock()
-        running, started = [0], [0]
+        running, started, offered = [0], [0], [0]
         forward = model_lib.TransformerModel.forward
+        caller = threading.current_thread()
 
         def counted_forward(self, ids, resume=None):
             with lock:
                 running[0] += 1
                 started[0] += 1
             try:
-                if len(ids) == 3:  # the partial batch is still running when batch 0 raises
+                if threading.current_thread() is not caller:  # a block the caller must wait for
+                    offered[0] += 1
                     time.sleep(0.3)
                 return forward(self, ids, resume)
             finally:
@@ -706,6 +708,7 @@ class TestOracleIsExact:
             at_raise = started[0]
         time.sleep(0.5)
         assert started[0] == at_raise
+        assert offered[0] == 1  # the second half of the base pass's first batch
 
     @pytest.mark.parametrize("lengths", [[TWO_LAYER.context_length + 2]], ids=["over-long"])
     def test_bad_corpus_raises_what_mean_corpus_loss_raises(self, lengths):

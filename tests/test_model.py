@@ -564,26 +564,35 @@ class TestRowBlocks:
         assert (submitted[0] > 0) == (workers > 1)  # two workers: the steps ran as blocks
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_passes_inside_pool_tasks_run_the_blocks_no_worker_started(self, eval_pool, monkeypatch,
-                                                                        threads):
-        # the pool claims four workers, so every eval batch and 8-row gradient
-        # chunk, itself a pool task, offers blocks that only the pool's own
-        # `threads` threads could start
+    def test_no_pool_task_offers_work_to_the_pool(self, eval_pool, monkeypatch, threads):
+        # the pool claims four workers, so every eval batch, 8-row gradient
+        # chunk and oracle pass is cut into blocks, which a pool task that
+        # offered them could wait on behind its own queue
         model = init_model(WIDE)
         corpus = Corpus("m", TestEvalPool.SEQS)
         monkeypatch.setattr(dualprune.importance, "GRADIENT_CHUNK", 8)
+        submits = {"pool": 0, "caller": 0}
+
+        class TrackedPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args):
+                from_pool = threading.current_thread().name.startswith("tracked")
+                submits["pool" if from_pool else "caller"] += 1
+                return super().submit(fn, *args)
 
         def passes():
             stats = dualprune.importance.next_token_gradients(model, Corpus("g", corpus.sequences[:24]))
-            return (mean_corpus_loss(model, corpus).hex(),
+            deltas = dualprune.importance.brute_force_importance(
+                model, Corpus("o", corpus.sequences[:EVAL_BATCH + 8]), (1, "up"), [0, 7])
+            return (mean_corpus_loss(model, corpus).hex(), deltas.tobytes(),
                     [g.tobytes() for g in (*stats.mean.values(), *stats.mean_square.values())])
 
-        pool = ThreadPoolExecutor(threads)
+        pool = TrackedPool(threads, thread_name_prefix="tracked")
         results = []
         try:
             eval_pool(1, pool)  # no pass is cut
             expected = passes()
             eval_pool(4, pool)
+            submits.update(pool=0, caller=0)
             caller = threading.Thread(target=lambda: results.append(passes()), daemon=True)
             caller.start()
             caller.join(timeout=120)
@@ -591,6 +600,10 @@ class TestRowBlocks:
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         assert results == [expected]
+        assert submits["pool"] == 0
+        # 7 eval batches and 3 gradient chunks; the oracle's three passes
+        # (base and two weights) offer blocks 2..4 of its full batch at least
+        assert submits["caller"] >= 7 + 3 + 3 * 3
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_a_raise_in_one_block_waits_for_the_others(self, eval_pool, taped):

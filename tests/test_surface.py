@@ -15,6 +15,8 @@
   function and class has one import path: `dualprune.<module>.<name>`.
 * Only `model.row_block_loss` reaches `row_blocks` and
   `row_block_cross_entropy`, so every pass is cut into row blocks one way.
+* Only `model._submit` calls `EVAL_POOL.submit`, so no offer to the pool
+  skips the context copy or the pool-task mark.
 * The stage benchmark's hooks install on the package and come off again.
 """
 
@@ -135,23 +137,52 @@ def test_package_root_binds_only_submodules(package_env):
 ROW_CUTTING = {"row_blocks", "row_block_cross_entropy"}
 
 
-def test_only_the_row_block_helper_cuts_rows():
-    """A name, attribute or import of `ROW_CUTTING` in `src/` counts as a
-    reference; the helper must hold one of each, and nothing else any."""
+def _references(helper, name_of):
+    """(the names `name_of(node)` gives inside the function `helper` of
+    `src/`, "path:line: name" of each it gives elsewhere); `name_of` gives
+    None for a node that does not count."""
     inside, outside = set(), []
     for path, tree in _trees(PACKAGE):
-        helper = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef)
-                  and f"{path.stem}.{top.name}" == "model.row_block_loss" for node in ast.walk(top)}
+        in_helper = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef)
+                     and f"{path.stem}.{top.name}" == helper for node in ast.walk(top)}
         for node in ast.walk(tree):
-            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            if not isinstance(node, (ast.Name, ast.Attribute, ast.alias)) or name not in ROW_CUTTING:
+            name = name_of(node)
+            if name is None:
                 continue
-            if id(node) in helper:
+            if id(node) in in_helper:
                 inside.add(name)
             else:
                 outside.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    return inside, outside
+
+
+def _row_cutting(node):
+    """A name, attribute or import of `ROW_CUTTING`."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+    return name if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in ROW_CUTTING else None
+
+
+def test_only_the_row_block_helper_cuts_rows():
+    """The helper must hold one reference of each of `ROW_CUTTING`, and nothing else any."""
+    inside, outside = _references("model.row_block_loss", _row_cutting)
     assert inside == ROW_CUTTING, "model.row_block_loss no longer cuts rows; the rule is stale"
     assert outside == [], f"row blocks cut outside model.row_block_loss: {outside}"
+
+
+def _pool_submit(node):
+    """The attribute `submit` of a name or attribute `EVAL_POOL`."""
+    if isinstance(node, ast.Attribute) and node.attr == "submit":
+        owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+        if owner == "EVAL_POOL":
+            return "EVAL_POOL.submit"
+    return None
+
+
+def test_only_the_submit_helper_offers_work_to_the_pool():
+    """Every offer then runs under a copy of the caller's context marked as a pool task."""
+    inside, outside = _references("model._submit", _pool_submit)
+    assert inside == {"EVAL_POOL.submit"}, "model._submit no longer submits; the rule is stale"
+    assert outside == [], f"work offered to EVAL_POOL outside model._submit: {outside}"
 
 
 def _package_bindings():
