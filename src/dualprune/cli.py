@@ -101,8 +101,12 @@ def parse_config_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read config file {path}: {e}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

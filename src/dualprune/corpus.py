@@ -176,15 +176,19 @@ def load_corpus_cache(path) -> Corpus:
     if not isinstance(name, str) or not name or any(sep in name for sep in "/\\\0"):
         raise bad(f"name must be a non-empty string free of path separators, got {name!r}")
     if not isinstance(info["sources"], list) or not all(
-            isinstance(s, dict) and {"path", "sha256"} <= s.keys() for s in info["sources"]):
-        raise bad("every source needs a 'path' and a 'sha256'")
+            isinstance(s, dict) and {"path", "sha256"} <= s.keys()
+            and isinstance(s["path"], str) and isinstance(s["sha256"], str) for s in info["sources"]):
+        raise bad("every source needs a 'path' and a 'sha256', both strings")
     length = info["sequence_length"]
     if type(length) is not int or length < 2:
         raise bad(f"sequence_length must be an int >= 2, got {length!r}")
     offsets = info["offsets"]
     if not isinstance(offsets, list) or not offsets:
         raise bad("offsets must be a non-empty list")
-    tokens, sources = _read_tokens([s["path"] for s in info["sources"]])
+    try:
+        tokens, sources = _read_tokens([s["path"] for s in info["sources"]])
+    except ValidationError as e:  # a source file gone since the cache was written
+        raise bad(str(e)) from None
     for want, have in zip(info["sources"], sources):
         if want["sha256"] != have["sha256"]:
             raise bad(f"source {have['path']} changed since the cache was written")

@@ -21,8 +21,9 @@ Three score families:
   Zeroing a weight cannot change anything computed before its projection,
   nor the other branches of its block, nor the attention heads that do not
   own its column, so the oracle computes the block's branches and mix once
-  per call and reruns per weight only the projection, its head (or its
-  column of the gated product), the block's output projection and the
+  per call and row block, inside the first weight's pass on the thread that
+  runs the block, and reruns per weight only the projection, its head (or
+  its column of the gated product), the block's output projection and the
   network after it, bit-identical to a full rerun.  The oracle's passes run
   on the caller, one after another; each splits its eval batch into row
   blocks on `model.EVAL_POOL` as every batch loss does.
@@ -341,9 +342,11 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
       default `ModelConfig` on 32 sequences of 64 tokens).  Only the last
       pair's streams are kept, keyed on the model's and the corpus's
       fingerprints, which every call computes.
-    * once per call: per eval batch, the stream h entering s (the embedding
-      for s = 0), the block's normed input, its branch outputs and their
-      mix; the base loss runs only the head on the final streams.
+    * once per call: the base loss, which runs only the head on the final
+      streams; and per eval batch and row block, the stream h entering s
+      (the embedding for s = 0), the block's normed input, its branch
+      outputs and their mix, built by the first weight's pass in that block,
+      on the thread that runs it, and reused by every later weight.
     * once per weight and eval batch: one pass on the caller, whose loss
       comes from `model.row_block_loss`, so its row blocks run beside it on
       `model.EVAL_POOL`.  Zeroing a weight in column c of a branch (q, k,
@@ -375,38 +378,45 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     n_sublayers = 2 * model.config.num_layers
     streams = _residual_streams(model, corpus)
     batches = list(corpus.batches(EVAL_BATCH))
-    # per eval batch: (inputs, targets, h, block input, branch outputs, mix, final stream)
-    cached = []
-    for batch, states in zip(batches, streams):
-        inputs, targets = next_token_split(batch)
-        h = states[s - 1] if s else model.embed(inputs)
-        x = model.block_input(s, h)
-        branches = [model.branch(s, name, x) for name in branch_names]
-        cached.append((inputs, targets, h, x, branches, model.mix(s, branches), states[-1]))
+    splits = [next_token_split(batch) for batch in batches]
+    # per (eval batch, row block start, stop): h entering s, the block's
+    # input, its branch outputs and their mix, built by the block's first
+    # pass; a block's passes run one after another, so no key is built twice
+    blocks = {}
 
-    def base_loss(batch):
-        inputs, targets, *_, final = batch
+    def sublayer_steps(b, r):
+        key = (b, r.start, r.stop)
+        if key not in blocks:
+            h = T.Tensor(streams[b][s - 1].data[r]) if s else model.embed(splits[b][0][r])
+            x = model.block_input(s, h)
+            branches = [model.branch(s, name, x) for name in branch_names]
+            blocks[key] = (h, x, branches, model.mix(s, branches))
+        return blocks[key]
+
+    def base_loss(b):
+        inputs, targets = splits[b]
+        final = streams[b][-1].data
         return row_block_loss(
-            model, lambda r: model.forward(inputs[r], (n_sublayers, T.Tensor(final.data[r]))), targets)
+            model, lambda r: model.forward(inputs[r], (n_sublayers, T.Tensor(final[r]))), targets)
 
-    def removal_loss(removed, cols, batch):
-        inputs, targets, h, x, branches, mixed, _ = batch
+    def removal_loss(removed, cols, b):
+        inputs, targets = splits[b]
 
         def logits_of(r):
-            block_mix = mixed.data[r]
+            h, x, branches, mixed = sublayer_steps(b, r)
             if cols is not None:
-                changed = [removed.branch(s, name, T.Tensor(x.data[r])).data if name == proj else y.data[r]
+                changed = [removed.branch(s, name, x) if name == proj else y
                            for name, y in zip(branch_names, branches)]
-                block_mix = block_mix.copy()
-                block_mix[..., cols] = removed.mix(s, [T.Tensor(y[..., cols]) for y in changed]).data
-            stream = removed.block_output(s, T.Tensor(h.data[r]), T.Tensor(block_mix))
-            return removed.forward(inputs[r], (s + 1, stream))
+                remixed = mixed.data.copy()
+                remixed[..., cols] = removed.mix(s, [T.Tensor(y.data[..., cols]) for y in changed]).data
+                mixed = T.Tensor(remixed)
+            return removed.forward(inputs[r], (s + 1, removed.block_output(s, h, mixed)))
 
         return row_block_loss(removed, logits_of, targets)
 
     def mean_loss(loss, *args):
         return token_weighted_mean("brute_force_importance", batches,
-                                   (loss(*args, batch).data for batch in cached))
+                                   (loss(*args, b).data for b in range(len(batches))))
 
     base = mean_loss(base_loss)
     deltas = []

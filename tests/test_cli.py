@@ -312,6 +312,18 @@ class TestEvalMisuse:
         assert "name must be a non-empty string free of path separators, got 'a/b'" in err
         assert not out.exists()
 
+    def test_cache_with_a_non_string_source_path_exit_3(self, workspace, tmp_path, capsys):
+        assert main(["calibrate", "--config", str(workspace["config"])]) == 0
+        info = json.loads((workspace["out"] / "test.corpus.json").read_text())
+        info["sources"][0]["path"] = 5
+        cache = tmp_path / "c.json"
+        cache.write_text(json.dumps(info))
+        out = tmp_path / "out"
+        code, err = self.run_eval(workspace, out, capsys, "--corpus-cache", str(cache))
+        assert code == 3
+        assert "every source needs a 'path' and a 'sha256', both strings" in err
+        assert not out.exists()
+
     def test_output_dir_naming_a_file_exit_2(self, workspace, tmp_path, capsys):
         out = tmp_path / "file"
         out.write_text("kept\n")
@@ -532,6 +544,14 @@ class TestConfigHandling:
 
     def test_missing_config_file_exit_2(self):
         assert main(["calibrate", "--config", "/does/not/exist.cfg"]) == 2
+
+    def test_config_file_not_utf8_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes("output_dir=caf\xe9\n".encode("latin-1"))
+        assert main(["calibrate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {config}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("prune", "--lambda", "nan", "lambda must be finite and >= 0, got nan"),

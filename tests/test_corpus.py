@@ -197,8 +197,14 @@ class TestCache:
         (lambda info: info.__setitem__("name", "a/b"), "name must be .* got 'a/b'"),
         (lambda info: info.__setitem__("name", ""), "name must be .* got ''"),
         (lambda info: info.__setitem__("name", 7), "name must be .* got 7"),
+        (lambda info: info["sources"][0].__setitem__("path", 5), "'path' and a 'sha256', both strings"),
+        (lambda info: info["sources"][0].__setitem__("path", None), "'path' and a 'sha256', both strings"),
+        (lambda info: info["sources"][0].__setitem__("sha256", 7), "'path' and a 'sha256', both strings"),
+        (lambda info: info["sources"][0].__setitem__("path", info["sources"][0]["path"] + ".gone"),
+         r"c\.json: corpus source not found: .*input\.txt\.gone$"),
     ], ids=["negative-offset", "string-offset", "source-without-sha256", "string-length",
-            "no-offsets", "name-with-separator", "empty-name", "int-name"])
+            "no-offsets", "name-with-separator", "empty-name", "int-name", "int-path", "null-path",
+            "int-sha256", "source-gone"])
     def test_bad_field_is_an_artifact_error(self, text_file, tmp_path, edit, message):
         corpus = build_calibration(CalibrationSpec([str(text_file)], 4, 64, seed=9))
         cache = tmp_path / "c.json"

@@ -629,6 +629,70 @@ class TestOracleIsExact:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_the_block_cache_is_built_inside_the_row_blocks(self, three_batch_corpus, eval_pool,
+                                                            monkeypatch):
+        """At 2 workers the batches run as blocks of 16 + 16 and 3 rows.  The
+        input and the q, k and v branches of layers.0.k's block are built by
+        the first weight's pass in each block, partly on a pool thread, and
+        reused by the later weights."""
+        model = init_model(TWO_LAYER)
+        eval_pool(2)
+        brute_force_importance(model, three_batch_corpus, (0, "k"), [0])  # the dense pass, once
+        caller = threading.current_thread()
+        calls = []  # (on the input model, sublayer, step, rows, thread)
+        block_input = model_lib.TransformerModel.block_input
+        branch = model_lib.TransformerModel.branch
+
+        def recorded_block_input(self, s, h):
+            calls.append((self is model, s, "input", h.shape[0], threading.current_thread()))
+            return block_input(self, s, h)
+
+        def recorded_branch(self, s, name, x):
+            calls.append((self is model, s, name, x.shape[0], threading.current_thread()))
+            return branch(self, s, name, x)
+
+        monkeypatch.setattr(model_lib.TransformerModel, "block_input", recorded_block_input)
+        monkeypatch.setattr(model_lib.TransformerModel, "branch", recorded_branch)
+        brute_force_importance(model, three_batch_corpus, (0, "k"), [1, 2, 3])
+        assert calls and all(rows < EVAL_BATCH for *_, rows, _ in calls)
+        cached = [call for call in calls if call[:2] == (True, 0)]
+        assert sorted(step for _, _, step, _, _ in cached) == sorted(["input", "q", "k", "v"] * 3)
+        assert sorted(rows for _, _, _, rows, _ in cached) == [3] * 4 + [16] * 8
+        assert any(thread is not caller for *_, thread in cached)
+        # the zeroed branch, once per weight and block
+        assert sorted(rows for own, s, step, rows, _ in calls if (own, s, step) == (False, 0, "k")) \
+            == [3] * 3 + [16] * 6
+
+    def test_unsplit_batches_match_full_reruns(self, three_batch_corpus, eval_pool, monkeypatch):
+        """Where no row split is exact, each batch runs as one block (`slice(None)`)."""
+        model = init_model(TWO_LAYER)
+        eval_pool(2)
+        monkeypatch.setattr(T, "row_split_exact", lambda counts, shape: False)
+        block_rows = []
+        row_block_loss = importance.row_block_loss
+
+        def recording_row_block_loss(model, logits_of, targets):
+            def recorded(r):
+                block_rows.append(len(targets[r]))
+                return logits_of(r)
+
+            return row_block_loss(model, recorded, targets)
+
+        monkeypatch.setattr(importance, "row_block_loss", recording_row_block_loss)
+        base = mean_corpus_loss(model, three_batch_corpus)
+        for name in ["layers.0.q", "layers.1.gate"]:
+            indices = [0, 5, model.params[name].size - 1]
+            expected = []
+            for i in indices:
+                zeroed = model.copy()
+                zeroed.params[name].data.reshape(-1)[i] = 0.0
+                expected.append(abs(mean_corpus_loss(zeroed, three_batch_corpus) - base))
+            _, layer, proj = name.split(".")
+            block_rows.clear()
+            got = brute_force_importance(model, three_batch_corpus, (int(layer), proj), indices)
+            assert np.array_equal(got, expected), name
+            assert sorted(block_rows) == [3] * 4 + [EVAL_BATCH] * 4  # the base pass and each weight's
+
     def test_memo_follows_in_place_edits(self, three_batch_corpus):
         """Interleaved calls over every matrix, two models and two corpora.  Within each
         run of three calls on one (model, corpus) pair, a weight of that model object
