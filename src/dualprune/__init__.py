@@ -21,17 +21,11 @@ be applied:
 * `model.EVAL_POOL` is made, with one worker per usable CPU
   (`model.EVAL_WORKERS`); its threads start on its first task.
 
-The batches of an evaluation pass (`model.mean_corpus_loss`) and the chunks
-of a per-sample gradient pass (`importance.next_token_gradients`) run as
-tasks on that pool.  Every batch loss (`model.row_block_loss`, so every SGD
-step and every pass of the exact removal oracle,
-`importance.brute_force_importance`) cuts its rows into blocks: the caller
-runs the first and the pool the others, but a pool task never offers work
-to the pool and runs its blocks itself, one after another.  So no task
-waits on one queued behind it, and no more passes run at once than the pool
-has workers.  Losses and gradients are reduced in corpus order, and a
-gradient that sums over a batch's rows is reduced once on the rows of all
-its blocks, so the results do not depend on the number of workers.
+The batches of an evaluation pass (`model.mean_corpus_loss`), the chunks of
+a per-sample gradient pass (`importance.next_token_gradients`) and the row
+blocks of every batch loss (`model.row_block_loss`) run on that pool.  Each
+of those functions says how its work is scheduled and why its results do
+not depend on the number of workers.
 """
 
 import ctypes as _ctypes

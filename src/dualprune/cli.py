@@ -5,8 +5,8 @@ the command line with a flag of the same name (dashes for underscores).  The
 DUALPRUNE_OUTPUT_DIR environment variable overrides output_dir from the file;
 an explicit --output-dir flag overrides both.
 
-Exit codes: 0 success, 2 input/validation error, 3 artifact-format error,
-4 numeric failure (NaN/Inf).
+Exit codes: 0 success, 2 input/validation error (a file the OS refused to
+read or write included), 3 artifact-format error, 4 numeric failure (NaN/Inf).
 """
 
 from __future__ import annotations
@@ -92,17 +92,14 @@ class RunConfig:
 
 _FIELD_TYPES = get_type_hints(RunConfig)
 
-# config file keys use "lambda"; the dataclass field is `lam`
-_KEY_ALIASES = {"lambda": "lam"}
-_FIELD_TO_KEY = {field: key for key, field in _KEY_ALIASES.items()}
+# config file keys and flags say "lambda" for the dataclass field `lam`, which is no key
+_FIELD_TO_KEY = {"lam": "lambda"}
+_KEY_TO_FIELD = {_FIELD_TO_KEY.get(name, name): name for name in _FIELD_TYPES}
 
 
 def parse_config_file(path) -> dict[str, str]:
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read config file {path}: {e}") from None
     values: dict[str, str] = {}
@@ -112,18 +109,16 @@ def parse_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise ValidationError(f"{path}:{lineno}: config key {key!r} set a second time")
+        values[key] = value
     return values
 
 
 def _coerce(what: str, field_type, raw: str):
     try:
-        if field_type is int:
-            return int(raw)
-        if field_type is float:
-            return float(raw)
-        return raw
+        return field_type(raw)
     except ValueError:
         raise ValidationError(f"{what}: cannot parse {raw!r}") from None
 
@@ -131,8 +126,8 @@ def _coerce(what: str, field_type, raw: str):
 def make_run_config(file_values: dict[str, str], overrides: dict[str, object]) -> RunConfig:
     config = RunConfig()
     for key, raw in file_values.items():
-        name = _KEY_ALIASES.get(key, key)
-        if name not in _FIELD_TYPES:
+        name = _KEY_TO_FIELD.get(key)
+        if name is None:
             raise ValidationError(f"unknown config key {key!r}")
         setattr(config, name, _coerce(f"config key {key}", _FIELD_TYPES[name], raw))
     env_out = os.environ.get(ENV_OUTPUT_DIR)
@@ -152,24 +147,20 @@ def _parse_region(text: str) -> tuple[float, float]:
         raise ValidationError(f"region must look like '0:0.7', got {text!r}") from None
 
 
-def _corpus_spec(config: RunConfig, role: str) -> CalibrationSpec:
+def _build_corpus(config: RunConfig, role: str):
     paths_raw = getattr(config, f"{role}_corpus")
     if not paths_raw:
         raise ValidationError(f"no {role}_corpus configured")
     paths = [p.strip() for p in paths_raw.split(",") if p.strip()]
     role_offsets = {"train": 11, "open": 22, "domain": 33, "test": 44}
-    return CalibrationSpec(
+    return build_calibration(CalibrationSpec(
         sources=paths,
         sample_count=getattr(config, f"{role}_samples"),
         sequence_length=config.sequence_length,
         seed=config.seed + role_offsets[role],
         name=role,
         region=_parse_region(getattr(config, f"{role}_region")),
-    )
-
-
-def _build_corpus(config: RunConfig, role: str):
-    return build_calibration(_corpus_spec(config, role))
+    ))
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -256,9 +247,8 @@ def cmd_prune(config: RunConfig, args) -> int:
     pruned_path = out / "pruned.ckpt"
     save_checkpoint(pruned, pruned_path)
 
-    for name, zeros in mask.zeros_per_matrix().items():
-        size = mask.masks[name].size
-        print(f"{name}: pruned {zeros}/{size}")
+    for name, m in mask.masks.items():
+        print(f"{name}: pruned {m.size - int(m.sum())}/{m.size}")
     prunable_frac, total_frac = evaluation.zero_fractions(pruned)
     print(f"mask ({mask.method}, {mask.mode}) -> {mask_path}")
     print(f"pruned checkpoint -> {pruned_path}")
@@ -394,6 +384,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except DualPruneError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as e:  # a file the OS refused, such as an output path that is a directory
+        where = e.filename2 or e.filename
+        print(f"error: {where}: {e.strerror}" if where else f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -80,13 +80,12 @@ def record_from_container(cls, c: Container, path):
 
 
 def _encode_block(arr: np.ndarray, codec: str) -> bytes:
+    """Encode `arr` with codec `f8` or `b1`, the two `write_container` picks from."""
     if codec == "f8":
         return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    if codec == "b1":
-        if arr.ndim != 2:
-            raise ValidationError(f"bit-packed blocks must be 2-D, got shape {arr.shape}")
-        return np.packbits(arr.astype(np.uint8), axis=1).tobytes()
-    raise ValidationError(f"unknown block codec {codec!r}")
+    if arr.ndim != 2:
+        raise ValidationError(f"bit-packed blocks must be 2-D, got shape {arr.shape}")
+    return np.packbits(arr.astype(np.uint8), axis=1).tobytes()
 
 
 def _decode_block(raw: bytes, codec: str, shape: tuple[int, ...]) -> np.ndarray:

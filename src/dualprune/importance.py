@@ -4,10 +4,8 @@ Three score families:
 
 * general importance: per-weight removal error 0.5 * W^2 / [H^-1]_mm, with the
   inverse Hessian diagonal approximated as 1 / (H_mm + damping) and H_mm from
-  the empirical Fisher (mean squared per-sample gradient) on open-domain data.
-  The per-sample gradients come from batched tape passes over chunks of
-  `GRADIENT_CHUNK` sequences, run concurrently on `model.EVAL_POOL` and reduced
-  in corpus order, bit-identical to one batch-1 pass per sequence;
+  the empirical Fisher (mean squared per-sample gradient, `next_token_gradients`)
+  on open-domain data;
 * dual importance: |u + u^2/2| with u = g * W, where g is the next-token
   gradient on domain data plus a closed-form regularizer gradient
   2*lambda*alpha^2 * G * g_next * H_mm that penalizes moving weights the
@@ -15,18 +13,9 @@ Three score families:
   gradient pass over the domain data: its mean and its empirical Fisher
   diagonal;
 * brute force: the exact loss change from zeroing one weight at a time, used
-  as the ranking oracle for the approximations above.  The dense pass (the
-  residual streams entering every sublayer, 2L per eval batch) runs once
-  per (model, corpus) and is kept for the next call on the same pair.
-  Zeroing a weight cannot change anything computed before its projection,
-  nor the other branches of its block, nor the attention heads that do not
-  own its column, so the oracle computes the block's branches and mix once
-  per call and row block, inside the first weight's pass on the thread that
-  runs the block, and reruns per weight only the projection, its head (or
-  its column of the gated product), the block's output projection and the
-  network after it, bit-identical to a full rerun.  The oracle's passes run
-  on the caller, one after another; each splits its eval batch into row
-  blocks on `model.EVAL_POOL` as every batch loss does.
+  as the ranking oracle for the approximations above; it reruns only what
+  a weight's removal can change, bit-identical to a full rerun
+  (`brute_force_importance`).
 
 Model weights are never updated here; only gradients are read.
 """
@@ -325,16 +314,19 @@ def _residual_streams(model: TransformerModel, corpus) -> list[list[T.Tensor]]:
 
 
 def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int, str],
-                           weight_indices=None) -> np.ndarray:
+                           weight_indices) -> np.ndarray:
     """Exact |loss(zeroed) - loss(base)| for single-weight removals.
 
     `matrix_id` is (layer_index, projection_name); `weight_indices` is a list
-    of integer flat indices into that matrix (default: every weight).  The
-    input model is never edited: each weight's pass runs on a model that
-    shares every tensor but one, a copy of the matrix with that weight zeroed.
+    of integer flat indices into that matrix.  The input model is never
+    edited: each weight's pass runs on a model that shares every tensor but
+    one, a copy of the matrix with that weight zeroed.
 
     The matrix sits in sublayer s = 2*layer (q, k, v, o) or 2*layer + 1
-    (gate, up, down).  The work splits three ways:
+    (gate, up, down).  Zeroing one of its weights cannot change anything
+    computed before its projection, nor the other branches of its block,
+    nor the attention heads that do not own its column, so the work splits
+    three ways:
 
     * once per (model, corpus): one dense pass that keeps, per eval batch,
       the residual streams entering sublayers 1 .. 2L, 2L streams of
@@ -347,15 +339,16 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
       (the embedding for s = 0), the block's normed input, its branch
       outputs and their mix, built by the first weight's pass in that block,
       on the thread that runs it, and reused by every later weight.
-    * once per weight and eval batch: one pass on the caller, whose loss
-      comes from `model.row_block_loss`, so its row blocks run beside it on
-      `model.EVAL_POOL`.  Zeroing a weight in column c of a branch (q, k,
-      v, gate, up) changes only that branch and the columns
-      `mixed_columns(s, c)` of the mix, so the pass reruns that branch,
-      remixes those columns (one attention head, or one column of the
-      gated product) into a copy of the cached mix and applies the output
-      projection; for `o` or `down` it reruns only the output projection.  It resumes at sublayer s + 1 from h plus
-      that output.  The batch losses are reduced as in `mean_corpus_loss`.
+    * once per weight and eval batch: one pass on the caller, the passes
+      one after another, whose loss comes from `model.row_block_loss`, so
+      its row blocks run beside it on `model.EVAL_POOL`.  Zeroing a weight
+      in column c of a branch (q, k, v, gate, up) changes only that branch
+      and the columns `mixed_columns(s, c)` of the mix, so the pass reruns
+      that branch, remixes those columns (one attention head, or one
+      column of the gated product) into a copy of the cached mix and
+      applies the output projection; for `o` or `down` it reruns only the
+      output projection.  It resumes at sublayer s + 1 from h plus that
+      output.  The batch losses are reduced as in `mean_corpus_loss`.
 
     Every step runs the same primitives on operands of the same values and
     layout as a full pass, so every delta is bit-identical to a full rerun
@@ -366,7 +359,7 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     if key not in prunable_names(model.config):
         raise ValidationError(f"{matrix_id!r} is not a prunable matrix")
     matrix = model.params[key].data
-    indices = range(matrix.size) if weight_indices is None else list(weight_indices)
+    indices = list(weight_indices)
     for i in indices:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
             raise ValidationError(f"weight index {i!r} for {key} is not an integer")

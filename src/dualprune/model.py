@@ -391,8 +391,10 @@ def in_corpus_order(calls: Iterable[tuple], window: int) -> Iterator:
 def _in_blocks(calls: list[tuple]) -> list:
     """The results of `calls`, in order.  A pool task never offers work to
     the pool, so inside one the calls run here one after another; elsewhere
-    the first runs here and the others are offered to `EVAL_POOL`.  No
-    offered call outlives this one, also when a call raises."""
+    the first runs here and the others are offered to `EVAL_POOL`.  So no
+    task waits on one queued behind it, and no more passes run at once than
+    the pool has workers.  No offered call outlives this one, also when a
+    call raises."""
     if _in_pool_task.get():
         return [fn(*args) for fn, *args in calls]
     (fn, *args), *rest = calls
@@ -514,10 +516,12 @@ def load_checkpoint(path) -> TransformerModel:
     c = read_container(path, expect_kind="checkpoint")
     try:
         config = ModelConfig(**{f.name: int(c.meta[f"config.{f.name}"]) for f in fields(ModelConfig)})
+        config.validate()
         step = int(c.meta["step"])
-    except (KeyError, ValueError) as e:
+        if step < 0:
+            raise ValueError(f"step must be >= 0, got {step}")
+    except (KeyError, ValueError, ValidationError) as e:
         raise ArtifactError(f"checkpoint {path}: bad or missing config metadata ({e})") from None
-    config.validate()
 
     expected = expected_param_shapes(config)
     if list(c.blocks) != list(expected):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .container import read_container, record_from_container, record_meta, write_container
 from .errors import NumericError, ValidationError
-from .model import TransformerModel, check_scored_model, prunable_matrices, prunable_names
+from .model import TransformerModel, check_scored_model, prunable_names
 
 MODE_PER_MATRIX = "per-matrix"
 MODE_BLOCKED = "blocked"
@@ -38,9 +38,6 @@ class Mask:
     method: str = "dual"
     score_fingerprint: str | None = None
     model_fingerprint: str | None = None
-
-    def zeros_per_matrix(self) -> dict[str, int]:
-        return {k: int(m.size - m.sum()) for k, m in self.masks.items()}
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -68,12 +65,6 @@ def check_block_size(block_size) -> None:
         raise ValidationError(f"block size must be an int >= 1, got {block_size!r}")
 
 
-def _score_dict(scores) -> dict[str, np.ndarray]:
-    if hasattr(scores, "scores"):
-        return scores.scores
-    return dict(scores)
-
-
 def select_masks(scores, sparsities, mode: str, block_size: int | None = None) -> list[Mask]:
     """One mask per sparsity: zero the floor(sparsity * pool size) lowest scores in every pool.
 
@@ -91,7 +82,7 @@ def select_masks(scores, sparsities, mode: str, block_size: int | None = None) -
         check_block_size(block_size)
     else:
         block_size = None
-    per_matrix = _score_dict(scores)
+    per_matrix = scores.scores if hasattr(scores, "scores") else dict(scores)
     masks: list[dict[str, np.ndarray]] = [{} for _ in sparsities]
     for name, s in per_matrix.items():
         if s.ndim != 2 or s.shape[1] == 0:
@@ -149,7 +140,7 @@ def score_content_fingerprint(arrays: dict[str, np.ndarray]) -> str:
 
 def magnitude_mask(model: TransformerModel, sparsity: float) -> Mask:
     """Layer-wise magnitude baseline: per-matrix rule with |W| as the score."""
-    scores = {f"layers.{i}.{name}": np.abs(t.data) for i, name, t in prunable_matrices(model)}
+    scores = {name: np.abs(model.params[name].data) for name in prunable_names(model.config)}
     mask = select_mask_per_matrix(scores, sparsity)
     mask.method = "magnitude"
     mask.score_fingerprint = None

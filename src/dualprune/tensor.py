@@ -19,13 +19,8 @@ weights, can return one gradient per sample of a batch, and drops each tape
 record once it has replayed it (see `backward`).
 
 `row_block_cross_entropy` runs one batch as row blocks, possibly in
-concurrent threads, each on a tape of its own, and records one record for
-the whole batch.  Its reverse pass leaves every gradient that sums over
-rows (a weight's x^T g, a broadcast scale's or position row's sum, an
-embedding table's scatter) unreduced (`ROWS`), also through the records
-only it reaches, and reduces it once on all blocks' rows in batch order:
-bit-identical to the unsplit pass wherever the row-wise GEMMs give a
-block's rows the bits of the whole batch's (`row_split_exact`).
+concurrent threads, under one record for the whole batch; its docstring
+says when that is bit-identical to the unsplit pass.
 """
 
 from __future__ import annotations
@@ -101,7 +96,6 @@ class GradientTape:
 
     def __init__(self):
         self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._output_ids: set[int] = set()
 
     def __enter__(self) -> "GradientTape":
         if _active.tape is not None:
@@ -115,7 +109,6 @@ class GradientTape:
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
         self.records.append((out, inputs, backward_fn))
-        self._output_ids.add(out.tid)
 
 
 @contextlib.contextmanager
@@ -191,13 +184,6 @@ def _gram(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x.T @ g
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}") from None
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # sigmoid(x) = (1 + tanh(x/2)) / 2: overflow-free for any finite x
     return 0.5 * np.tanh(0.5 * x) + 0.5
@@ -206,13 +192,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitives
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
+def _binary(op: str, fn: Callable, a: Tensor, b: Tensor) -> Tensor:
+    """`fn(a.data, b.data)` as a Tensor; shapes numpy refuses raise `ShapeError` naming `op`."""
     try:
-        out = Tensor(a.data @ b.data)
+        return Tensor(fn(a.data, b.data))
     except ValueError:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}") from None
+        raise ShapeError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}") from None
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim < 2 or b.data.ndim < 2:  # numpy would take a 1-D operand as a vector
+        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
+    out = _binary("matmul", np.matmul, a, b)
 
     def backward_fn(g, need):
         ga = gb = None
@@ -240,8 +231,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-    out = Tensor(a.data + b.data)
+    out = _binary("add", np.add, a, b)
 
     def backward_fn(g, need):
         return (_input_gradient(g, a.data.shape, need[0]) if need[0] else None,
@@ -251,8 +241,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("elementwise-multiply", a, b)
-    out = Tensor(a.data * b.data)
+    out = _binary("elementwise-multiply", np.multiply, a, b)
 
     def backward_fn(g, need):
         return (_input_gradient(g * b.data, a.data.shape, need[0]) if need[0] else None,
@@ -500,12 +489,14 @@ def row_block_cross_entropy(logits_of: Callable[[slice], Tensor], targets, cuts:
     whose inputs are the parameters the first block touched.  Its reverse
     pass replays each block's tape from the NLL gradient scaled by the whole
     batch's token count.  A per-sample pass joins the blocks' per-sample
-    gradients.  A summed pass leaves every gradient that sums over rows to
-    `ROWS` and reduces it once on the rows of all blocks, the reductions
-    shared out between the two calls of one `run`; a record that only such
-    a gradient reaches (the tied head's transpose, the position lookup)
-    runs its backward inside that reduction (`Rows.through`).  The
-    results are accumulated in the unsplit pass's order.
+    gradients.  A summed pass leaves every gradient that sums over rows (a
+    weight's x^T g, a broadcast scale's or position row's sum, an embedding
+    table's scatter) to `ROWS` and reduces it once on the rows of all
+    blocks joined in batch order, the reductions shared out between the two
+    calls of one `run`; a record that only such a gradient reaches (the
+    tied head's transpose, the position lookup) runs its backward inside
+    that reduction (`Rows.through`).  The results are accumulated in the
+    unsplit pass's order.
 
     The per-sample branch keeps `backward(samples=n)` independent of the
     worker count: without it, a per-sample pass on a batch that splits (more
@@ -615,7 +606,7 @@ def backward(tape: GradientTape, loss: Tensor, wrt: Iterable[Tensor] | None = No
         raise ValidationError("backward on an empty tape (a replayed tape is spent)")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
-    if loss.tid not in tape._output_ids:
+    if not any(out is loss for out, _, _ in reversed(tape.records)):
         raise ValidationError("backward: loss was not produced by this tape")
 
     if wrt is None:

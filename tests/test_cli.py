@@ -122,6 +122,15 @@ class TestPretrain:
         assert capsys.readouterr().err == "error: ModelConfig.seed must be >= 0, got -1\n"
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_checkpoint_path_is_a_directory_exit_2(self, workspace, tmp_path, capsys):
+        (tmp_path / "model.ckpt").mkdir()
+        assert main(["pretrain", "--config", str(workspace["config"]), "--steps", "2",
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'model.ckpt'}: Is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert not any((tmp_path / "model.ckpt").iterdir())
+
 
 class TestCalibrate:
     def test_writes_caches(self, workspace):
@@ -323,6 +332,23 @@ class TestEvalMisuse:
         assert code == 3
         assert "every source needs a 'path' and a 'sha256', both strings" in err
         assert not out.exists()
+
+    def test_checkpoint_with_invalid_config_exit_3(self, workspace, tmp_path, capsys):
+        c = read_container(workspace["out"] / "model.ckpt", expect_kind="checkpoint")
+        bad = tmp_path / "bad.ckpt"
+        write_container(bad, c.kind, {**c.meta, "config.num_heads": "3"}, list(c.blocks.items()))
+        out = tmp_path / "out"
+        code, err = self.run_eval(workspace, out, capsys, "--checkpoint", str(bad))
+        assert (code, err) == (3, f"artifact error: checkpoint {bad}: bad or missing config "
+                                  f"metadata (d_model (32) must be divisible by num_heads (3))\n")
+        assert not out.exists()
+
+    def test_report_path_is_a_directory_exit_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "eval_test.csv").mkdir(parents=True)
+        code, err = self.run_eval(workspace, out, capsys)
+        assert (code, err) == (2, f"error: {out / 'eval_test.csv'}: Is a directory\n")
+        assert sorted(p.name for p in out.iterdir()) == ["eval_test.csv"]
 
     def test_output_dir_naming_a_file_exit_2(self, workspace, tmp_path, capsys):
         out = tmp_path / "file"
@@ -542,6 +568,22 @@ class TestConfigHandling:
         config.write_text("jibberish\n")
         assert main(["calibrate", "--config", str(config)]) == 2
 
+    def test_field_name_lam_is_no_config_key_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "lam.cfg"
+        config.write_text("lam=0.5\n")
+        assert main(["calibrate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key 'lam'\n"
+
+    @pytest.mark.parametrize("lines", [["steps=3", "steps=7"], ["lambda=0.1", "# note", " lambda = 0.2"]],
+                             ids=["steps", "lambda-spaced"])
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys, lines):
+        config = tmp_path / "twice.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        assert main(["calibrate", "--config", str(config)]) == 2
+        key = lines[0].partition("=")[0]
+        assert capsys.readouterr().err == (f"error: {config}:{len(lines)}: config key {key!r} "
+                                           f"set a second time\n")
+
     def test_missing_config_file_exit_2(self):
         assert main(["calibrate", "--config", "/does/not/exist.cfg"]) == 2
 
@@ -668,14 +710,16 @@ def openblas_core() -> str:
 
 @pytest.fixture(scope="class")
 def recipe_runs(workspace, tmp_path_factory, package_env):
-    """pretrain -> general-importance -> prune at batch size 8 through
-    `python -m dualprune.cli`, once on one CPU (1 worker) and once
+    """pretrain -> general-importance -> prune -> eval -> sweep at batch size 8
+    through `python -m dualprune.cli`, once on one CPU (1 worker) and once
     unrestricted: {run: (workers, output directory)}."""
     config = ["--config", str(workspace["config"]), "--batch-size", "8", "--output-dir", "run"]
     stages = [["pretrain", *config],
               ["general-importance", *config, "--checkpoint", "run/model.ckpt"],
               ["prune", *config, "--checkpoint", "run/model.ckpt",
-               "--general-scores", "run/general_scores.bin"]]
+               "--general-scores", "run/general_scores.bin"],
+              ["eval", *config, "--checkpoint", "run/pruned.ckpt"],
+              ["sweep", *config, "--checkpoint", "run/model.ckpt", "--scores", "run/dual_scores.bin"]]
     one_cpu = {min(os.sched_getaffinity(0))}
     runs = {}
     for name, preexec_fn in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):

@@ -580,7 +580,8 @@ class TestOracleIsExact:
         model = init_model(TWO_LAYER)
         base = mean_corpus_loss(model, three_batch_corpus)
         _, layer, proj = name.split(".")
-        got = brute_force_importance(model, three_batch_corpus, (int(layer), proj))
+        got = brute_force_importance(model, three_batch_corpus, (int(layer), proj),
+                                     range(model.params[name].size))
         zeroed = model.copy()
         weights = zeroed.params[name].data.reshape(-1)
         expected = []

@@ -5,6 +5,7 @@ import ctypes
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -810,6 +811,21 @@ class TestCheckpoint:
         path = tmp_path / "other.bin"
         write_container(path, "mask", {}, [])
         with pytest.raises(ArtifactError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("config.num_heads", "3", r"d_model \(16\) must be divisible by num_heads \(3\)"),
+        ("config.num_layers", "0", r"ModelConfig\.num_layers must be >= 1, got 0"),
+        ("step", "-5", "step must be >= 0, got -5"),
+    ], ids=["num-heads-3", "num-layers-0", "negative-step"])
+    def test_bad_metadata_is_an_artifact_error(self, tmp_path, key, value, message):
+        from dualprune.container import read_container, write_container
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(TINY), path)
+        c = read_container(path, expect_kind="checkpoint")
+        write_container(path, c.kind, {**c.meta, key: value}, list(c.blocks.items()))
+        with pytest.raises(ArtifactError, match=rf"^checkpoint {re.escape(str(path))}: .*{message}"):
             load_checkpoint(path)
 
     def test_copy_is_independent(self):
