@@ -322,14 +322,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False throughout: a flag has one spelling, so no prefix of
+    # it parses, and a new flag cannot change what an existing prefix means
     parser = argparse.ArgumentParser(
         prog="dualprune",
         description="dual-importance unstructured pruning for a toy decoder-only transformer",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(handler=handler)
         _add_config_flags(p)
         return p

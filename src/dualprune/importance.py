@@ -50,10 +50,11 @@ from .model import mean_corpus_loss, next_token_loss  # noqa: F401
 DEFAULT_DAMPING = 1e-4
 DEFAULT_LAMBDA = 0.1
 DEFAULT_ALPHA = 0.03
-# Sequences per batched gradient pass.  A pass holds the activations and
-# per-sample gradients of all its sequences at once, and `model.EVAL_POOL` runs
-# one pass per worker, so peak memory is about workers x 4 sequences of
-# activations.  The size never changes a bit of the results.
+# Sequences per batched gradient pass.  A worker of `model.EVAL_POOL` holds
+# the activations and per-sample gradients of one chunk's sequences at once,
+# so peak memory is about workers x 4 sequences of activations.  What crosses
+# to the caller is a few pairwise sums per matrix (`_chunk_sums`), with no
+# per-sample axis.  The size never changes a bit of the results.
 GRADIENT_CHUNK = 4
 
 
@@ -92,26 +93,34 @@ class _PairwiseSum:
     The summation tree depends only on the sample count, so duplicating every
     sample doubles each partial sum exactly and the mean stays bit-identical
     under corpus duplication.
+
+    `add(sample, level)` takes `sample` as the pairwise sum of the next
+    2**level samples, and needs a count that 2**level divides.  Such a
+    block's sum, taken as left half + right half down to single samples
+    (`_dyadic_sums`), is the carry that adding its samples one at a time
+    would push to `level`, and the levels below it are empty; so the result
+    is bit-identical.
     """
 
     def __init__(self):
         self._levels: list[dict[str, np.ndarray] | None] = []
         self.count = 0
 
-    def add(self, sample: dict[str, np.ndarray]) -> None:
-        carry: dict[str, np.ndarray] | None = dict(sample)
-        for i, slot in enumerate(self._levels):
-            if carry is None:
-                break
+    def add(self, sample: dict[str, np.ndarray], level: int = 0) -> None:
+        if self.count % (1 << level):
+            raise ValueError(f"a level-{level} sum cannot follow {self.count} samples")
+        self._levels += [None] * (level - len(self._levels))
+        carry = dict(sample)
+        for i in range(level, len(self._levels)):
+            slot = self._levels[i]
             if slot is None:
                 self._levels[i] = carry
-                carry = None
-            else:
-                carry = {k: slot[k] + carry[k] for k in carry}
-                self._levels[i] = None
-        if carry is not None:
+                break
+            carry = {k: slot[k] + carry[k] for k in carry}
+            self._levels[i] = None
+        else:
             self._levels.append(carry)
-        self.count += 1
+        self.count += 1 << level
 
     def mean(self) -> dict[str, np.ndarray]:
         total: dict[str, np.ndarray] | None = None
@@ -121,6 +130,31 @@ class _PairwiseSum:
             total = slot if total is None else {k: total[k] + slot[k] for k in slot}
         assert total is not None
         return {k: v / self.count for k, v in total.items()}
+
+
+def _dyadic_sums(per_sample: list[np.ndarray], start: int) -> list[tuple[int, list[np.ndarray]]]:
+    """`(level, sums)` for the samples `start, start + 1, ...` of a corpus,
+    given as (n, *shape) arrays: the samples cut in order into maximal
+    aligned blocks `[a, a + 2**level)` with `a % 2**level == 0`, each summed
+    as `_PairwiseSum.add` would, left half + right half.  Each sum is a new
+    array of one sample's shape."""
+    end = start + len(per_sample[0])
+    out = []
+    a = start
+    while a < end:
+        size = a & -a or 1 << (end - a).bit_length()
+        while a + size > end:
+            size >>= 1
+        sums = []
+        for g in per_sample:
+            x = g[a - start : a - start + size]
+            # pairs of neighbours, elementwise: the same additions as the tree's
+            while len(x) > 2:
+                x = x[0::2] + x[1::2]
+            sums.append(x[0] + x[1] if len(x) == 2 else x[0].copy())
+        out.append((size.bit_length() - 1, sums))
+        a += size
+    return out
 
 
 def _sample_gradients(model: TransformerModel, weights: list[T.Tensor], batch: np.ndarray):
@@ -139,6 +173,19 @@ def _sample_gradients(model: TransformerModel, weights: list[T.Tensor], batch: n
     return per_sample, [g * g for g in per_sample], finite
 
 
+def _chunk_sums(model: TransformerModel, weights: list[T.Tensor], batch: np.ndarray, start: int):
+    """The pass of the chunk `batch` of samples `start, start + 1, ...`,
+    reduced in the worker: finite[b, m] as `_sample_gradients` gives it and,
+    when every gradient is finite, `(level, sums, square_sums)` per block of
+    `_dyadic_sums`, in order; otherwise no blocks."""
+    per_sample, squares, finite = _sample_gradients(model, weights, batch)
+    if not finite.all():
+        return finite, []
+    n = len(weights)
+    return finite, [(level, sums[:n], sums[n:])
+                    for level, sums in _dyadic_sums(per_sample + squares, start)]
+
+
 def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
     """Per-sample next-token gradients over the corpus's (n, length) array,
     reduced to mean and mean-of-squares.
@@ -146,30 +193,34 @@ def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
     Each block of up to `GRADIENT_CHUNK` consecutive rows goes through one
     batched tape pass, whose reverse pass returns every sequence's gradient
     of its own loss for the prunable matrices only.  The chunks' passes run
-    concurrently on `model.EVAL_POOL` (`model.in_corpus_order`), and
-    their samples are reduced one at a time in corpus order.  A pass repeats
-    the arithmetic of a batch-1 pass per sequence, so the squared-gradient
-    accumulator is the empirical Fisher diagonal and the results are
-    bit-identical to one pass per sequence, whatever the chunk size and the
-    number of workers.  A non-finite gradient raises `NumericError` naming
-    the first such sample in corpus order; no pass of the call is left
-    running when it returns or raises.
+    concurrently on `model.EVAL_POOL` (`model.in_corpus_order`); each
+    worker sums its chunk's samples in the pairwise tree of `_PairwiseSum`
+    (`_chunk_sums`), and the caller adds those sums in corpus order.  A pass
+    repeats the arithmetic of a batch-1 pass per sequence, so the
+    squared-gradient accumulator is the empirical Fisher diagonal and the
+    results are bit-identical to one pass per sequence, reduced one sample at
+    a time, whatever the chunk size and the number of workers.  A non-finite
+    gradient raises `NumericError` naming the first such sample in corpus
+    order; no pass of the call is left running when it returns or raises.
     """
     names = prunable_names(model.config)
     weights = [model.params[k] for k in names]
     acc_g = _PairwiseSum()
     acc_g2 = _PairwiseSum()
-    j = 0
-    calls = ((_sample_gradients, model, weights, batch) for batch in corpus.batches(GRADIENT_CHUNK))
-    with closing(in_corpus_order(calls, model_lib.EVAL_WORKERS)) as chunks:
-        for per_sample, squares, finite in chunks:
+    size = GRADIENT_CHUNK
+    calls = ((_chunk_sums, model, weights, batch, i * size)
+             for i, batch in enumerate(corpus.batches(size)))
+    # one chunk more than the workers: a worker finds the next chunk queued
+    # while the caller adds the last one's sums, which hold no per-sample axis
+    with closing(in_corpus_order(calls, model_lib.EVAL_WORKERS + 1)) as chunks:
+        for finite, blocks in chunks:
             if not finite.all():
                 b, m = np.argwhere(~finite)[0]
-                raise NumericError(f"non-finite gradient for {names[m]} on sample {j + b}")
-            for b in range(len(finite)):
-                acc_g.add({k: g[b] for k, g in zip(names, per_sample)})
-                acc_g2.add({k: g2[b] for k, g2 in zip(names, squares)})
-            j += len(finite)
+                # every earlier chunk was finite and is added
+                raise NumericError(f"non-finite gradient for {names[m]} on sample {acc_g.count + b}")
+            for level, sums, square_sums in blocks:
+                acc_g.add(dict(zip(names, sums)), level)
+                acc_g2.add(dict(zip(names, square_sums)), level)
     return GradientStats(mean=acc_g.mean(), mean_square=acc_g2.mean())
 
 

@@ -679,6 +679,26 @@ class TestSurface:
                                *COMMAND_OPTIONS[command]], command
 
 
+class TestFlagSpelling:
+    """A flag has one spelling: argparse's prefix matching is off."""
+
+    PRUNE = ["prune", "--checkpoint", "x"]
+
+    @pytest.mark.parametrize("flags", [["--lam", "7"], ["--spars", "0.3"],
+                                       ["--lam", "7", "--spars", "0.3"], ["--check", "y"]])
+    def test_flag_prefix_exits_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args([*self.PRUNE, *flags])
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--lambda", "7", "--sparsity", "0.3"],
+                                       ["--lambda=7", "--sparsity=0.3"]])
+    def test_full_names_parse(self, flags):
+        args = build_parser().parse_args([*self.PRUNE, *flags])
+        assert (args.checkpoint, args.lam, args.sparsity) == ("x", 7.0, 0.3)
+
+
 def run_python(args, cwd, env, preexec_fn=None) -> str:
     """The stdout of `python *args` run in `cwd`."""
     done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, preexec_fn=preexec_fn,

@@ -259,7 +259,9 @@ class TestGradientPool:
     def test_chunks_in_flight_never_exceed_the_workers(self, tiny_model, eval_pool, monkeypatch,
                                                        workers):
         # a chunk is in flight from the start of its forward pass until the
-        # caller has added its last sample to the accumulators
+        # caller has added its last sum to the accumulators; one chunk more
+        # than the workers waits queued while the caller adds, and what a
+        # chunk hands back holds no per-sample array
         sums = []
 
         class CountingSum(_PairwiseSum):
@@ -270,6 +272,9 @@ class TestGradientPool:
         started = []
         lock = threading.Lock()
         batch_loss = model_lib.batch_next_token_loss
+        chunk_sums = importance._chunk_sums
+        shapes = [tiny_model.params[k].data.shape for k in prunable_names(TINY)]
+        handed_back = []
 
         def counting_batch_loss(model, batch):
             with lock:
@@ -277,12 +282,65 @@ class TestGradientPool:
                 started.append(len(started) + 1 - reduced)
             return batch_loss(model, batch)
 
+        def observed_chunk_sums(*args):
+            finite, blocks = chunk_sums(*args)
+            handed_back.extend(pair for _, g, g2 in blocks for pair in zip(g + g2, shapes * 2))
+            return finite, blocks
+
         monkeypatch.setattr(importance, "_PairwiseSum", CountingSum)
+        monkeypatch.setattr(importance, "_chunk_sums", observed_chunk_sums)
         monkeypatch.setattr(model_lib, "batch_next_token_loss", counting_batch_loss)
         eval_pool(workers)
         next_token_gradients(tiny_model, Corpus("pool", self.SEQS))
         assert len(started) == 6
-        assert max(started) <= workers
+        assert max(started) <= workers + 1
+        # 4 + 4 + 4 + 4 + 4 + (2 + 1) samples: one block a chunk, two for the last
+        assert len(handed_back) == 7 * 2 * len(shapes)
+        # each sum has its weight's shape and owns its memory: none is a view
+        # that keeps a chunk's (n, *shape) per-sample array alive
+        assert all(a.shape == shape and a.base is None for a, shape in handed_back)
+
+
+class TestLevelAdd:
+    # random samples of two matrices, so that adding them in another order
+    # changes the sums' last bits
+    SAMPLES = [np.random.default_rng(5).standard_normal((40, 3, 5)),
+               np.random.default_rng(6).standard_normal((40, 4))]
+
+    @staticmethod
+    def one_by_one(samples, n, reverse=False):
+        acc = _PairwiseSum()
+        for b in (range(n)[::-1] if reverse else range(n)):
+            acc.add({"a": samples[0][b], "b": samples[1][b]})
+        return [v.tobytes() for v in acc.mean().values()]
+
+    def test_order_changes_the_bytes(self):
+        assert self.one_by_one(self.SAMPLES, 40, reverse=True) != self.one_by_one(self.SAMPLES, 40)
+
+    @pytest.mark.parametrize("chunk", range(1, 10))
+    def test_dyadic_blocks_of_each_chunk_add_bit_identically(self, chunk):
+        for n in range(1, 41):
+            acc = _PairwiseSum()
+            for start in range(0, n, chunk):
+                rows = slice(start, min(start + chunk, n))
+                for level, (a, b) in importance._dyadic_sums([g[rows] for g in self.SAMPLES],
+                                                             start):
+                    assert a.shape == (3, 5) and b.shape == (4,)
+                    acc.add({"a": a, "b": b}, level)
+            assert acc.count == n, (n, chunk)
+            assert [v.tobytes() for v in acc.mean().values()] == self.one_by_one(
+                self.SAMPLES, n), (n, chunk)
+
+    def test_misaligned_level_add_raises(self):
+        for n in range(1, 41):
+            acc = _PairwiseSum()
+            for b in range(n):
+                acc.add({"a": self.SAMPLES[0][b]})
+            # 2**level does not divide n
+            level = (n & -n).bit_length()
+            with pytest.raises(ValueError, match=f"level-{level} sum cannot follow {n} samples"):
+                acc.add({"a": self.SAMPLES[0][0]}, level)
+            assert acc.count == n
 
 
 class TestFisher:
