@@ -92,13 +92,17 @@ def sparsity_sweep(model: TransformerModel, scores, corpus, sparsity_list,
     sparsity; flags the perplexity trend.
 
     Every mask comes from one `select_masks` call, so each pool is sorted once.
+    A sparsity given twice (0 and -0 count as one) raises `ValidationError`.
 
     Scores that record the model they were computed for (a `model_fingerprint`)
     must come from `model`; a plain dict of arrays is taken as it is.
     """
-    sparsity_list = sorted(sparsity_list)
+    sparsity_list = sorted(s + 0.0 for s in sparsity_list)  # -0.0 as 0.0
     if not sparsity_list:
         raise ValidationError("sparsity_sweep: no sparsities given")
+    repeated = [a for a, b in zip(sparsity_list, sparsity_list[1:]) if a == b]
+    if repeated:
+        raise ValidationError(f"sparsity_sweep: sparsity {repeated[0]} given more than once")
     rows: list[tuple[float, float]] = []
     for mask in select_masks(scores, sparsity_list, mode, block_size):
         report = perplexity(apply_mask(model, mask), corpus)

@@ -440,8 +440,7 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     def base_loss(b):
         inputs, targets = splits[b]
         final = streams[b][-1].data
-        return row_block_loss(
-            model, lambda r: model.forward(inputs[r], (n_sublayers, T.Tensor(final[r]))), targets)
+        return row_block_loss(lambda r: model.forward(inputs[r], (n_sublayers, T.Tensor(final[r]))), targets)
 
     def removal_loss(removed, cols, b):
         inputs, targets = splits[b]
@@ -456,7 +455,7 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
                 mixed = T.Tensor(remixed)
             return removed.forward(inputs[r], (s + 1, removed.block_output(s, h, mixed)))
 
-        return row_block_loss(removed, logits_of, targets)
+        return row_block_loss(logits_of, targets)
 
     def mean_loss(loss, *args):
         return token_weighted_mean("brute_force_importance", batches,

@@ -278,50 +278,42 @@ def next_token_split(batch) -> tuple[np.ndarray, np.ndarray]:
 def batch_next_token_loss(model: TransformerModel, batch: np.ndarray) -> Tensor:
     """Mean cross-entropy over a (batch, length) array of same-length sequences (`row_block_loss`)."""
     inputs, targets = next_token_split(batch)
-    return row_block_loss(model, lambda r: model.forward(inputs[r]), targets)
+    return row_block_loss(lambda r: model.forward(inputs[r]), targets)
 
 
-def row_block_loss(model: TransformerModel, logits_of: Callable[[slice], Tensor],
-                   targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy of the (batch, length) `targets` under `model`'s
-    logits, `logits_of(r)` giving those of rows `r`: the one place where a
-    pass is cut into row blocks.
+def row_block_loss(logits_of: Callable[[slice], Tensor], targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy of the (batch, length) `targets` under the logits
+    `logits_of(r)` gives for rows `r`: the one place where a pass is cut
+    into row blocks.
 
-    A batch of more rows than one block of `row_blocks` runs as those
-    blocks (`_in_blocks`): inside a pool task one after another, elsewhere
-    the first on the caller and the others on `EVAL_POOL`.  Under an active
-    tape the call records one record for the whole batch
-    (`tensor.row_block_cross_entropy`), whose reverse pass replays the
-    blocks the same way and reduces every gradient that sums over rows
-    once, at full batch.  Every op works on each row alone, so the loss and
-    every gradient, summed or per sample, are bit-identical to one pass on
-    the whole batch, for any worker count; where OpenBLAS would give some
-    row of a block's GEMM other bits (`tensor.row_split_exact`, for blocks
-    of few short rows) the batch runs as one block.  No block outlives the
-    call or its reverse pass.
+    Under an active tape the batch is cut into blocks of `MIN_BLOCK_ROWS`
+    rows, whatever the worker count, and the call records one record for
+    the whole batch (`tensor.row_block_cross_entropy`), whose reverse pass
+    replays each block to its own gradients and adds them in batch order.
+    So a training step, and every checkpoint, is bit-identical for any
+    worker count.  Without a tape the batch is cut as `row_blocks` says:
+    every op works on each row alone and a forward GEMM gives each row the
+    bits of the whole batch's, so the loss is that of one pass on the whole
+    batch.  A batch of one block runs as one pass (`tensor.cross_entropy`);
+    more run as the blocks (`_in_blocks`): inside a pool task one after
+    another, elsewhere the first on the caller and the others on
+    `EVAL_POOL`.  No block outlives the call or its reverse pass.
     """
-    cuts = row_blocks(len(targets))
-    if len(cuts) == 1 or not _splits_exactly(model, cuts, targets):
+    if T.recording():
+        cuts = [slice(a, a + MIN_BLOCK_ROWS) for a in range(0, len(targets), MIN_BLOCK_ROWS)]
+    else:
+        cuts = row_blocks(len(targets))
+    if len(cuts) == 1:
         return T.cross_entropy(logits_of(slice(None)), targets)
     return T.row_block_cross_entropy(logits_of, targets, cuts, _in_blocks)
 
 
-def _splits_exactly(model: TransformerModel, cuts: list[slice], rows: np.ndarray) -> bool:
-    """Whether every weight matmul of `model`'s pass on the (batch, length)
-    `rows`, the tied head's included, gives each row the bits of the whole
-    batch's GEMM when its input gradient is computed in the row blocks `cuts`
-    (`tensor.row_split_exact`)."""
-    n_rows, n_tok = rows.shape
-    counts = tuple(len(range(n_rows)[r]) * n_tok for r in cuts)
-    shapes = {w.shape for _, _, w in prunable_matrices(model)}
-    shapes.add((model.config.d_model, model.config.vocab_size))
-    return all(T.row_split_exact(counts, shape) for shape in shapes)
-
-
 # Sequences per forward pass of `mean_corpus_loss`.
 EVAL_BATCH = 32
-# The fewest rows a pass is cut to: a 2-row block costs 4.5% more per
-# sequence than a 4-row one, so the 4-sequence gradient chunks stay whole.
+# The rows of every block of a pass under a tape, and the fewest rows a
+# forward-only pass is cut to (`row_block_loss`): a 2-row block costs 4.5%
+# more per sequence than a 4-row one, so the 4-sequence gradient chunks stay
+# whole.
 MIN_BLOCK_ROWS = 4
 
 # The process-wide pool that runs the batches of `mean_corpus_loss`, the
@@ -393,8 +385,8 @@ def _in_blocks(calls: list[tuple]) -> list:
     the pool, so inside one the calls run here one after another; elsewhere
     the first runs here and the others are offered to `EVAL_POOL`.  So no
     task waits on one queued behind it, and no more passes run at once than
-    the pool has workers.  No offered call outlives this one, also when a
-    call raises."""
+    the pool has workers, plus the caller's.  No offered call outlives this
+    one, also when a call raises."""
     if _in_pool_task.get():
         return [fn(*args) for fn, *args in calls]
     (fn, *args), *rest = calls
@@ -452,8 +444,10 @@ def pretrain(model: TransformerModel, corpus, steps: int, learning_rate: float, 
     """Plain SGD on next-token loss; mutates `model` in place.
 
     Returns the model and a per-step loss history.  Batches are drawn with an
-    rng seeded from the model config, so identical (seed, corpus, steps) runs
-    produce bit-identical checkpoints.
+    rng seeded from the model config, and each step's batch is cut into the
+    same row blocks at any worker count (`row_block_loss`), so identical
+    (seed, corpus, steps) runs produce bit-identical checkpoints for any
+    `EVAL_WORKERS`.
     """
     if steps < 1:
         raise ValidationError(f"pretrain: steps must be >= 1, got {steps}")

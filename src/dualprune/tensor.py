@@ -19,8 +19,9 @@ weights, can return one gradient per sample of a batch, and drops each tape
 record once it has replayed it (see `backward`).
 
 `row_block_cross_entropy` runs one batch as row blocks, possibly in
-concurrent threads, under one record for the whole batch; its docstring
-says when that is bit-identical to the unsplit pass.
+concurrent threads, under one record for the whole batch.  Each block's
+reverse pass runs to full gradients and the blocks' gradients are added in
+batch order, so the result depends on the cuts and not on the threads.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ class GradientTape:
     happens in exact reverse order of recording.  Ops record only onto their
     own thread's active tape.  A thread enters at most one tape with
     ``with``; a row block of `row_block_cross_entropy` that runs on it makes
-    a tape of its own the active one for the block's ops (`active_tape`) and
-    gives the caller's back afterwards.  A tape is single-use: make a fresh
-    one per forward pass so gradients from distinct samples never mix unless
-    explicitly accumulated through the graph itself.  `backward` spends it,
-    dropping each record as it replays it.
+    a tape of its own the active one for the block's ops (`active_tape`),
+    gives the caller's back afterwards, and replays its own tape to full
+    gradients in the batch record's reverse pass.  A tape is single-use:
+    make a fresh one per forward pass so gradients from distinct samples
+    never mix unless explicitly accumulated through the graph itself.
+    `backward` spends it, dropping each record as it replays it.
     """
 
     def __init__(self):
@@ -111,6 +113,11 @@ class GradientTape:
         self.records.append((out, inputs, backward_fn))
 
 
+def recording() -> bool:
+    """Whether this thread has an active tape."""
+    return _active.tape is not None
+
+
 @contextlib.contextmanager
 def active_tape(tape: GradientTape | None) -> Iterator[None]:
     """Make `tape` (None: no tape) this thread's active tape inside the
@@ -124,34 +131,11 @@ def active_tape(tape: GradientTape | None) -> Iterator[None]:
 
 
 # What the reverse pass asks of a backward function for each input: no
-# gradient, the gradient, one gradient per sample along a leading axis, or
-# (ROWS, a row block's pass) the gradient, except that a gradient summing
-# over the leading row axis comes back as `Rows`, unreduced.  A backward
-# function may return None for a SKIP input, or compute it anyway (the pass
-# drops it); one-input primitives never see SKIP, since their output leads
-# to a requested weight exactly when their input does.
-SKIP, SUMMED, PER_SAMPLE, ROWS = 0, 1, 2, 3
-
-
-class Rows:
-    """A gradient that sums over rows, left unreduced by a row block's pass:
-    `reduce(*parts)`, where each of `parts` is joined along its leading axis
-    with the same part of every other block, in batch order."""
-
-    __slots__ = ("reduce", "parts")
-
-    def __init__(self, reduce: Callable, *parts: np.ndarray):
-        self.reduce = reduce
-        self.parts = parts
-
-    def through(self, backward_fn: Callable, need: tuple[int, ...]) -> list["Rows | None"]:
-        """Per input that `need` asks for, this gradient of a record's output
-        with the record's `backward_fn` for that input applied after `reduce`."""
-        def reduce(k, *parts):
-            alone = tuple(SUMMED if j == k else SKIP for j in range(len(need)))
-            return backward_fn(self.reduce(*parts), alone)[k]
-
-        return [Rows(functools.partial(reduce, k), *self.parts) if n else None for k, n in enumerate(need)]
+# gradient, the gradient, or one gradient per sample along a leading axis.
+# A backward function may return None for a SKIP input, or compute it anyway
+# (the pass drops it); one-input primitives never see SKIP, since their
+# output leads to a requested weight exactly when their input does.
+SKIP, SUMMED, PER_SAMPLE = 0, 1, 2
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
@@ -169,19 +153,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if n == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
-
-
-def _input_gradient(grad: np.ndarray, shape: tuple[int, ...], need: int):
-    """`grad` summed down to an input of `shape`; under ROWS, an input with
-    fewer axes than `grad` is broadcast over the rows, so its sum is left to
-    the caller as `Rows`."""
-    if need == ROWS and len(shape) < grad.ndim:
-        return Rows(functools.partial(_unbroadcast, shape=shape), grad)
-    return _unbroadcast(grad, shape)
-
-
-def _gram(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return x.T @ g
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -212,10 +183,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g2 = g.reshape(-1, g.shape[-1])
             if need[0]:
                 ga = (g2 @ b.data.T).reshape(a.data.shape)
-            if need[1] == ROWS:
-                gb = Rows(_gram, a.data.reshape(-1, a.data.shape[-1]), g2)
-            elif need[1]:
-                gb = _gram(a.data.reshape(-1, a.data.shape[-1]), g2)
+            if need[1]:
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g2
         else:
             # one GEMM per leading index, each at the shape of a single
             # sample, so a per-sample pass repeats the batch-1 arithmetic
@@ -234,8 +203,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _binary("add", np.add, a, b)
 
     def backward_fn(g, need):
-        return (_input_gradient(g, a.data.shape, need[0]) if need[0] else None,
-                _input_gradient(g, b.data.shape, need[1]) if need[1] else None)
+        return (_unbroadcast(g, a.data.shape) if need[0] else None,
+                _unbroadcast(g, b.data.shape) if need[1] else None)
 
     return _record(out, (a, b), backward_fn)
 
@@ -244,8 +213,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _binary("elementwise-multiply", np.multiply, a, b)
 
     def backward_fn(g, need):
-        return (_input_gradient(g * b.data, a.data.shape, need[0]) if need[0] else None,
-                _input_gradient(g * a.data, b.data.shape, need[1]) if need[1] else None)
+        return (_unbroadcast(g * b.data, a.data.shape) if need[0] else None,
+                _unbroadcast(g * a.data, b.data.shape) if need[1] else None)
 
     return _record(out, (a, b), backward_fn)
 
@@ -307,16 +276,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = Tensor(table.data[ids])
     rows, width = table.data.shape
 
-    def scatter(flat_ids, g):
+    def backward_fn(g, need):
         # np.add.at(zeros, ids, g) as one bincount over the (id, column) slots: each
         # slot sums its rows' entries from 0.0 in the same order, so bit-identically
-        slots = (flat_ids.astype(np.intp, copy=False).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        return np.bincount(slots, weights=g.reshape(-1), minlength=rows * width).reshape(rows, width)
-
-    def backward_fn(g, need):
-        if need[0] == ROWS:  # the table's gradient sums over every row's ids
-            return (Rows(scatter, ids.reshape(-1), g.reshape(-1, width)),)
-        return (scatter(ids, g),)
+        slots = (ids.astype(np.intp, copy=False).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        return (np.bincount(slots, weights=g.reshape(-1), minlength=rows * width).reshape(rows, width),)
 
     return _record(out, (table,), backward_fn)
 
@@ -458,63 +422,41 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _record(out, (logits,), backward_fn)
 
 
-@functools.cache
-def row_split_exact(row_counts: tuple[int, ...], shape: tuple[int, int]) -> bool:
-    """Whether a weight matmul's folded input gradient g @ W^T, for a W of
-    `shape`, gives every row the same bits in GEMMs of `row_counts` rows as
-    in one GEMM of all of them; measured once per argument pair, on random
-    operands.  OpenBLAS picks its kernel by the GEMM's shape, and its
-    small-matrix kernel for this transposed product sums in another order,
-    so blocks of few rows can differ in the last bits."""
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((sum(row_counts), shape[1]))
-    w = rng.standard_normal(shape)
-    whole = g @ w.T
-    ends = list(itertools.accumulate(row_counts))
-    return all(np.array_equal(g[a:b] @ w.T, whole[a:b]) for a, b in zip([0] + ends, ends))
-
-
 def row_block_cross_entropy(logits_of: Callable[[slice], Tensor], targets, cuts: list[slice],
                             run: Callable[[list[tuple]], list]) -> Tensor:
     """`cross_entropy` of `targets` under a batch's logits, computed in the
     row blocks `cuts`, which cover the batch's rows in order; `logits_of(r)`
     gives the logits of rows `r`.  `run(calls)` runs each `(fn, *args)` of a
     list, possibly concurrently, and returns the results in order; it is
-    called once for the blocks' forward passes and, in the reverse pass,
-    once for their replays and once for the row-summed reductions.
+    called once for the blocks' forward passes and once, in the reverse
+    pass, for their replays.
 
     The loss is the mean of the blocks' per-token NLLs joined in batch order.
     With no active tape nothing is recorded.  Under one, each block records
     onto a tape of its own (`active_tape`), and the call records one record
     whose inputs are the parameters the first block touched.  Its reverse
-    pass replays each block's tape from the NLL gradient scaled by the whole
-    batch's token count.  A per-sample pass joins the blocks' per-sample
-    gradients.  A summed pass leaves every gradient that sums over rows (a
-    weight's x^T g, a broadcast scale's or position row's sum, an embedding
-    table's scatter) to `ROWS` and reduces it once on the rows of all
-    blocks joined in batch order, the reductions shared out between the two
-    calls of one `run`; a record that only such a gradient reaches (the
-    tied head's transpose, the position lookup) runs its backward inside
-    that reduction (`Rows.through`).  The results are accumulated in the
-    unsplit pass's order.
+    pass replays each block's tape, from the NLL gradient scaled by the
+    whole batch's token count, to the block's own gradients, as a pass on
+    that block alone would.  A summed pass adds the blocks' gradients in
+    batch order; a per-sample pass joins them in batch order.  So every
+    result depends on `cuts` and not on how `run` schedules the blocks.
 
-    The per-sample branch keeps `backward(samples=n)` independent of the
-    worker count: without it, a per-sample pass on a batch that splits (more
-    than `model.MIN_BLOCK_ROWS` rows, at two or more workers) would fail
-    where one worker succeeds.  `importance.next_token_gradients`' chunks
-    never split, but a larger `GRADIENT_CHUNK` or per-sample batch does.
+    When a row's logits depend on no other row, the per-sample gradients
+    are bit-identical to those of `cross_entropy` on the whole batch, and so
+    is the loss where each forward GEMM gives a row the bits it gives in the
+    whole batch.  A summed gradient is a sum of per-block GEMMs, so its last
+    bits may differ from the whole batch's.
 
-    When a row's logits depend on no other row, and every GEMM of
-    the pass gives each row the bits it gives in the whole batch (see
-    `row_split_exact` for the one GEMM whose rows a split can change), the
-    loss and every gradient are bit-identical to `cross_entropy` on the
-    whole batch.
+    Without the per-sample branch, a per-sample pass on a batch of more than
+    `model.MIN_BLOCK_ROWS` rows would fail.  `importance.next_token_gradients`'
+    chunks never split, but a larger `GRADIENT_CHUNK` or per-sample batch
+    does.
     """
     targets = np.asarray(targets)
-    recording = _active.tape is not None
+    taped = recording()
 
     def forward(r):
-        if not recording:
+        if not taped:
             return _softmax_nll(logits_of(r).data, targets[r])[0]
         tape = GradientTape()
         with active_tape(tape):
@@ -522,7 +464,7 @@ def row_block_cross_entropy(logits_of: Callable[[slice], Tensor], targets, cuts:
         return tape, logits, *_softmax_nll(logits.data, targets[r])
 
     blocks = run([(forward, r) for r in cuts])
-    if not recording:
+    if not taped:
         return Tensor(np.concatenate(blocks).mean())
     out = Tensor(np.concatenate([nll for _, _, nll, _, _ in blocks]).mean())
     params = list({inp.tid: inp for _, inputs, _ in blocks[0][0].records
@@ -530,26 +472,22 @@ def row_block_cross_entropy(logits_of: Callable[[slice], Tensor], targets, cuts:
     count = max(targets.size, 1)
 
     def backward_fn(g, need):
-        ask = PER_SAMPLE if PER_SAMPLE in need else ROWS
+        ask = PER_SAMPLE if PER_SAMPLE in need else SUMMED
         wanted = [p.tid for p, n in zip(params, need) if n]
 
         def replay(block, r):
             tape, logits, _, e, denom = block
             grads = {logits.tid: _nll_gradient(e, denom, targets[r], float(g) / count)}
-            summed = _replay(tape.records, grads, _live(tape.records, wanted), ask)
-            if ask == PER_SAMPLE:
-                return grads
-            if any(tid in grads for tid in wanted):
-                raise ShapeError("row blocks: a parameter gradient that does not sum over rows")
-            return summed
+            _replay(tape.records, grads, _live(tape.records, wanted), ask)
+            return grads
 
         replayed = run([(replay, block, r) for block, r in zip(blocks, cuts)])
         blocks.clear()  # the spent tapes and their activations
-        if ask == PER_SAMPLE:
-            grads = {tid: np.concatenate([grads[tid] for grads in replayed])
-                     for tid in wanted if tid in replayed[0]}
-        else:
-            grads = _reduce_rows(replayed, run)
+
+        def join(parts):  # in batch order: the samples' gradients joined, or the blocks' added
+            return np.concatenate(parts) if ask == PER_SAMPLE else functools.reduce(np.add, parts)
+
+        grads = {tid: join([grads[tid] for grads in replayed]) for tid in wanted if tid in replayed[0]}
         return tuple(grads.get(p.tid) if n else None for p, n in zip(params, need))
 
     return _record(out, tuple(params), backward_fn)
@@ -635,69 +573,21 @@ def _live(records: list, targets: Iterable[int]) -> set[int]:
     return live
 
 
-def _accumulate(grads: dict, tid: int, g: np.ndarray) -> None:
-    acc = grads.get(tid)
-    grads[tid] = g if acc is None else acc + g
-
-
-def _replay(records: list, grads: dict, live: set[int], ask: int) -> list[tuple[int, "Rows"]]:
+def _replay(records: list, grads: dict, live: set[int], ask: int) -> None:
     """Replay `records` in reverse from the output gradients in `grads`,
-    accumulating into `grads` the gradients of the tensors in `live`.
+    accumulating into `grads` the gradients of the tensors in `live`, each
+    asked for as `ask` (SUMMED or PER_SAMPLE).
 
     Popping each record as it is replayed frees the activations that only it
     holds, so they do not pile up under the gradients; the records are spent.
-    Under ROWS, a gradient that sums over rows comes back as a `Rows` and is
-    not accumulated.  A record whose output received one passes it on to its
-    inputs (`Rows.through`).  One whose output received more than one, or one
-    and a gradient of its rows, raises `ShapeError`: the unsplit pass sums
-    those before the record's backward, and a `Rows` carries one reduction.
-    The `Rows` that reach tensors no record produced are returned as (tensor
-    id, Rows), each tensor's in replay order, for `_reduce_rows`.
     """
-    summed: dict[int, list[Rows]] = {}
     while records:
         out, inputs, backward_fn = records.pop()
         g_out = grads.pop(out.tid, None)
-        rows = summed.pop(out.tid, None)
-        if g_out is None and rows is None:
+        if g_out is None:
             continue
         need = tuple(ask if inp.tid in live else SKIP for inp in inputs)
-        if rows is None:
-            g_in = backward_fn(g_out, need)
-        elif g_out is None and len(rows) == 1:
-            g_in = rows[0].through(backward_fn, need)
-        else:
-            raise ShapeError("row blocks: a recorded tensor's gradient sums over rows in more than one place")
-        for inp, g in zip(inputs, g_in):
-            if g is None or inp.tid not in live:
-                continue
-            if isinstance(g, Rows):
-                summed.setdefault(inp.tid, []).append(g)
-            else:
-                _accumulate(grads, inp.tid, g)
-    return [(tid, g) for tid, rows in summed.items() for g in rows]
-
-
-def _reduce_rows(summed: list[list], run: Callable[[list[tuple]], list]) -> dict[int, np.ndarray]:
-    """The gradients the row blocks' ROWS replays left unreduced in `summed`
-    (one `_replay` list per block, in batch order), keyed by tensor id.
-
-    Every block ran the same ops on the same parameters, so their lists
-    match entry by entry.  Each `Rows` is reduced once on its parts joined
-    over the blocks, the reductions shared out between the two calls of one
-    `run`, and the results are accumulated in the order of the lists, as
-    the unsplit pass would have.
-    """
-    first = summed[0]
-
-    def reduce(ks):
-        return [first[k][1].reduce(*map(np.concatenate, zip(*(s[k][1].parts for s in summed)))) for k in ks]
-
-    # two calls of about equal work: the reductions dealt out largest first
-    ranked = sorted(range(len(first)), key=lambda k: sum(p.size for p in first[k][1].parts), reverse=True)
-    halves = [ranked[0::2], ranked[1::2]]
-    reduced = dict(zip(halves[0] + halves[1], itertools.chain(*run([(reduce, ks) for ks in halves]))))
-    grads: dict[int, np.ndarray] = {}
-    for k, (tid, _) in enumerate(first):
-        _accumulate(grads, tid, reduced[k])
-    return grads
+        for inp, g in zip(inputs, backward_fn(g_out, need)):
+            if g is not None and inp.tid in live:
+                acc = grads.get(inp.tid)
+                grads[inp.tid] = g if acc is None else acc + g

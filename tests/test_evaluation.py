@@ -198,6 +198,17 @@ class TestSweep:
         with pytest.raises(ValidationError, match="sparsity"):
             sparsity_sweep(model, scores, corpus, [0.5, 1.0])
 
+    @pytest.mark.parametrize("sparsities", [[0.5, 0.5], [0.3, 0.0, -0.0]])
+    def test_repeated_sparsity_rejected(self, trained, sparsities):
+        model, scores, corpus = trained
+        with pytest.raises(ValidationError, match=r"sparsity \d\.\d given more than once"):
+            sparsity_sweep(model, scores, corpus, sparsities)
+
+    def test_negative_zero_is_zero(self, trained):
+        model, scores, corpus = trained
+        [(sparsity, _)] = sparsity_sweep(model, scores, corpus, [-0.0]).rows
+        assert sparsity == 0.0 and not np.signbit(sparsity)
+
     def test_rows_and_verdict_follow_sparsity_not_argument_order(self, trained):
         model, scores, corpus = trained
         ascending = sparsity_sweep(model, scores, corpus, [0.1, 0.3, 0.5, 0.7])

@@ -657,12 +657,12 @@ class TestOracleIsExact:
         block_rows = []
         row_block_loss = importance.row_block_loss
 
-        def recording_row_block_loss(model, logits_of, targets):
+        def recording_row_block_loss(logits_of, targets):
             def recorded(r):
                 block_rows.append(len(targets[r]))
                 return logits_of(r)
 
-            return row_block_loss(model, recorded, targets)
+            return row_block_loss(recorded, targets)
 
         monkeypatch.setattr(importance, "row_block_loss", recording_row_block_loss)
         eval_pool(workers)
@@ -723,19 +723,18 @@ class TestOracleIsExact:
             == [3] * 3 + [16] * 6
 
     def test_unsplit_batches_match_full_reruns(self, three_batch_corpus, eval_pool, monkeypatch):
-        """Where no row split is exact, each batch runs as one block (`slice(None)`)."""
+        """At one worker each batch runs as one block (`slice(None)`)."""
         model = init_model(TWO_LAYER)
-        eval_pool(2)
-        monkeypatch.setattr(T, "row_split_exact", lambda counts, shape: False)
+        eval_pool(1)
         block_rows = []
         row_block_loss = importance.row_block_loss
 
-        def recording_row_block_loss(model, logits_of, targets):
+        def recording_row_block_loss(logits_of, targets):
             def recorded(r):
                 block_rows.append(len(targets[r]))
                 return logits_of(r)
 
-            return row_block_loss(model, recorded, targets)
+            return row_block_loss(recorded, targets)
 
         monkeypatch.setattr(importance, "row_block_loss", recording_row_block_loss)
         base = mean_corpus_loss(model, three_batch_corpus)

@@ -2,7 +2,6 @@
 
 import contextlib
 import ctypes
-import functools
 import math
 import os
 import re
@@ -29,6 +28,7 @@ from dualprune.model import (
     load_checkpoint,
     mean_corpus_loss,
     next_token_loss,
+    next_token_split,
     pretrain,
     prunable_matrices,
     save_checkpoint,
@@ -382,22 +382,12 @@ class TestEvalPool:
         assert threading.current_thread() not in threads
 
 
-# `tensor._reduce_rows` as it must not be: each row-summed gradient reduced on
-# every block's rows alone, and the blocks' sums added.
-REDUCE_ROWS = dualprune.tensor._reduce_rows
-
-
-def reduced_per_block(summed, run):
-    per_block = [(tid, dualprune.tensor.Rows(
-        lambda k=k: functools.reduce(np.add, [s[k][1].reduce(*s[k][1].parts) for s in summed])))
-        for k, (tid, _) in enumerate(summed[0])]
-    return REDUCE_ROWS([per_block], run)
-
-
-# Wide enough that OpenBLAS gives the rows of a 4-row block's GEMMs the bits of
-# the whole batch's, so that its passes split (`tensor.row_split_exact`).
+# Wider than TWO_LAYER, so that OpenBLAS runs other GEMM kernels on it.
 WIDE = ModelConfig(vocab_size=32, context_length=16, num_layers=2, d_model=32, num_heads=2,
                    d_ff=48, seed=4)
+# The shapes of the command-line tests' model (`tests/test_cli.py`).
+CLI_SHAPE = ModelConfig(vocab_size=256, context_length=32, num_layers=1, d_model=32, num_heads=2,
+                        d_ff=48, seed=5)
 
 
 class TestRowBlocks:
@@ -412,28 +402,62 @@ class TestRowBlocks:
         assert [len(range(rows)[r]) for r in cuts] == sizes
         assert np.array_equal(np.concatenate([np.arange(rows)[r] for r in cuts]), np.arange(rows))
 
-    @pytest.mark.parametrize("batch_size", [7, 8])
-    def test_pretraining_does_not_depend_on_the_pool_size(self, eval_pool, monkeypatch, tmp_path,
-                                                           batch_size):
+    @pytest.mark.parametrize("config", [ModelConfig(), WIDE, TWO_LAYER, CLI_SHAPE],
+                             ids=["default", "wide", "two_layer", "cli"])
+    def test_forward_gemms_give_each_row_the_whole_batch_bits(self, monkeypatch, config):
+        """What lets forward-only passes take `row_blocks`' worker-dependent
+        cuts: each block's x @ W gives its rows the bits of the whole batch's
+        GEMM, for every weight shape of the pass and every cut."""
+        rng = np.random.default_rng(config.d_model)
+        d, f, n_tok = config.d_model, config.d_ff, config.context_length - 1
+        for rows in range(1, 34):
+            blocks = set()
+            for workers in range(1, 9):
+                monkeypatch.setattr(dualprune.model, "EVAL_WORKERS", workers)
+                blocks.update((r.start, r.stop) for r in dualprune.model.row_blocks(rows))
+            for k, n in [(d, d), (d, f), (f, d), (d, config.vocab_size)]:
+                x, w = rng.standard_normal((rows, n_tok, k)), rng.standard_normal((k, n))
+                whole = x @ w
+                for a, b in blocks:
+                    assert np.array_equal(x[a:b] @ w, whole[a:b]), (rows, a, b, (k, n))
+
+    def test_forward_passes_do_not_depend_on_the_pool_size(self, eval_pool):
+        model = init_model(TWO_LAYER)
+        corpus = Corpus("m", TestEvalPool.SEQS[:37])  # an eval batch of 32 and one of 5
+
+        def passes():
+            deltas = [dualprune.importance.brute_force_importance(model, corpus, (layer, name), [0, 9, 100])
+                      for layer, name in [(0, "q"), (0, "down"), (1, "gate"), (1, "o")]]
+            return mean_corpus_loss(model, corpus).hex(), [d.tobytes() for d in deltas]
+
+        eval_pool(1)
+        expected = passes()
+        for workers in (2, 3, 8):
+            eval_pool(workers)
+            assert passes() == expected, workers
+
+    @pytest.mark.parametrize("batch_size,config", [(7, WIDE), (8, WIDE), (13, WIDE), (7, TWO_LAYER),
+                                                   (8, TWO_LAYER), (13, TWO_LAYER)],
+                             ids=["7", "8", "13", "two_layer-7", "two_layer-8", "two_layer-13"])
+    def test_pretraining_does_not_depend_on_the_pool_size(self, eval_pool, tmp_path, config, batch_size):
+        corpus = Corpus("rows", self.CORPUS.sequences % config.vocab_size)
+
         def train(name):
-            model, history = pretrain(init_model(WIDE), self.CORPUS, steps=24, learning_rate=0.3,
+            model, history = pretrain(init_model(config), corpus, steps=24, learning_rate=0.3,
                                       batch_size=batch_size)
             save_checkpoint(model, tmp_path / name)
             return (tmp_path / name).read_bytes(), [loss.hex() for _, loss in history], model.meta["converged"]
 
-        eval_pool(1)  # every step one block
+        eval_pool(1)
         expected = train("one")
-        eval_pool(2)
-        with monkeypatch.context() as patch:
-            patch.setattr(dualprune.tensor, "_reduce_rows", reduced_per_block)
-            assert train("per-block")[0] != expected[0]
         for workers in (2, 3, 8):
             eval_pool(workers)
             assert train(str(workers)) == expected, workers
 
-    def test_summed_gradients_of_every_parameter_equal_the_unsplit_pass(self, eval_pool, monkeypatch):
-        model = init_model(WIDE)
-        batch = self.CORPUS.sequences[:EVAL_BATCH]
+    @pytest.mark.parametrize("config", [WIDE, TWO_LAYER], ids=["wide", "two_layer"])
+    def test_summed_gradients_do_not_depend_on_the_pool_size(self, eval_pool, monkeypatch, config):
+        model = init_model(config)
+        batch = self.CORPUS.sequences[:13] % config.vocab_size  # blocks of 4, 4, 4 and 1 rows
 
         def gradients():
             tape = GradientTape()
@@ -445,35 +469,17 @@ class TestRowBlocks:
         eval_pool(1)
         expected = gradients()
         assert list(expected[1]) == list(model.params)  # the tied embedding and positions too
-        eval_pool(2)
+        in_blocks = dualprune.model._in_blocks
+
+        def replays_in_reverse(calls):
+            results = in_blocks(calls)
+            # the replays' gradients (dicts, not forward blocks) added last block first
+            return results[::-1] if isinstance(results[0], dict) else results
+
         with monkeypatch.context() as patch:
-            patch.setattr(dualprune.tensor, "_reduce_rows", reduced_per_block)
-            assert gradients()[1] != expected[1]
-        for workers in (2, 3, 8):
-            eval_pool(workers)
-            assert gradients() == expected, workers
-
-    def test_a_narrow_model_gets_the_unsplit_gradients_too(self, eval_pool, monkeypatch):
-        # TWO_LAYER's 4-row blocks give the tied head's input-gradient GEMM 60
-        # rows, and OpenBLAS may run so few through its small-matrix kernel
-        model = init_model(TWO_LAYER)
-        batch = self.CORPUS.sequences[:8]
-
-        def gradients():
-            tape = GradientTape()
-            with tape:
-                loss = batch_next_token_loss(model, batch)
-            grads = model.grads_by_name(dualprune.tensor.backward(tape, loss))
-            return {name: g.tobytes() for name, g in grads.items()}
-
-        eval_pool(1)
-        expected = gradients()
-        head = (TWO_LAYER.d_model, TWO_LAYER.vocab_size)
-        if not dualprune.tensor.row_split_exact((60, 60), head):  # this BLAS has such a kernel
-            eval_pool(2)
-            with monkeypatch.context() as patch:
-                patch.setattr(dualprune.tensor, "row_split_exact", lambda counts, shape: True)
-                assert gradients() != expected
+            patch.setattr(dualprune.model, "_in_blocks", replays_in_reverse)
+            reversed_sum = gradients()
+        assert reversed_sum[0] == expected[0] and reversed_sum[1] != expected[1]
         for workers in (2, 3, 8):
             eval_pool(workers)
             assert gradients() == expected, workers
@@ -483,18 +489,21 @@ class TestRowBlocks:
         weights = [t for _, _, t in prunable_matrices(model)]
         batch = self.CORPUS.sequences[:13]
 
-        def gradients(rows):
+        def unsplit_loss(model, rows):
+            inputs, targets = next_token_split(rows)
+            return dualprune.tensor.cross_entropy(model.forward(inputs), targets)
+
+        def gradients(rows, loss_of=batch_next_token_loss):
             tape = GradientTape()
             with tape:
-                loss = batch_next_token_loss(model, rows)
+                loss = loss_of(model, rows)
             grads = dualprune.tensor.backward(tape, loss, weights, samples=len(rows))
             return [grads[w.tid].data.tobytes() for w in weights]
 
-        eval_pool(1)
-        expected = gradients(batch)
+        expected = gradients(batch, unsplit_loss)
         # blocks joined out of order would show
         assert gradients(np.concatenate([batch[4:8], batch[:4], batch[8:]])) != expected
-        for workers in (2, 3, 8):
+        for workers in (1, 2, 3, 8):
             eval_pool(workers)
             assert gradients(batch) == expected, workers
 
@@ -508,22 +517,6 @@ class TestRowBlocks:
         for workers in (2, 3, 8):
             eval_pool(workers)
             assert float(batch_next_token_loss(model, batch).data).hex() == whole.hex(), workers
-
-    def test_a_split_that_would_change_a_gemm_row_runs_whole(self, eval_pool, monkeypatch):
-        model = init_model(WIDE)
-        batch = self.CORPUS.sequences[:8]
-        forwards = []
-        forward = model.forward
-        model.forward = lambda ids: forwards.append(len(ids)) or forward(ids)
-        eval_pool(2)
-        batch_next_token_loss(model, batch)
-        assert forwards == [4, 4]
-        # as if the tied head's GEMM gave some row of a block other bits
-        monkeypatch.setattr(dualprune.tensor, "row_split_exact",
-                            lambda counts, shape: shape != (WIDE.d_model, WIDE.vocab_size))
-        forwards.clear()
-        batch_next_token_loss(model, batch)
-        assert forwards == [8]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pretrain_calls_the_batch_loss_once_per_step_with_the_pool_idle(self, eval_pool, monkeypatch,
@@ -562,7 +555,7 @@ class TestRowBlocks:
         finally:
             pool.shutdown()
         assert calls == [(threading.current_thread(), 0)] * 12
-        assert (submitted[0] > 0) == (workers > 1)  # two workers: the steps ran as blocks
+        assert submitted[0] > 0  # at any worker count the steps ran as blocks
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_no_pool_task_offers_work_to_the_pool(self, eval_pool, monkeypatch, threads):
@@ -590,7 +583,7 @@ class TestRowBlocks:
         pool = TrackedPool(threads, thread_name_prefix="tracked")
         results = []
         try:
-            eval_pool(1, pool)  # no pass is cut
+            eval_pool(1, pool)  # no forward-only pass is cut
             expected = passes()
             eval_pool(4, pool)
             submits.update(pool=0, caller=0)

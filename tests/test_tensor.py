@@ -280,48 +280,48 @@ def serial(calls):
     return [fn(*args) for fn, *args in calls]
 
 
-class TestRowBlockReduction:
-    """`row_block_cross_entropy`'s reverse pass on hand-built blocks: a
-    gradient that sums over rows passes through the records it alone
-    reaches; one the reduction cannot make bit-identical is refused."""
-
+class TestRowBlockGradients:
     X = np.random.default_rng(5).standard_normal((4, 3, 5))
     TARGETS = np.random.default_rng(6).integers(0, 5, size=(4, 3))
-    HALVES = [slice(0, 2), slice(2, 4)]
+    CUTS = [slice(k, k + 1) for k in range(4)]  # each block a quarter of the tokens
 
-    def gradient(self, logits_of, wrt, cuts=None):
-        """`wrt`'s gradient from the pass in row blocks `cuts` (None: unsplit)."""
-        tape = T.GradientTape()
-        with tape:
-            if cuts is None:
-                loss = T.cross_entropy(logits_of(slice(None)), self.TARGETS)
-            else:
-                loss = T.row_block_cross_entropy(logits_of, self.TARGETS, cuts, serial)
-        return T.backward(tape, loss, [wrt])[wrt.tid].data
-
-    def test_a_record_reached_only_by_a_row_sum_runs_on_the_reduced_gradient(self):
-        w = T.param(np.linspace(-1.0, 1.0, 5), "w")
+    def test_summed_gradients_add_the_blocks_in_batch_order_and_per_sample_ones_join(self):
+        rng = np.random.default_rng(7)
+        w = T.param(rng.standard_normal((5, 5)), "w")
+        p = T.param(rng.standard_normal((1, 3, 5)), "p")  # broadcast over the rows
+        v = T.param(np.linspace(-1.0, 1.0, 5), "v")
 
         def logits_of(r):
-            return T.mul(T.Tensor(self.X[r]), T.silu(w))
+            return T.add(T.mul(T.matmul(T.Tensor(self.X[r]), w), T.silu(v)), p)
 
-        assert np.array_equal(self.gradient(logits_of, w, self.HALVES), self.gradient(logits_of, w))
+        def batch_gradients(wrt, samples=None):
+            tape = T.GradientTape()
+            with tape:
+                loss = T.row_block_cross_entropy(logits_of, self.TARGETS, self.CUTS, serial)
+            grads = T.backward(tape, loss, wrt, samples=samples)
+            return [grads[t.tid].data for t in wrt]
 
-    def test_a_recorded_tensor_summed_over_rows_twice_is_refused(self):
-        w = T.param(np.linspace(-1.0, 1.0, 5), "w")
+        def block_gradients(r, wrt, samples=None):
+            """The block's own backward: of its share of the batch's mean loss
+            (its mean times a quarter), or of its one sample's loss."""
+            tape = T.GradientTape()
+            with tape:
+                loss = T.cross_entropy(logits_of(r), self.TARGETS[r])
+                if samples is None:
+                    loss = T.mul(loss, T.Tensor(0.25))
+            grads = T.backward(tape, loss, wrt, samples=samples)
+            return [grads[t.tid].data for t in wrt]
 
-        def logits_of(r):
-            v = T.silu(w)
-            return T.add(T.mul(T.Tensor(self.X[r]), v), T.mul(T.Tensor(self.X[r] ** 2), v))
+        summed = batch_gradients([w, p, v])
+        expected = block_gradients(self.CUTS[0], [w, p, v])
+        for r in self.CUTS[1:]:
+            expected = [acc + g for acc, g in zip(expected, block_gradients(r, [w, p, v]))]
+        assert [g.tobytes() for g in summed] == [g.tobytes() for g in expected]
+        assert summed[1].shape == p.shape
 
-        self.gradient(logits_of, w)
-        with pytest.raises(ShapeError, match="sums over rows in more than one place"):
-            self.gradient(logits_of, w, self.HALVES)
-
-    def test_a_parameter_gradient_summed_within_a_block_is_refused(self):
-        p = T.param(np.ones((1, 3, 5)), "p")
-        with pytest.raises(ShapeError, match="does not sum over rows"):
-            self.gradient(lambda r: T.add(T.Tensor(self.X[r]), p), p, self.HALVES)
+        [per_sample] = batch_gradients([w], samples=4)
+        joined = np.concatenate([block_gradients(r, [w], samples=1)[0] for r in self.CUTS])
+        assert per_sample.tobytes() == joined.tobytes()
 
 
 def composed_attention(q, k, v, num_heads):
