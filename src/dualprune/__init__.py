@@ -23,9 +23,11 @@ be applied:
 
 The batches of an evaluation pass (`model.mean_corpus_loss`), the chunks of
 a per-sample gradient pass (`importance.next_token_gradients`) and the row
-blocks of every batch loss (`model.row_block_loss`) run on that pool.  Each
-of those functions says how its work is scheduled and why its results do
-not depend on the number of workers.
+blocks of every batch loss (`model.row_block_loss`) run on that pool.  A row
+block's one call runs its forward pass and, under a tape, its reverse pass
+too, so `tensor.backward` never schedules work.  Each of those functions
+says how its work is scheduled and why its results do not depend on the
+number of workers.
 """
 
 import ctypes as _ctypes

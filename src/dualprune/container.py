@@ -169,7 +169,7 @@ def read_container(path, expect_kind: str) -> Container:
     meta: dict[str, str] = {}
     blocks: dict[str, np.ndarray] = {}
     expected_offset = 0
-    for line in header.splitlines():
+    for line in header.split("\n"):  # the writer's one separator; splitlines() breaks at "\r" too
         if not line:
             continue
         key, _, value = line.partition("=")

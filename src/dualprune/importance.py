@@ -50,12 +50,13 @@ from .model import mean_corpus_loss, next_token_loss  # noqa: F401
 DEFAULT_DAMPING = 1e-4
 DEFAULT_LAMBDA = 0.1
 DEFAULT_ALPHA = 0.03
-# Sequences per batched gradient pass.  A worker of `model.EVAL_POOL` holds
+# Sequences per batched gradient pass: one row block, since a pass of more
+# blocks has no per-sample gradients.  A worker of `model.EVAL_POOL` holds
 # the activations and per-sample gradients of one chunk's sequences at once,
 # so peak memory is about workers x 4 sequences of activations.  What crosses
 # to the caller is a few pairwise sums per matrix (`_chunk_sums`), with no
 # per-sample axis.  The size never changes a bit of the results.
-GRADIENT_CHUNK = 4
+GRADIENT_CHUNK = model_lib.MIN_BLOCK_ROWS
 
 
 @dataclass

@@ -270,8 +270,8 @@ def next_token_loss(model: TransformerModel, token_sequence) -> tuple[Tensor, Gr
 def next_token_split(batch) -> tuple[np.ndarray, np.ndarray]:
     """(inputs, targets) of a (batch, length) array: tokens [:-1] predict tokens [1:]."""
     batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[1] < 2:
-        raise ValidationError(f"batch must be 2-D with length >= 2, got shape {batch.shape}")
+    if batch.ndim != 2 or batch.shape[0] < 1 or batch.shape[1] < 2:
+        raise ValidationError(f"batch must be 2-D with rows of length >= 2, got shape {batch.shape}")
     return batch[:, :-1], batch[:, 1:]
 
 
@@ -287,17 +287,18 @@ def row_block_loss(logits_of: Callable[[slice], Tensor], targets: np.ndarray) ->
     into row blocks.
 
     Under an active tape the batch is cut into blocks of `MIN_BLOCK_ROWS`
-    rows, whatever the worker count, and the call records one record for
-    the whole batch (`tensor.row_block_cross_entropy`), whose reverse pass
-    replays each block to its own gradients and adds them in batch order.
-    So a training step, and every checkpoint, is bit-identical for any
-    worker count.  Without a tape the batch is cut as `row_blocks` says:
-    every op works on each row alone and a forward GEMM gives each row the
-    bits of the whole batch's, so the loss is that of one pass on the whole
-    batch.  A batch of one block runs as one pass (`tensor.cross_entropy`);
-    more run as the blocks (`_in_blocks`): inside a pool task one after
-    another, elsewhere the first on the caller and the others on
-    `EVAL_POOL`.  No block outlives the call or its reverse pass.
+    rows, whatever the worker count, and each block's call runs its pass
+    and its reverse pass to its own gradients; the call records one record
+    for the whole batch (`tensor.row_block_cross_entropy`), whose reverse
+    pass adds the blocks' gradients in batch order.  So a training step,
+    and every checkpoint, is bit-identical for any worker count.  Without a
+    tape the batch is cut as `row_blocks` says: every op works on each row
+    alone and a forward GEMM gives each row the bits of the whole batch's,
+    so the loss is that of one pass on the whole batch.  A batch of one
+    block runs as one pass (`tensor.cross_entropy`); more run as the blocks
+    (`_in_blocks`): inside a pool task one after another, elsewhere the
+    first on the caller and the others on `EVAL_POOL`.  No block outlives
+    the call, and the reverse pass schedules no work.
     """
     if T.recording():
         cuts = [slice(a, a + MIN_BLOCK_ROWS) for a in range(0, len(targets), MIN_BLOCK_ROWS)]
@@ -310,10 +311,10 @@ def row_block_loss(logits_of: Callable[[slice], Tensor], targets: np.ndarray) ->
 
 # Sequences per forward pass of `mean_corpus_loss`.
 EVAL_BATCH = 32
-# The rows of every block of a pass under a tape, and the fewest rows a
-# forward-only pass is cut to (`row_block_loss`): a 2-row block costs 4.5%
-# more per sequence than a 4-row one, so the 4-sequence gradient chunks stay
-# whole.
+# The rows of every block of a pass under a tape, of every chunk of
+# `importance.next_token_gradients`, and the fewest rows a forward-only pass
+# is cut to (`row_block_loss`): a 2-row block costs 4.5% more per sequence
+# than a 4-row one.
 MIN_BLOCK_ROWS = 4
 
 # The process-wide pool that runs the batches of `mean_corpus_loss`, the

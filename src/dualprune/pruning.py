@@ -61,7 +61,7 @@ def check_mode(mode: str) -> None:
 
 
 def check_block_size(block_size) -> None:
-    if not isinstance(block_size, (int, np.integer)) or block_size < 1:
+    if isinstance(block_size, bool) or not isinstance(block_size, (int, np.integer)) or block_size < 1:
         raise ValidationError(f"block size must be an int >= 1, got {block_size!r}")
 
 

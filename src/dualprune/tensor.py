@@ -19,9 +19,10 @@ weights, can return one gradient per sample of a batch, and drops each tape
 record once it has replayed it (see `backward`).
 
 `row_block_cross_entropy` runs one batch as row blocks, possibly in
-concurrent threads, under one record for the whole batch.  Each block's
-reverse pass runs to full gradients and the blocks' gradients are added in
-batch order, so the result depends on the cuts and not on the threads.
+concurrent threads, one call per block, under one record for the whole
+batch.  Each block's call records its pass and replays it at once to full
+gradients; the record's reverse pass adds the blocks' gradients in batch
+order, so the result depends on the cuts and not on the threads.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class GradientTape:
     ``with``; a row block of `row_block_cross_entropy` that runs on it makes
     a tape of its own the active one for the block's ops (`active_tape`),
     gives the caller's back afterwards, and replays its own tape to full
-    gradients in the batch record's reverse pass.  A tape is single-use:
+    gradients before its call returns.  A tape is single-use:
     make a fresh one per forward pass so gradients from distinct samples
     never mix unless explicitly accumulated through the graph itself.
     `backward` spends it, dropping each record as it replays it.
@@ -428,69 +429,52 @@ def row_block_cross_entropy(logits_of: Callable[[slice], Tensor], targets, cuts:
     row blocks `cuts`, which cover the batch's rows in order; `logits_of(r)`
     gives the logits of rows `r`.  `run(calls)` runs each `(fn, *args)` of a
     list, possibly concurrently, and returns the results in order; it is
-    called once for the blocks' forward passes and once, in the reverse
-    pass, for their replays.
+    called once.
 
     The loss is the mean of the blocks' per-token NLLs joined in batch order.
-    With no active tape nothing is recorded.  Under one, each block records
-    onto a tape of its own (`active_tape`), and the call records one record
-    whose inputs are the parameters the first block touched.  Its reverse
-    pass replays each block's tape, from the NLL gradient scaled by the
-    whole batch's token count, to the block's own gradients, as a pass on
-    that block alone would.  A summed pass adds the blocks' gradients in
-    batch order; a per-sample pass joins them in batch order.  So every
-    result depends on `cuts` and not on how `run` schedules the blocks.
+    With no active tape nothing is recorded.  Under one, each block's call
+    records the block's pass onto a tape of its own (`active_tape`) and at
+    once replays it, from the NLL gradient scaled by the whole batch's token
+    count, to the summed gradients of every parameter it touched, as a pass
+    on that block alone would; so its activations go when the call returns.
+    The call then records one record whose inputs are those parameters and
+    whose reverse pass hands back the blocks' gradients, added in batch
+    order, times the loss's gradient.  So every result depends on `cuts` and
+    not on how `run` schedules the blocks.  The record has no per-sample
+    gradients: `backward(..., samples=n)` through it raises `ShapeError`.
 
-    When a row's logits depend on no other row, the per-sample gradients
-    are bit-identical to those of `cross_entropy` on the whole batch, and so
-    is the loss where each forward GEMM gives a row the bits it gives in the
-    whole batch.  A summed gradient is a sum of per-block GEMMs, so its last
-    bits may differ from the whole batch's.
-
-    Without the per-sample branch, a per-sample pass on a batch of more than
-    `model.MIN_BLOCK_ROWS` rows would fail.  `importance.next_token_gradients`'
-    chunks never split, but a larger `GRADIENT_CHUNK` or per-sample batch
-    does.
+    The loss is bit-identical to that of `cross_entropy` on the whole batch
+    where each forward GEMM gives a row the bits it gives in the whole
+    batch.  A summed gradient is a sum of per-block GEMMs, so its last bits
+    may differ from the whole batch's.
     """
     targets = np.asarray(targets)
     taped = recording()
+    count = max(targets.size, 1)
 
-    def forward(r):
+    def block(r):
         if not taped:
             return _softmax_nll(logits_of(r).data, targets[r])[0]
         tape = GradientTape()
         with active_tape(tape):
             logits = logits_of(r)
-        return tape, logits, *_softmax_nll(logits.data, targets[r])
+        nll, e, denom = _softmax_nll(logits.data, targets[r])
+        params = {inp.tid: inp for _, inputs, _ in tape.records for inp in inputs if inp.is_param}
+        grads = {logits.tid: _nll_gradient(e, denom, targets[r], 1.0 / count)}
+        _replay(tape.records, grads, _live(tape.records, params), SUMMED)
+        return nll, {p: grads[tid] for tid, p in params.items() if tid in grads}
 
-    blocks = run([(forward, r) for r in cuts])
+    blocks = run([(block, r) for r in cuts])
     if not taped:
         return Tensor(np.concatenate(blocks).mean())
-    out = Tensor(np.concatenate([nll for _, _, nll, _, _ in blocks]).mean())
-    params = list({inp.tid: inp for _, inputs, _ in blocks[0][0].records
-                   for inp in inputs if inp.is_param}.values())
-    count = max(targets.size, 1)
+    out = Tensor(np.concatenate([nll for nll, _ in blocks]).mean())
+    params = tuple(blocks[0][1])
+    summed = [functools.reduce(np.add, [grads[p] for _, grads in blocks]) for p in params]
 
     def backward_fn(g, need):
-        ask = PER_SAMPLE if PER_SAMPLE in need else SUMMED
-        wanted = [p.tid for p, n in zip(params, need) if n]
+        return tuple(g * s for s in summed)
 
-        def replay(block, r):
-            tape, logits, _, e, denom = block
-            grads = {logits.tid: _nll_gradient(e, denom, targets[r], float(g) / count)}
-            _replay(tape.records, grads, _live(tape.records, wanted), ask)
-            return grads
-
-        replayed = run([(replay, block, r) for block, r in zip(blocks, cuts)])
-        blocks.clear()  # the spent tapes and their activations
-
-        def join(parts):  # in batch order: the samples' gradients joined, or the blocks' added
-            return np.concatenate(parts) if ask == PER_SAMPLE else functools.reduce(np.add, parts)
-
-        grads = {tid: join([grads[tid] for grads in replayed]) for tid in wanted if tid in replayed[0]}
-        return tuple(grads.get(p.tid) if n else None for p, n in zip(params, need))
-
-    return _record(out, tuple(params), backward_fn)
+    return _record(out, params, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +518,12 @@ def backward(tape: GradientTape, loss: Tensor, wrt: Iterable[Tensor] | None = No
 
     With `samples=n`, `loss` must be the mean of n per-sample losses whose
     samples lie along the leading axis of every activation, and each
-    parameter in `wrt` must be the weight of a 2-D matmul.  Each returned
-    gradient then has shape (n, *weight shape) and holds every sample's
-    gradient of its own loss, computed as swapaxes(x) @ g per sample.  Every
-    GEMM of such a pass runs once per sample at the batch-1 shape, so the
-    result is bit-identical to n batch-1 passes.
+    parameter in `wrt` must be the weight of a 2-D matmul outside any
+    `row_block_cross_entropy` record.  Each returned gradient then has
+    shape (n, *weight shape) and holds every sample's gradient of its own
+    loss, computed as swapaxes(x) @ g per sample.  Every GEMM of such a
+    pass runs once per sample at the batch-1 shape, so the result is
+    bit-identical to n batch-1 passes.
     """
     if not tape.records:
         raise ValidationError("backward on an empty tape (a replayed tape is spent)")

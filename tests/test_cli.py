@@ -25,6 +25,10 @@ from dualprune.model import load_checkpoint, save_checkpoint
 from dualprune.pruning import Mask, load_mask, save_mask, select_mask_blocked
 
 
+def csv_rows(path: Path) -> list[list[str]]:
+    return list(csv.reader(path.read_text().splitlines()))
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A tiny end-to-end run: corpora, config file, pretrained checkpoint."""
@@ -88,7 +92,7 @@ class TestPretrain:
         assert (workspace["out"] / "pretrain_log.csv").is_file()
 
     def test_loss_log_has_steps_rows(self, workspace):
-        rows = list(csv.reader((workspace["out"] / "pretrain_log.csv").open()))
+        rows = csv_rows(workspace["out"] / "pretrain_log.csv")
         assert rows[0] == ["step", "loss"]
         assert len(rows) == 1 + 30
 
@@ -170,7 +174,7 @@ class TestLengthRule:
         assert main(["prune", *flags, *ckpt,
                      "--general-scores", str(tmp_path / "general_scores.bin")]) == 0
         assert main(["eval", *flags, *ckpt]) == 0
-        rows = list(csv.reader((tmp_path / "eval_test.csv").open()))
+        rows = csv_rows(tmp_path / "eval_test.csv")
         assert rows[1][4] == str(8 * 32)
 
     def test_context_length_plus_two_rejected(self, workspace, tmp_path, capsys):
@@ -364,7 +368,7 @@ class TestEvalMasksimSweep:
         ckpt = workspace["out"] / "model.ckpt"
         assert main(["eval", "--config", str(workspace["config"]),
                      "--checkpoint", str(ckpt), "--corpus", "test", "--tag", "dense"]) == 0
-        rows = list(csv.reader((workspace["out"] / "dense.csv").open()))
+        rows = csv_rows(workspace["out"] / "dense.csv")
         assert rows[0][0] == "model_fingerprint"
         assert float(rows[1][3]) >= 1.0
 
@@ -378,15 +382,15 @@ class TestEvalMasksimSweep:
         assert main(["eval", "--config", str(workspace["config"]),
                      "--checkpoint", str(pruned_ckpt), "--corpus", "open",
                      "--tag", "e_pruned"]) == 0
-        dense_ppl = float(list(csv.reader((workspace["out"] / "e_dense.csv").open()))[1][3])
-        pruned_ppl = float(list(csv.reader((workspace["out"] / "e_pruned.csv").open()))[1][3])
+        dense_ppl = float(csv_rows(workspace["out"] / "e_dense.csv")[1][3])
+        pruned_ppl = float(csv_rows(workspace["out"] / "e_pruned.csv")[1][3])
         assert pruned_ppl >= dense_ppl * 0.9
 
     def test_masksim_self_is_half(self, workspace):
         mask = workspace["out"] / "mask.bin"
         assert main(["masksim", "--config", str(workspace["config"]),
                      str(mask), str(mask)]) == 0
-        rows = list(csv.reader((workspace["out"] / "masksim.csv").open()))
+        rows = csv_rows(workspace["out"] / "masksim.csv")
         assert rows[0][0] == "layer"
         assert all(float(x) == 0.5 for x in rows[1][1:])
 
@@ -442,7 +446,7 @@ class TestEvalMasksimSweep:
                      "--scores", str(workspace["out"] / "dual_scores.bin"),
                      "--corpus", "test",
                      "--sparsities", "0.1,0.2,0.3,0.4,0.5,0.6,0.7"]) == 0
-        rows = list(csv.reader((workspace["out"] / "sweep.csv").open()))
+        rows = csv_rows(workspace["out"] / "sweep.csv")
         assert rows[0] == ["sparsity", "perplexity"]
         assert len(rows) == 8
 
@@ -740,16 +744,21 @@ def openblas_core() -> str:
 
 @pytest.fixture(scope="class")
 def recipe_runs(workspace, tmp_path_factory, package_env):
-    """pretrain -> general-importance -> prune -> eval -> sweep at batch size 8
+    """pretrain -> general-importance -> prune -> eval -> sweep at batch size 8,
+    then a magnitude prune into `magnitude/` and the masksim of the two masks,
     through `python -m dualprune.cli`, once on one CPU (1 worker) and once
-    unrestricted: {run: (workers, output directory)}."""
-    config = ["--config", str(workspace["config"]), "--batch-size", "8", "--output-dir", "run"]
+    unrestricted: {run: (workers, output directory `run`)}."""
+    common = ["--config", str(workspace["config"]), "--batch-size", "8"]
+    config = [*common, "--output-dir", "run"]
     stages = [["pretrain", *config],
               ["general-importance", *config, "--checkpoint", "run/model.ckpt"],
               ["prune", *config, "--checkpoint", "run/model.ckpt",
                "--general-scores", "run/general_scores.bin"],
               ["eval", *config, "--checkpoint", "run/pruned.ckpt"],
-              ["sweep", *config, "--checkpoint", "run/model.ckpt", "--scores", "run/dual_scores.bin"]]
+              ["sweep", *config, "--checkpoint", "run/model.ckpt", "--scores", "run/dual_scores.bin"],
+              ["prune", *common, "--output-dir", "magnitude", "--method", "magnitude",
+               "--checkpoint", "run/model.ckpt"],
+              ["masksim", *config, "run/mask.bin", "magnitude/mask.bin"]]
     one_cpu = {min(os.sched_getaffinity(0))}
     runs = {}
     for name, preexec_fn in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):

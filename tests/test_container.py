@@ -129,6 +129,18 @@ def test_meta_newline_rejected(tmp_path):
         write_container(tmp_path / "x.bin", "checkpoint", {"k": "a\nb"}, [])
 
 
+@pytest.mark.parametrize("breaker", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+def test_meta_and_names_with_other_line_breaks_round_trip(tmp_path, breaker):
+    # str.splitlines() breaks at each of these; the header separator is "\n" alone
+    path = tmp_path / "x.bin"
+    name, value = f"m{breaker}n", f"a{breaker}b"
+    write_container(path, "mask", {"x": value}, [(name, np.zeros((2, 2)))])
+    c = read_container(path, expect_kind="mask")
+    assert c.meta == {"x": value}
+    assert list(c.blocks) == [name] and np.array_equal(c.blocks[name], np.zeros((2, 2)))
+
+
 def raw_container(header: str, payload: bytes) -> bytes:
     """The bytes of a container with this header text and payload, as written by hand."""
     head = header.encode("utf-8")

@@ -244,7 +244,7 @@ class TestWriters:
         report = perplexity(model, random_corpus(TINY, 2, 3))
         csv_path = tmp_path / "r.csv"
         write_eval_report(report, csv_path, tmp_path / "r.txt", ["extra: 1"])
-        rows = list(csv.reader(csv_path.open()))
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert rows[0] == ["model_fingerprint", "corpus", "mean_loss", "perplexity", "token_count"]
         assert float(rows[1][3]) == report.perplexity
         assert "extra: 1" in (tmp_path / "r.txt").read_text()
@@ -254,7 +254,7 @@ class TestWriters:
         report = mask_similarity(a, a)
         csv_path = tmp_path / "g.csv"
         write_similarity_grid(report, csv_path, tmp_path / "g.txt")
-        rows = list(csv.reader(csv_path.open()))
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert rows[0] == ["layer", "q", "k", "v", "o", "gate", "up", "down"]
         assert len(rows) == 1 + FULL.num_layers
         assert all(float(x) == 0.5 for x in rows[1][1:])
@@ -267,7 +267,7 @@ class TestWriters:
         result = sparsity_sweep(model, scores, corpus, [0.0, 0.5])
         path = tmp_path / "s.csv"
         write_sweep_csv(result, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["sparsity", "perplexity"]
         assert len(rows) == 3
 

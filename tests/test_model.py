@@ -28,7 +28,6 @@ from dualprune.model import (
     load_checkpoint,
     mean_corpus_loss,
     next_token_loss,
-    next_token_split,
     pretrain,
     prunable_matrices,
     save_checkpoint,
@@ -160,6 +159,12 @@ class TestLoss:
     def test_two_dimensional_input_rejected(self):
         with pytest.raises(ValidationError, match=r"must be 1-D, got shape \(1, 4\)"):
             next_token_loss(init_model(TINY), np.zeros((1, 4), dtype=np.int64))
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_empty_batch_rejected(self, taped):
+        with GradientTape() if taped else contextlib.nullcontext():
+            with pytest.raises(ValidationError, match=r"batch must be 2-D .* got shape \(0, 9\)"):
+                batch_next_token_loss(init_model(TINY), np.zeros((0, 9), dtype=np.int64))
 
     def test_loss_matches_batch_path(self):
         model = init_model(TINY)
@@ -471,41 +476,27 @@ class TestRowBlocks:
         assert list(expected[1]) == list(model.params)  # the tied embedding and positions too
         in_blocks = dualprune.model._in_blocks
 
-        def replays_in_reverse(calls):
+        def gradients_in_reverse(calls):
             results = in_blocks(calls)
-            # the replays' gradients (dicts, not forward blocks) added last block first
-            return results[::-1] if isinstance(results[0], dict) else results
+            # each block's loss where it was, the blocks' gradients added last block first
+            return [(nll, grads) for (nll, _), (_, grads) in zip(results, results[::-1])]
 
         with monkeypatch.context() as patch:
-            patch.setattr(dualprune.model, "_in_blocks", replays_in_reverse)
+            patch.setattr(dualprune.model, "_in_blocks", gradients_in_reverse)
             reversed_sum = gradients()
         assert reversed_sum[0] == expected[0] and reversed_sum[1] != expected[1]
         for workers in (2, 3, 8):
             eval_pool(workers)
             assert gradients() == expected, workers
 
-    def test_per_sample_gradients_equal_the_unsplit_pass(self, eval_pool):
+    def test_no_per_sample_gradients_of_a_split_pass(self):
         model = init_model(WIDE)
         weights = [t for _, _, t in prunable_matrices(model)]
-        batch = self.CORPUS.sequences[:13]
-
-        def unsplit_loss(model, rows):
-            inputs, targets = next_token_split(rows)
-            return dualprune.tensor.cross_entropy(model.forward(inputs), targets)
-
-        def gradients(rows, loss_of=batch_next_token_loss):
-            tape = GradientTape()
-            with tape:
-                loss = loss_of(model, rows)
-            grads = dualprune.tensor.backward(tape, loss, weights, samples=len(rows))
-            return [grads[w.tid].data.tobytes() for w in weights]
-
-        expected = gradients(batch, unsplit_loss)
-        # blocks joined out of order would show
-        assert gradients(np.concatenate([batch[4:8], batch[:4], batch[8:]])) != expected
-        for workers in (1, 2, 3, 8):
-            eval_pool(workers)
-            assert gradients(batch) == expected, workers
+        tape = GradientTape()
+        with tape:
+            loss = batch_next_token_loss(model, self.CORPUS.sequences[:13])  # four blocks
+        with pytest.raises(ShapeError, match=r"backward: no per-sample gradient for layers\.0\.q "):
+            dualprune.tensor.backward(tape, loss, weights, samples=13)
 
     def test_loss_is_the_mean_of_the_joined_token_losses(self, eval_pool):
         model = init_model(WIDE)
@@ -558,13 +549,12 @@ class TestRowBlocks:
         assert submitted[0] > 0  # at any worker count the steps ran as blocks
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_no_pool_task_offers_work_to_the_pool(self, eval_pool, monkeypatch, threads):
-        # the pool claims four workers, so every eval batch, 8-row gradient
-        # chunk and oracle pass is cut into blocks, which a pool task that
-        # offered them could wait on behind its own queue
+    def test_no_pool_task_offers_work_to_the_pool(self, eval_pool, threads):
+        # the pool claims four workers, so every eval batch and oracle pass
+        # is cut into blocks, which a pool task that offered them could wait
+        # on behind its own queue
         model = init_model(WIDE)
         corpus = Corpus("m", TestEvalPool.SEQS)
-        monkeypatch.setattr(dualprune.importance, "GRADIENT_CHUNK", 8)
         submits = {"pool": 0, "caller": 0}
 
         class TrackedPool(ThreadPoolExecutor):
@@ -595,9 +585,10 @@ class TestRowBlocks:
             pool.shutdown(wait=False, cancel_futures=True)
         assert results == [expected]
         assert submits["pool"] == 0
-        # 7 eval batches and 3 gradient chunks; the oracle's three passes
-        # (base and two weights) offer blocks 2..4 of its full batch at least
-        assert submits["caller"] >= 7 + 3 + 3 * 3
+        # 7 eval batches and 6 gradient chunks; each of the oracle's three
+        # passes (base and two weights) offers blocks 2..4 of its 32-row
+        # batch and block 2 of its 8-row one
+        assert submits["caller"] == 7 + 6 + 3 * (3 + 1)
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_a_raise_in_one_block_waits_for_the_others(self, eval_pool, taped):

@@ -122,7 +122,7 @@ class TestBlocked:
                 assert block.size - block.sum() == math.floor(sparsity * block.size), trial
 
     def test_block_size_validation(self):
-        for bad in (0, None, 2.0, {"m": 2}):
+        for bad in (0, None, 2.0, {"m": 2}, True):
             with pytest.raises(ValidationError, match="block size must be an int >= 1, got"):
                 select_mask_blocked({"m": np.ones((2, 2))}, 0.5, bad)
 

@@ -285,7 +285,7 @@ class TestRowBlockGradients:
     TARGETS = np.random.default_rng(6).integers(0, 5, size=(4, 3))
     CUTS = [slice(k, k + 1) for k in range(4)]  # each block a quarter of the tokens
 
-    def test_summed_gradients_add_the_blocks_in_batch_order_and_per_sample_ones_join(self):
+    def test_summed_gradients_add_the_blocks_in_batch_order(self):
         rng = np.random.default_rng(7)
         w = T.param(rng.standard_normal((5, 5)), "w")
         p = T.param(rng.standard_normal((1, 3, 5)), "p")  # broadcast over the rows
@@ -294,34 +294,25 @@ class TestRowBlockGradients:
         def logits_of(r):
             return T.add(T.mul(T.matmul(T.Tensor(self.X[r]), w), T.silu(v)), p)
 
-        def batch_gradients(wrt, samples=None):
+        def block_gradients(r):
+            """The block's own backward of its share of the batch's mean loss
+            (its mean times a quarter)."""
             tape = T.GradientTape()
             with tape:
-                loss = T.row_block_cross_entropy(logits_of, self.TARGETS, self.CUTS, serial)
-            grads = T.backward(tape, loss, wrt, samples=samples)
-            return [grads[t.tid].data for t in wrt]
+                loss = T.mul(T.cross_entropy(logits_of(r), self.TARGETS[r]), T.Tensor(0.25))
+            grads = T.backward(tape, loss, [w, p, v])
+            return [grads[t.tid].data for t in (w, p, v)]
 
-        def block_gradients(r, wrt, samples=None):
-            """The block's own backward: of its share of the batch's mean loss
-            (its mean times a quarter), or of its one sample's loss."""
-            tape = T.GradientTape()
-            with tape:
-                loss = T.cross_entropy(logits_of(r), self.TARGETS[r])
-                if samples is None:
-                    loss = T.mul(loss, T.Tensor(0.25))
-            grads = T.backward(tape, loss, wrt, samples=samples)
-            return [grads[t.tid].data for t in wrt]
-
-        summed = batch_gradients([w, p, v])
-        expected = block_gradients(self.CUTS[0], [w, p, v])
+        tape = T.GradientTape()
+        with tape:
+            loss = T.row_block_cross_entropy(logits_of, self.TARGETS, self.CUTS, serial)
+        grads = T.backward(tape, loss, [w, p, v])
+        summed = [grads[t.tid].data for t in (w, p, v)]
+        expected = block_gradients(self.CUTS[0])
         for r in self.CUTS[1:]:
-            expected = [acc + g for acc, g in zip(expected, block_gradients(r, [w, p, v]))]
+            expected = [acc + g for acc, g in zip(expected, block_gradients(r))]
         assert [g.tobytes() for g in summed] == [g.tobytes() for g in expected]
         assert summed[1].shape == p.shape
-
-        [per_sample] = batch_gradients([w], samples=4)
-        joined = np.concatenate([block_gradients(r, [w], samples=1)[0] for r in self.CUTS])
-        assert per_sample.tobytes() == joined.tobytes()
 
 
 def composed_attention(q, k, v, num_heads):
