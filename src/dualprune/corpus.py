@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, ValidationError
+from .errors import ArtifactError, ValidationError, check_int
 
 def tokenize(raw: bytes) -> np.ndarray:
     """Byte-level tokenization: each byte is its own id (vocab 256)."""
@@ -83,12 +83,9 @@ class CalibrationSpec:
     region: tuple[float, float] = (0.0, 1.0)
 
     def validate(self) -> None:
-        if self.sample_count < 1:
-            raise ValidationError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.sequence_length < 2:
-            raise ValidationError(f"sequence_length must be >= 2, got {self.sequence_length}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_int("sample_count", self.sample_count, 1)
+        check_int("sequence_length", self.sequence_length, 2)
+        check_int("seed", self.seed, 0)
         lo, hi = self.region
         if not (0.0 <= lo < hi <= 1.0):
             raise ValidationError(f"region must satisfy 0 <= lo < hi <= 1, got {self.region}")

@@ -50,13 +50,6 @@ from .model import mean_corpus_loss, next_token_loss  # noqa: F401
 DEFAULT_DAMPING = 1e-4
 DEFAULT_LAMBDA = 0.1
 DEFAULT_ALPHA = 0.03
-# Sequences per batched gradient pass: one row block, since a pass of more
-# blocks has no per-sample gradients.  A worker of `model.EVAL_POOL` holds
-# the activations and per-sample gradients of one chunk's sequences at once,
-# so peak memory is about workers x 4 sequences of activations.  What crosses
-# to the caller is a few pairwise sums per matrix (`_chunk_sums`), with no
-# per-sample axis.  The size never changes a bit of the results.
-GRADIENT_CHUNK = model_lib.MIN_BLOCK_ROWS
 
 
 @dataclass
@@ -158,10 +151,13 @@ def _dyadic_sums(per_sample: list[np.ndarray], start: int) -> list[tuple[int, li
     return out
 
 
-def _sample_gradients(model: TransformerModel, weights: list[T.Tensor], batch: np.ndarray):
-    """One chunk's tape pass: per weight, the (n, *shape) per-sample gradients
-    and their squares, and finite[b, m], whether sample b's gradient of weight
-    m is finite."""
+def _chunk_sums(model: TransformerModel, weights: list[T.Tensor], batch: np.ndarray, start: int):
+    """The tape pass of the chunk `batch` of samples `start, start + 1, ...`,
+    reduced in the worker that runs it: finite[b, m], whether sample b's
+    gradient of weight m is finite, and, when every gradient is finite,
+    `(level, sums, square_sums)` per block of `_dyadic_sums`, in order;
+    otherwise no blocks.  Only these sums, with no per-sample axis, cross
+    to the caller."""
     tape = T.GradientTape()
     with tape:
         # looked up at call time, so that a hook installed on
@@ -171,18 +167,10 @@ def _sample_gradients(model: TransformerModel, weights: list[T.Tensor], batch: n
     per_sample = [grads[w.tid].data for w in weights]
     finite = np.stack([np.isfinite(g).reshape(len(batch), -1).all(axis=1) for g in per_sample],
                       axis=1)
-    return per_sample, [g * g for g in per_sample], finite
-
-
-def _chunk_sums(model: TransformerModel, weights: list[T.Tensor], batch: np.ndarray, start: int):
-    """The pass of the chunk `batch` of samples `start, start + 1, ...`,
-    reduced in the worker: finite[b, m] as `_sample_gradients` gives it and,
-    when every gradient is finite, `(level, sums, square_sums)` per block of
-    `_dyadic_sums`, in order; otherwise no blocks."""
-    per_sample, squares, finite = _sample_gradients(model, weights, batch)
     if not finite.all():
         return finite, []
     n = len(weights)
+    squares = [g * g for g in per_sample]
     return finite, [(level, sums[:n], sums[n:])
                     for level, sums in _dyadic_sums(per_sample + squares, start)]
 
@@ -191,16 +179,18 @@ def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
     """Per-sample next-token gradients over the corpus's (n, length) array,
     reduced to mean and mean-of-squares.
 
-    Each block of up to `GRADIENT_CHUNK` consecutive rows goes through one
-    batched tape pass, whose reverse pass returns every sequence's gradient
-    of its own loss for the prunable matrices only.  The chunks' passes run
-    concurrently on `model.EVAL_POOL` (`model.in_corpus_order`); each
-    worker sums its chunk's samples in the pairwise tree of `_PairwiseSum`
-    (`_chunk_sums`), and the caller adds those sums in corpus order.  A pass
-    repeats the arithmetic of a batch-1 pass per sequence, so the
-    squared-gradient accumulator is the empirical Fisher diagonal and the
-    results are bit-identical to one pass per sequence, reduced one sample at
-    a time, whatever the chunk size and the number of workers.  A non-finite
+    The rows are cut in corpus order into chunks of `model.MIN_BLOCK_ROWS`:
+    a chunk is one taped row block, the most rows a pass with per-sample
+    gradients can have.  Each chunk goes through one batched tape pass,
+    whose reverse pass returns every sequence's gradient of its own loss
+    for the prunable matrices only.  The chunks' passes run on the eval pool
+    (`model.in_corpus_order`), which sizes that work; each worker sums its
+    chunk's samples in the pairwise tree of `_PairwiseSum` (`_chunk_sums`),
+    and the caller adds those sums in corpus order.  A pass repeats the
+    arithmetic of a batch-1 pass per sequence, so the squared-gradient
+    accumulator is the empirical Fisher diagonal and the results are
+    bit-identical to one pass per sequence, reduced one sample at a time,
+    whatever the chunk size and the number of workers.  A non-finite
     gradient raises `NumericError` naming the first such sample in corpus
     order; no pass of the call is left running when it returns or raises.
     """
@@ -208,12 +198,10 @@ def next_token_gradients(model: TransformerModel, corpus) -> GradientStats:
     weights = [model.params[k] for k in names]
     acc_g = _PairwiseSum()
     acc_g2 = _PairwiseSum()
-    size = GRADIENT_CHUNK
+    size = model_lib.MIN_BLOCK_ROWS
     calls = ((_chunk_sums, model, weights, batch, i * size)
              for i, batch in enumerate(corpus.batches(size)))
-    # one chunk more than the workers: a worker finds the next chunk queued
-    # while the caller adds the last one's sums, which hold no per-sample axis
-    with closing(in_corpus_order(calls, model_lib.EVAL_WORKERS + 1)) as chunks:
+    with closing(in_corpus_order(calls)) as chunks:
         for finite, blocks in chunks:
             if not finite.all():
                 b, m = np.argwhere(~finite)[0]
@@ -345,9 +333,10 @@ _dense_streams: tuple[tuple[str, str], list[list[T.Tensor]]] | None = None
 
 
 def _residual_streams(model: TransformerModel, corpus) -> list[list[T.Tensor]]:
-    """Per `mean_corpus_loss` batch, the streams entering sublayers 1 .. 2L of
-    `model` on `corpus`: one dense pass per (model, corpus), keyed on both
-    fingerprints so that an in-place edit of either is a miss."""
+    """Per `mean_corpus_loss` batch, the streams entering sublayers 0 .. 2L of
+    `model` on `corpus` (the embedding first, the head's input last): one
+    dense pass per (model, corpus), keyed on both fingerprints so that an
+    in-place edit of either is a miss."""
     global _dense_streams
     key = (model.fingerprint(), corpus.fingerprint())
     memo = _dense_streams
@@ -355,11 +344,9 @@ def _residual_streams(model: TransformerModel, corpus) -> list[list[T.Tensor]]:
         memo = _dense_streams = None  # free the old streams before building the new
         streams = []
         for batch in corpus.batches(EVAL_BATCH):
-            h = model.embed(next_token_split(batch)[0])
-            states = []
+            states = [model.embed(next_token_split(batch)[0])]
             for s in range(2 * model.config.num_layers):
-                h = model.sublayer(s, h)
-                states.append(h)
+                states.append(model.sublayer(s, states[-1]))
             streams.append(states)
         memo = _dense_streams = (key, streams)
     return memo[1]
@@ -381,14 +368,14 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     three ways:
 
     * once per (model, corpus): one dense pass that keeps, per eval batch,
-      the residual streams entering sublayers 1 .. 2L, 2L streams of
-      (batch, length - 1, d_model) float64 per batch (4.1 MB for the
+      the residual streams entering sublayers 0 .. 2L, 2L + 1 streams of
+      (batch, length - 1, d_model) float64 per batch (5.2 MB for the
       default `ModelConfig` on 32 sequences of 64 tokens).  Only the last
       pair's streams are kept, keyed on the model's and the corpus's
       fingerprints, which every call computes.
     * once per call: the base loss, which runs only the head on the final
       streams; and per eval batch and row block, the stream h entering s
-      (the embedding for s = 0), the block's normed input, its branch
+      (its rows of the kept stream), the block's normed input, its branch
       outputs and their mix, built by the first weight's pass in that block,
       on the thread that runs it, and reused by every later weight.
     * once per weight and eval batch: one pass on the caller, the passes
@@ -432,7 +419,7 @@ def brute_force_importance(model: TransformerModel, corpus, matrix_id: tuple[int
     def sublayer_steps(b, r):
         key = (b, r.start, r.stop)
         if key not in blocks:
-            h = T.Tensor(streams[b][s - 1].data[r]) if s else model.embed(splits[b][0][r])
+            h = T.Tensor(streams[b][s].data[r])
             x = model.block_input(s, h)
             branches = [model.branch(s, name, x) for name in branch_names]
             blocks[key] = (h, x, branches, model.mix(s, branches))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .container import read_container, write_container
-from .errors import ArtifactError, NumericError, ShapeError, ValidationError
+from .errors import ArtifactError, NumericError, ShapeError, ValidationError, check_int
 from .tensor import GradientTape, Tensor
 
 # The prunable projections of each block, attention then MLP: the branches
@@ -42,13 +42,9 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for field in ("vocab_size", "num_layers", "d_model", "num_heads", "d_ff"):
-            if getattr(self, field) < 1:
-                raise ValidationError(f"ModelConfig.{field} must be >= 1, got {getattr(self, field)}")
-        if self.context_length < 2:
-            raise ValidationError(f"ModelConfig.context_length must be >= 2, got {self.context_length}")
-        if self.seed < 0:
-            raise ValidationError(f"ModelConfig.seed must be >= 0, got {self.seed}")
+        for field in fields(self):
+            least = {"context_length": 2, "seed": 0}.get(field.name, 1)
+            check_int(f"ModelConfig.{field.name}", getattr(self, field.name), least)
         if self.d_model % self.num_heads != 0:
             raise ValidationError(
                 f"d_model ({self.d_model}) must be divisible by num_heads ({self.num_heads})"
@@ -283,27 +279,18 @@ def batch_next_token_loss(model: TransformerModel, batch: np.ndarray) -> Tensor:
 
 def row_block_loss(logits_of: Callable[[slice], Tensor], targets: np.ndarray) -> Tensor:
     """Mean cross-entropy of the (batch, length) `targets` under the logits
-    `logits_of(r)` gives for rows `r`: the one place where a pass is cut
-    into row blocks.
+    `logits_of(r)` gives for rows `r`, run in the blocks `row_blocks` cuts.
 
-    Under an active tape the batch is cut into blocks of `MIN_BLOCK_ROWS`
-    rows, whatever the worker count, and each block's call runs its pass
-    and its reverse pass to its own gradients; the call records one record
-    for the whole batch (`tensor.row_block_cross_entropy`), whose reverse
-    pass adds the blocks' gradients in batch order.  So a training step,
-    and every checkpoint, is bit-identical for any worker count.  Without a
-    tape the batch is cut as `row_blocks` says: every op works on each row
-    alone and a forward GEMM gives each row the bits of the whole batch's,
-    so the loss is that of one pass on the whole batch.  A batch of one
-    block runs as one pass (`tensor.cross_entropy`); more run as the blocks
-    (`_in_blocks`): inside a pool task one after another, elsewhere the
-    first on the caller and the others on `EVAL_POOL`.  No block outlives
-    the call, and the reverse pass schedules no work.
+    A batch of one block runs as one pass (`tensor.cross_entropy`); more
+    run as the blocks (`_in_blocks`): inside a pool task one after another,
+    elsewhere the first on the caller and the others on `EVAL_POOL`.  Under
+    an active tape each block's call runs its pass and its reverse pass to
+    its own gradients, and the call records one record for the whole batch
+    (`tensor.row_block_cross_entropy`), whose reverse pass adds the blocks'
+    gradients in batch order.  No block outlives the call, and the reverse
+    pass schedules no work.
     """
-    if T.recording():
-        cuts = [slice(a, a + MIN_BLOCK_ROWS) for a in range(0, len(targets), MIN_BLOCK_ROWS)]
-    else:
-        cuts = row_blocks(len(targets))
+    cuts = row_blocks(len(targets))
     if len(cuts) == 1:
         return T.cross_entropy(logits_of(slice(None)), targets)
     return T.row_block_cross_entropy(logits_of, targets, cuts, _in_blocks)
@@ -311,16 +298,17 @@ def row_block_loss(logits_of: Callable[[slice], Tensor], targets: np.ndarray) ->
 
 # Sequences per forward pass of `mean_corpus_loss`.
 EVAL_BATCH = 32
-# The rows of every block of a pass under a tape, of every chunk of
-# `importance.next_token_gradients`, and the fewest rows a forward-only pass
-# is cut to (`row_block_loss`): a 2-row block costs 4.5% more per sequence
-# than a 4-row one.
+# The rows of every block of a pass under a tape, so the most rows a pass
+# with per-sample gradients has, and the fewest a forward-only pass is cut
+# to (`row_blocks`): a 2-row block costs 4.5% more per sequence than a
+# 4-row one.
 MIN_BLOCK_ROWS = 4
 
 # The process-wide pool that runs the batches of `mean_corpus_loss`, the
 # chunks of `importance.next_token_gradients` (`in_corpus_order`) and the row
 # blocks of `row_block_loss` (`_in_blocks`), with one worker per CPU this
-# process may run on.  Its threads start on its first task.
+# process may run on.  Its threads start on its first task.  This module
+# alone sizes the work offered to it.
 try:
     EVAL_WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
@@ -332,9 +320,18 @@ _in_pool_task = contextvars.ContextVar("in_pool_task", default=False)
 
 
 def row_blocks(rows: int) -> list[slice]:
-    """`rows` rows cut in order into blocks of max(`MIN_BLOCK_ROWS`,
-    ceil(rows / `EVAL_WORKERS`)) rows, the last possibly shorter."""
-    size = max(MIN_BLOCK_ROWS, -(-rows // EVAL_WORKERS))
+    """`rows` rows cut in order into blocks, the last possibly shorter: the
+    one rule for the size of a pass.
+
+    Under an active tape the blocks have `MIN_BLOCK_ROWS` rows, whatever
+    the worker count, so a training step, and every checkpoint, is
+    bit-identical for any worker count.  Otherwise they have
+    max(`MIN_BLOCK_ROWS`, ceil(rows / `EVAL_WORKERS`)) rows: every op of a
+    forward pass works on each row alone and a forward GEMM gives each row
+    the bits of the whole batch's, so the loss is that of one pass on the
+    whole batch.
+    """
+    size = MIN_BLOCK_ROWS if T.recording() else max(MIN_BLOCK_ROWS, -(-rows // EVAL_WORKERS))
     return [slice(a, a + size) for a in range(0, rows, size)]
 
 
@@ -357,22 +354,23 @@ def _wait_for_running(futures: Iterable[Future]) -> None:
     wait([future for future in futures if not future.cancel()])
 
 
-def in_corpus_order(calls: Iterable[tuple], window: int) -> Iterator:
+def in_corpus_order(calls: Iterable[tuple]) -> Iterator:
     """Run each `(fn, *args)` of `calls` on `EVAL_POOL` and yield the
     results in the order of `calls`: the batches of `mean_corpus_loss` and
     the chunks of `importance.next_token_gradients`.
 
-    At most `window` calls are submitted and not yet yielded, so results
-    that hold large buffers wait for the caller only that many at a time.
-    A call's exception is raised where its result would be yielded.  On
-    exit, including `close()` after a raise in the caller, calls not yet
-    started are withdrawn and running ones waited for; use it under
+    At most `EVAL_WORKERS + 1` calls are submitted and not yet yielded: a
+    worker finds the next call queued while the caller takes the last
+    result, and results that hold large buffers never pile up.  A call's
+    exception is raised where its result would be yielded.  On exit,
+    including `close()` after a raise in the caller, calls not yet started
+    are withdrawn and running ones waited for; use it under
     `contextlib.closing`, so that no call outlives the caller's loop.
     """
     pending: deque[Future] = deque()
     try:
         for call in calls:
-            if len(pending) == window:
+            if len(pending) > EVAL_WORKERS:
                 yield pending.popleft().result()
             pending.append(_submit(*call))
         while pending:
@@ -425,17 +423,15 @@ def mean_corpus_loss(model: TransformerModel, corpus) -> float:
 
     The rows are batched in corpus order, `EVAL_BATCH` at a time (the last
     batch may be smaller).  The batches' forward passes run concurrently on
-    `EVAL_POOL` (`in_corpus_order`), and their losses are
-    summed in corpus order (`token_weighted_mean`), so the result is
-    bit-for-bit that of passing them one by one.  A non-finite batch loss
-    raises `NumericError` naming the rows of the first such batch; no pass of
-    the call is left running when it returns or raises.
+    `EVAL_POOL` (`in_corpus_order`), and their losses are summed in corpus
+    order (`token_weighted_mean`), so the result is bit-for-bit that of
+    passing them one by one.  A non-finite batch loss raises `NumericError`
+    naming the rows of the first such batch; no pass of the call is left
+    running when it returns or raises.
     """
     batches = list(corpus.batches(EVAL_BATCH))
     calls = ((batch_next_token_loss, model, batch) for batch in batches)
-    # a batch's result is a scalar, so every batch may be queued at once; a
-    # window of EVAL_WORKERS measured 2.6% slower
-    with closing(in_corpus_order(calls, len(batches))) as losses:
+    with closing(in_corpus_order(calls)) as losses:
         return token_weighted_mean("mean_corpus_loss", batches, (loss.data for loss in losses))
 
 
@@ -450,14 +446,10 @@ def pretrain(model: TransformerModel, corpus, steps: int, learning_rate: float, 
     (seed, corpus, steps) runs produce bit-identical checkpoints for any
     `EVAL_WORKERS`.
     """
-    if steps < 1:
-        raise ValidationError(f"pretrain: steps must be >= 1, got {steps}")
-    if not 0 < learning_rate < math.inf:
+    for what, count in (("steps", steps), ("batch_size", batch_size), ("log_every", log_every)):
+        check_int(f"pretrain: {what}", count, 1)
+    if isinstance(learning_rate, bool) or not 0 < learning_rate < math.inf:
         raise ValidationError(f"pretrain: learning_rate must be finite and > 0, got {learning_rate}")
-    if batch_size < 1:
-        raise ValidationError(f"pretrain: batch_size must be >= 1, got {batch_size}")
-    if log_every < 1:
-        raise ValidationError(f"pretrain: log_every must be >= 1, got {log_every}")
 
     rng = np.random.default_rng([model.config.seed, 0x7261696E])
     history: list[tuple[int, float]] = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_container, record_from_container, record_meta, write_container
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_int
 from .model import TransformerModel, check_scored_model, prunable_names
 
 MODE_PER_MATRIX = "per-matrix"
@@ -61,8 +61,7 @@ def check_mode(mode: str) -> None:
 
 
 def check_block_size(block_size) -> None:
-    if isinstance(block_size, bool) or not isinstance(block_size, (int, np.integer)) or block_size < 1:
-        raise ValidationError(f"block size must be an int >= 1, got {block_size!r}")
+    check_int("block size", block_size, 1)
 
 
 def select_masks(scores, sparsities, mode: str, block_size: int | None = None) -> list[Mask]:

@@ -117,13 +117,13 @@ class TestPretrain:
     def test_batch_size_and_log_every_minimum_exit_2(self, workspace, tmp_path, capsys, flag, value):
         assert main(["pretrain", "--config", str(workspace["config"]), flag, value,
                      "--output-dir", str(tmp_path)]) == 2
-        assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be an int >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
     def test_negative_seed_exit_2(self, workspace, tmp_path, capsys):
         assert main(["pretrain", "--config", str(workspace["config"]), "--seed", "-1",
                      "--output-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: ModelConfig.seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: ModelConfig.seed must be an int >= 0, got -1\n"
         assert not (tmp_path / "model.ckpt").exists()
 
     def test_checkpoint_path_is_a_directory_exit_2(self, workspace, tmp_path, capsys):
@@ -746,8 +746,9 @@ def openblas_core() -> str:
 def recipe_runs(workspace, tmp_path_factory, package_env):
     """pretrain -> general-importance -> prune -> eval -> sweep at batch size 8,
     then a magnitude prune into `magnitude/` and the masksim of the two masks,
-    through `python -m dualprune.cli`, once on one CPU (1 worker) and once
-    unrestricted: {run: (workers, output directory `run`)}."""
+    through `python -m dualprune.cli`, once on one CPU (1 worker), once
+    unrestricted and once unrestricted under OPENBLAS_NUM_THREADS=2:
+    {run: (workers, output directory `run`)}."""
     common = ["--config", str(workspace["config"]), "--batch-size", "8"]
     config = [*common, "--output-dir", "run"]
     stages = [["pretrain", *config],
@@ -761,14 +762,23 @@ def recipe_runs(workspace, tmp_path_factory, package_env):
               ["masksim", *config, "run/mask.bin", "magnitude/mask.bin"]]
     one_cpu = {min(os.sched_getaffinity(0))}
     runs = {}
-    for name, preexec_fn in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
+    for name, preexec_fn, env in (("one", lambda: os.sched_setaffinity(0, one_cpu), package_env),
+                                  ("all", None, package_env),
+                                  ("blas2", None, dict(package_env, OPENBLAS_NUM_THREADS="2"))):
         cwd = tmp_path_factory.mktemp(name)
         workers = int(run_python(["-c", "from dualprune import model; print(model.EVAL_WORKERS)"],
-                                 cwd, package_env, preexec_fn))
+                                 cwd, env, preexec_fn))
         for argv in stages:
-            run_python(["-m", "dualprune.cli", *argv], cwd, package_env, preexec_fn)
+            run_python(["-m", "dualprune.cli", *argv], cwd, env, preexec_fn)
         runs[name] = workers, cwd / "run"
     return runs
+
+
+def assert_same_artifacts(one_dir, other_dir):
+    names = sorted(p.name for p in one_dir.iterdir())
+    assert names == sorted(p.name for p in other_dir.iterdir())
+    for name in names:
+        assert (one_dir / name).read_bytes() == (other_dir / name).read_bytes(), name
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -777,10 +787,12 @@ class TestPoolSize:
     def test_artifacts_do_not_depend_on_the_worker_count(self, recipe_runs):
         (one, one_dir), (all_, all_dir) = recipe_runs["one"], recipe_runs["all"]
         assert one == 1 and all_ >= 2
-        names = sorted(p.name for p in one_dir.iterdir())
-        assert names == sorted(p.name for p in all_dir.iterdir())
-        for name in names:
-            assert (one_dir / name).read_bytes() == (all_dir / name).read_bytes(), name
+        assert_same_artifacts(one_dir, all_dir)
+
+    def test_artifacts_do_not_depend_on_the_blas_threads(self, recipe_runs):
+        """The import-time pin runs OpenBLAS on one thread whatever the
+        environment asks for, so every artifact keeps its bits."""
+        assert_same_artifacts(recipe_runs["all"][1], recipe_runs["blas2"][1])
 
     def test_artifacts_match_the_manifest(self, recipe_runs):
         """Skipped, not failed, in another environment: tier-1 may run on

@@ -105,8 +105,16 @@ class TestBuildCalibration:
             build_calibration(CalibrationSpec([str(text_file)], 0, 64, seed=0))
 
     def test_negative_seed_rejected(self, text_file):
-        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ValidationError, match="seed must be an int >= 0, got -1"):
             build_calibration(CalibrationSpec([str(text_file)], 2, 64, seed=-1))
+
+    @pytest.mark.parametrize("field,value,least", [
+        ("sample_count", True, 1), ("sample_count", 2.5, 1), ("seed", 1.5, 0),
+        ("seed", True, 0), ("sequence_length", 16.0, 2)])
+    def test_bools_and_floats_rejected(self, text_file, field, value, least):
+        spec = {"sample_count": 2, "sequence_length": 16, "seed": 0, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an int >= {least}, got {value!r}$"):
+            build_calibration(CalibrationSpec([str(text_file)], **spec))
 
     def test_multiple_sources_concatenate(self, tmp_path):
         a = tmp_path / "a.txt"

@@ -196,8 +196,8 @@ class TestGradientPool:
         try:
             for workers in (1, 2, 8):  # 8: more workers than cores
                 eval_pool(workers)
-                for chunk in range(1, importance.GRADIENT_CHUNK + 1):
-                    monkeypatch.setattr(importance, "GRADIENT_CHUNK", chunk)
+                for chunk in range(1, model_lib.MIN_BLOCK_ROWS + 1):
+                    monkeypatch.setattr(model_lib, "MIN_BLOCK_ROWS", chunk)
                     stats = next_token_gradients(tiny_model, corpus)
                     assert stats_bytes(stats.mean, stats.mean_square) == expected, (workers, chunk)
         finally:
@@ -222,15 +222,15 @@ class TestGradientPool:
             h.data[(ids == RARE_ID).any(axis=1)] = np.inf
             return h
 
-        sample_gradients = importance._sample_gradients
+        chunk_sums = importance._chunk_sums
 
-        def sample_gradients_observed(model, weights, batch):
+        def chunk_sums_observed(model, weights, batch, start):
             with lock:
                 running[0] += 1
             try:
                 if np.array_equal(batch, seqs[8:12]):  # chunk 2
                     time.sleep(0.3)
-                return sample_gradients(model, weights, batch)
+                return chunk_sums(model, weights, batch, start)
             finally:
                 if len(batch) == 3:  # chunk 5
                     chunk_five_done.set()
@@ -238,7 +238,7 @@ class TestGradientPool:
                     running[0] -= 1
 
         broken.embed = embed_breaking_rare
-        monkeypatch.setattr(importance, "_sample_gradients", sample_gradients_observed)
+        monkeypatch.setattr(importance, "_chunk_sums", chunk_sums_observed)
         eval_pool(6)  # all six chunks in flight at once
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("error")  # a worker outside the caller's errstate would warn
@@ -279,7 +279,7 @@ class TestGradientPool:
 
         def counting_batch_loss(model, batch):
             with lock:
-                reduced = min(s.count for s in sums) // importance.GRADIENT_CHUNK
+                reduced = min(s.count for s in sums) // model_lib.MIN_BLOCK_ROWS
                 started.append(len(started) + 1 - reduced)
             return batch_loss(model, batch)
 
@@ -784,10 +784,13 @@ class TestOracleIsExact:
             _, layer, proj = name.split(".")
             got = brute_force_importance(model, corpus, (int(layer), proj), indices)
             assert np.array_equal(got, expected), (k, name)
-        # one entry, for the last call: 2L streams per eval batch
+        # one entry, for the last call: 2L + 1 streams per eval batch, the
+        # embedding's first
         key, streams = importance._dense_streams
         assert key == (model.fingerprint(), corpus.fingerprint())
-        assert [len(states) for states in streams] == [2 * TWO_LAYER.num_layers] * 2
+        assert [len(states) for states in streams] == [2 * TWO_LAYER.num_layers + 1] * 2
+        embedded = model.embed(corpus.sequences[:EVAL_BATCH, :-1])
+        assert np.array_equal(streams[0][0].data, embedded.data)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_weight_raises(self, three_batch_corpus, value):

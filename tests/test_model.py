@@ -57,8 +57,23 @@ class TestConfig:
             ModelConfig(num_layers=0).validate()
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError, match=r"ModelConfig\.seed must be >= 0, got -1"):
+        with pytest.raises(ValidationError, match=r"ModelConfig\.seed must be an int >= 0, got -1"):
             init_model(ModelConfig(seed=-1))
+
+    @pytest.mark.parametrize("field,value", [("num_layers", True), ("d_model", 16.0),
+                                             ("context_length", 16.0), ("seed", False),
+                                             ("vocab_size", np.float64(32))])
+    def test_bools_and_floats_rejected(self, field, value):
+        # True would build a model whose checkpoint records "True" and does not load
+        with pytest.raises(ValidationError, match=rf"ModelConfig\.{field} must be an int >= \d, "
+                                                  rf"got {re.escape(repr(value))}$"):
+            init_model(ModelConfig(**{field: value}))
+
+    def test_numpy_ints_accepted(self):
+        model = init_model(ModelConfig(d_model=np.int64(16), num_heads=np.int32(2), seed=np.uint8(3)))
+        expected = init_model(ModelConfig(d_model=16, num_heads=2, seed=3))
+        for name, t in expected.params.items():
+            assert np.array_equal(model.params[name].data, t.data), name
 
 
 class TestInit:
@@ -320,7 +335,8 @@ class TestEvalPool:
         assert rows[0] == rows[1]
 
     def test_first_non_finite_batch_in_corpus_order_raises(self, eval_pool, monkeypatch):
-        # batches 1 and 6 turn infinite; batch 1 is held back so that batch 6 fails first
+        # batches 1 and 6 turn infinite; batch 1 is held back so that batch 6
+        # fails first, which needs all seven batches in flight at once
         model = init_model(TWO_LAYER)
         rare = TWO_LAYER.vocab_size - 1
         seqs = self.SEQS.copy()
@@ -345,12 +361,33 @@ class TestEvalPool:
 
         model.embed = embed_breaking_rare
         monkeypatch.setattr(dualprune.model, "batch_next_token_loss", loss_marking_batch_six)
-        eval_pool(3)
+        eval_pool(7)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("error")  # a worker outside the caller's errstate would warn
             with pytest.raises(NumericError, match=r"non-finite loss nan on sequences 32\.\.63$"):
                 mean_corpus_loss(model, Corpus("m", seqs))
         assert batch_six_done.is_set()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_one_call_more_than_the_workers_is_pending(self, eval_pool, monkeypatch,
+                                                               workers):
+        eval_pool(workers)
+        submit = dualprune.model._submit
+        submitted = []
+
+        def counting_submit(*call):
+            submitted.append(call)
+            return submit(*call)
+
+        monkeypatch.setattr(dualprune.model, "_submit", counting_submit)
+        pending = []
+        calls = ((lambda i: i, i) for i in range(10))
+        with contextlib.closing(dualprune.model.in_corpus_order(calls)) as results:
+            for i, result in enumerate(results):
+                assert result == i
+                pending.append(len(submitted) - i)
+        # full until the calls run out, then draining
+        assert pending == [min(workers + 1, 10 - i) for i in range(10)]
 
     def test_tape_active_in_the_caller_records_nothing(self):
         model = init_model(TWO_LAYER)
@@ -404,6 +441,16 @@ class TestRowBlocks:
     def test_blocks_of_the_pool_size_and_at_least_four_rows(self, eval_pool, workers, rows, sizes):
         eval_pool(workers)
         cuts = dualprune.model.row_blocks(rows)
+        assert [len(range(rows)[r]) for r in cuts] == sizes
+        assert np.array_equal(np.concatenate([np.arange(rows)[r] for r in cuts]), np.arange(rows))
+
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    @pytest.mark.parametrize("rows,sizes", [(4, [4]), (8, [4, 4]), (7, [4, 3]), (33, [4] * 8 + [1])])
+    def test_blocks_under_a_tape_have_four_rows_at_any_pool_size(self, eval_pool, workers, rows,
+                                                                 sizes):
+        eval_pool(workers)
+        with GradientTape():
+            cuts = dualprune.model.row_blocks(rows)
         assert [len(range(rows)[r]) for r in cuts] == sizes
         assert np.array_equal(np.concatenate([np.arange(rows)[r] for r in cuts]), np.arange(rows))
 
@@ -626,8 +673,24 @@ class TestPretrain:
     def test_batch_size_and_log_every_minimum(self, field, value):
         model = init_model(TINY)
         corpus = random_corpus(TINY, 4, np.random.default_rng(0))
-        with pytest.raises(ValidationError, match=f"{field} must be >= 1, got {value}"):
+        with pytest.raises(ValidationError, match=f"{field} must be an int >= 1, got {value}"):
             pretrain(model, corpus, steps=2, learning_rate=0.1, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [("steps", True), ("steps", 2.0), ("batch_size", True),
+                                             ("batch_size", 2.5), ("log_every", 1.0)])
+    def test_bools_and_floats_rejected(self, field, value):
+        model = init_model(TINY)
+        corpus = random_corpus(TINY, 4, np.random.default_rng(0))
+        counts = {"steps": 2, **{field: value}}
+        with pytest.raises(ValidationError, match=f"{field} must be an int >= 1, got {value!r}$"):
+            pretrain(model, corpus, learning_rate=0.1, **counts)
+        assert model.step == 0
+
+    def test_bool_learning_rate_rejected(self):
+        model = init_model(TINY)
+        corpus = random_corpus(TINY, 4, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="learning_rate must be finite and > 0, got True$"):
+            pretrain(model, corpus, steps=2, learning_rate=True)
 
     def test_loss_decreases_on_repetitive_corpus(self):
         config = ModelConfig(vocab_size=32, context_length=16, num_layers=1,
@@ -799,7 +862,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key, value, message", [
         ("config.num_heads", "3", r"d_model \(16\) must be divisible by num_heads \(3\)"),
-        ("config.num_layers", "0", r"ModelConfig\.num_layers must be >= 1, got 0"),
+        ("config.num_layers", "0", r"ModelConfig\.num_layers must be an int >= 1, got 0"),
         ("step", "-5", "step must be >= 0, got -5"),
     ], ids=["num-heads-3", "num-layers-0", "negative-step"])
     def test_bad_metadata_is_an_artifact_error(self, tmp_path, key, value, message):

@@ -17,6 +17,8 @@
   `row_block_cross_entropy`, so every pass is cut into row blocks one way.
 * Only `model._submit` calls `EVAL_POOL.submit`, so no offer to the pool
   skips the context copy or the pool-task mark.
+* No module of `src/` but `model` names `EVAL_POOL` or `EVAL_WORKERS` in
+  code, so `model` alone sizes the work offered to the pool.
 * The stage benchmark's hooks install on the package and come off again.
 """
 
@@ -156,15 +158,15 @@ def _references(helper, name_of):
     return inside, outside
 
 
-def _row_cutting(node):
-    """A name, attribute or import of `ROW_CUTTING`."""
+def _named(node, names):
+    """The name of `node` if it is a name, attribute or import of one of `names`."""
     name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-    return name if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in ROW_CUTTING else None
+    return name if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in names else None
 
 
 def test_only_the_row_block_helper_cuts_rows():
     """The helper must hold one reference of each of `ROW_CUTTING`, and nothing else any."""
-    inside, outside = _references("model.row_block_loss", _row_cutting)
+    inside, outside = _references("model.row_block_loss", lambda node: _named(node, ROW_CUTTING))
     assert inside == ROW_CUTTING, "model.row_block_loss no longer cuts rows; the rule is stale"
     assert outside == [], f"row blocks cut outside model.row_block_loss: {outside}"
 
@@ -183,6 +185,18 @@ def test_only_the_submit_helper_offers_work_to_the_pool():
     inside, outside = _references("model._submit", _pool_submit)
     assert inside == {"EVAL_POOL.submit"}, "model._submit no longer submits; the rule is stale"
     assert outside == [], f"work offered to EVAL_POOL outside model._submit: {outside}"
+
+
+POOL_SIZING = {"EVAL_POOL", "EVAL_WORKERS"}
+
+
+def test_only_the_model_sizes_pool_work():
+    named = {path.stem: [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for node in ast.walk(tree)
+                         if (name := _named(node, POOL_SIZING))]
+             for path, tree in _trees(PACKAGE)}
+    assert named.pop("model"), "model names neither EVAL_POOL nor EVAL_WORKERS; the rule is stale"
+    outside = [entry for entries in named.values() for entry in entries]
+    assert outside == [], f"pool work sized outside model: {outside}"
 
 
 def _package_bindings():
